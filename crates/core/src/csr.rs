@@ -161,7 +161,8 @@ impl<I: SpIndex, V: Scalar> Csr<I, V> {
         y: &mut [V],
     ) {
         debug_assert!(row_end <= self.nrows);
-        debug_assert_eq!(x.len(), self.ncols);
+        // The AVX2 kernel gathers from `x` unchecked.
+        assert_eq!(x.len(), self.ncols, "x length must equal ncols");
         #[cfg(target_arch = "x86_64")]
         if crate::simd::avx2_ok(isa) && self.ncols <= i32::MAX as usize {
             use crate::simd::{as_f64s, as_f64s_mut, as_u32s, avx2};
@@ -169,8 +170,9 @@ impl<I: SpIndex, V: Scalar> Csr<I, V> {
                 (as_u32s(&self.row_ptr), as_u32s(&self.col_ind), as_f64s(&self.values))
             {
                 let (xs, ys) = (as_f64s(x).expect("V is f64"), as_f64s_mut(y).expect("V is f64"));
-                // Safety: AVX2 verified by avx2_ok; CSR invariants give
-                // in-bounds columns; ncols fits the i32 gather lanes.
+                // SAFETY: AVX2 verified by avx2_ok; CSR invariants give
+                // columns < ncols == x.len() / k (asserted above); ncols
+                // fits the i32 gather lanes.
                 unsafe {
                     avx2::rows_k1(
                         rp,
@@ -267,7 +269,8 @@ impl<I: SpIndex, V: Scalar> Csr<I, V> {
         y_local: &mut [V],
     ) {
         debug_assert!(row_end <= self.nrows);
-        debug_assert_eq!(x.len(), self.ncols * k);
+        // The AVX2 kernels gather from `x` unchecked.
+        assert_eq!(x.len(), self.ncols * k, "x must be ncols x k row-major");
         debug_assert_eq!(y_local.len(), (row_end - row_begin) * k);
         #[cfg(target_arch = "x86_64")]
         if crate::simd::avx2_ok(isa)
@@ -281,8 +284,9 @@ impl<I: SpIndex, V: Scalar> Csr<I, V> {
                 let xs = as_f64s(x).expect("V is f64");
                 let ys = as_f64s_mut(y_local).expect("V is f64");
                 let src = avx2::ValSrc::Direct(vs);
-                // Safety: AVX2 verified by avx2_ok; CSR invariants give
-                // in-bounds columns; ncols fits the i32 gather lanes.
+                // SAFETY: AVX2 verified by avx2_ok; CSR invariants give
+                // columns < ncols == x.len() / k (asserted above); ncols
+                // fits the i32 gather lanes.
                 unsafe {
                     match k {
                         1 => avx2::rows_k1(rp, ci, src, row_begin, row_end, row_begin, xs, ys),

@@ -192,6 +192,7 @@ pub(super) fn splits<V: Scalar>(du: &CsrDu<V>, nparts: usize) -> Vec<DuSplit> {
             row_end: du.nrows(),
             row_wrap_base: usize::MAX,
             nnz: 0,
+            stream_id: du.stream_id,
         });
         return out;
     }
@@ -228,6 +229,7 @@ pub(super) fn splits<V: Scalar>(du: &CsrDu<V>, nparts: usize) -> Vec<DuSplit> {
                 row_end,
                 row_wrap_base: part_wrap_base,
                 nnz: unit.val_offset + unit.len - part_start_val,
+                stream_id: du.stream_id,
             });
             part_start_ctl = unit.ctl_end;
             part_start_val = unit.val_offset + unit.len;

@@ -241,5 +241,6 @@ pub(super) fn encode<I: SpIndex, V: Scalar>(csr: &Csr<I, V>, opts: &DuOptions) -
         ctl: b.ctl,
         values: csr.values().to_vec(),
         units,
+        stream_id: super::next_stream_id(),
     }
 }

@@ -125,7 +125,7 @@ impl UnitType {
 /// // Lossless and bit-identical in SpMV:
 /// assert_eq!(du.to_csr().unwrap(), csr);
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct CsrDu<V: Scalar = f64> {
     nrows: usize,
     ncols: usize,
@@ -133,6 +133,31 @@ pub struct CsrDu<V: Scalar = f64> {
     ctl: Vec<u8>,
     values: Vec<V>,
     units: usize,
+    /// Identity of this ctl stream (shared by clones), stamped into every
+    /// [`DuSplit`] cut from it; see [`next_stream_id`].
+    stream_id: u64,
+}
+
+/// Equal content; the stream identity is not compared.
+impl<V: Scalar> PartialEq for CsrDu<V> {
+    fn eq(&self, other: &Self) -> bool {
+        let CsrDu { nrows, ncols, nnz, ctl, values, units, stream_id: _ } = self;
+        *nrows == other.nrows
+            && *ncols == other.ncols
+            && *nnz == other.nnz
+            && *ctl == other.ctl
+            && *values == other.values
+            && *units == other.units
+    }
+}
+
+/// A fresh ctl-stream identity. Every encode and every checked rebuild
+/// draws one, so a [`DuSplit`] can only be used with the stream it was
+/// cut from (or a clone of it). Relaxed: the counter publishes no data,
+/// only uniqueness matters.
+fn next_stream_id() -> u64 {
+    static NEXT: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(1);
+    NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
 }
 
 impl<V: Scalar> CsrDu<V> {
@@ -151,14 +176,14 @@ impl<V: Scalar> CsrDu<V> {
         ctl: Vec<u8>,
         values: Vec<V>,
     ) -> crate::error::Result<CsrDu<V>> {
-        let (nnz, units) = validate::validate_ctl(&ctl, nrows.max(1), ncols.max(1))?;
+        let (nnz, units) = validate::validate_ctl(&ctl, nrows, ncols)?;
         if nnz != values.len() {
             return Err(crate::error::SparseError::InvalidFormat(format!(
                 "ctl stream covers {nnz} non-zeros but {} values supplied",
                 values.len()
             )));
         }
-        Ok(CsrDu { nrows, ncols, nnz, ctl, values, units })
+        Ok(CsrDu { nrows, ncols, nnz, ctl, values, units, stream_id: next_stream_id() })
     }
 
     /// Number of rows.
@@ -187,7 +212,7 @@ impl<V: Scalar> CsrDu<V> {
     /// `(nnz, units)`. Shared by [`SpMv::validate`] here and in the
     /// combined DU-VI format, whose inner `CsrDu` carries no values.
     pub(crate) fn validate_ctl_stream(&self) -> Result<(usize, usize)> {
-        validate::validate_ctl(&self.ctl, self.nrows.max(1), self.ncols.max(1))
+        validate::validate_ctl(&self.ctl, self.nrows, self.ncols)
     }
 
     pub(crate) fn without_values(mut self) -> CsrDu<V> {
@@ -250,10 +275,43 @@ impl<V: Scalar> CsrDu<V> {
         decode::splits(self, nparts)
     }
 
-    /// SpMV over one split produced by [`CsrDu::splits`], writing only
-    /// `y[split.row_start..split.row_end]` (zeroing it first). `y` is the
+    /// Panics unless `split` fits this matrix — it was cut from this ctl
+    /// stream and its ctl, value and row ranges lie inside the matrix's
+    /// own — and `x` is a full `ncols × k` panel. Every split entry point
+    /// checks this before decoding; it is what the unchecked AVX2 decode
+    /// relies on.
+    pub(crate) fn assert_split_fits(&self, split: &DuSplit, x_len: usize, k: usize) {
+        let DuSplit { ctl_range, val_start, row_start, row_end, nnz, stream_id, .. } = split;
+        assert!(
+            *stream_id == self.stream_id,
+            "split does not fit this matrix: it was cut from a different ctl stream"
+        );
+        assert!(
+            ctl_range.start <= ctl_range.end && ctl_range.end <= self.ctl.len(),
+            "split ctl range {ctl_range:?} does not fit this matrix's {} ctl bytes",
+            self.ctl.len()
+        );
+        assert!(
+            val_start.checked_add(*nnz).is_some_and(|end| end <= self.nnz),
+            "split values {val_start}+{nnz} do not fit this matrix's {} non-zeros",
+            self.nnz
+        );
+        assert!(
+            row_start <= row_end && *row_end <= self.nrows,
+            "split rows {row_start}..{row_end} do not fit this matrix's {} rows",
+            self.nrows
+        );
+        assert_eq!(x_len, self.ncols * k, "x must be an ncols x k row-major panel");
+    }
+
+    /// SpMV over one split produced by [`CsrDu::splits`] of this matrix,
+    /// writing only `y[split.row_start()..split.row_end()]`. `y` is the
     /// full-length output vector.
+    ///
+    /// # Panics
+    /// If `split` does not fit this matrix or `x.len() != ncols`.
     pub fn spmv_split(&self, split: &DuSplit, x: &[V], y: &mut [V]) {
+        self.assert_split_fits(split, x.len(), 1);
         spmv::spmv_range(
             self,
             crate::simd::selected(),
@@ -279,6 +337,9 @@ impl<V: Scalar> CsrDu<V> {
     /// [`CsrDu::spmv_split_local`] with an explicit, pre-selected
     /// [`crate::simd::Isa`] — for parallel plans that snapshot the ISA at
     /// construction. An unavailable ISA degrades to the scalar decode.
+    ///
+    /// # Panics
+    /// As [`CsrDu::spmv_split`].
     pub fn spmv_split_local_isa(
         &self,
         isa: crate::simd::Isa,
@@ -286,6 +347,7 @@ impl<V: Scalar> CsrDu<V> {
         x: &[V],
         y_local: &mut [V],
     ) {
+        self.assert_split_fits(split, x.len(), 1);
         debug_assert_eq!(y_local.len(), split.row_end - split.row_start);
         spmv::spmv_range(
             self,
@@ -304,9 +366,13 @@ impl<V: Scalar> CsrDu<V> {
     /// SpMM over one split: the multi-vector analogue of
     /// [`CsrDu::spmv_split`]. `x`/`y` are full-size row-major panels
     /// (`ncols × k` / `nrows × k`); only the split's own row panels are
-    /// written (zeroed first). Each ctl unit is decoded once and its
-    /// values broadcast across the `k`-wide accumulator.
+    /// written. Each ctl unit is decoded once and its values broadcast
+    /// across the `k`-wide accumulator.
+    ///
+    /// # Panics
+    /// If `split` does not fit this matrix or `x.len() != ncols * k`.
     pub fn spmm_split(&self, split: &DuSplit, x: &[V], k: usize, y: &mut [V]) {
+        self.assert_split_fits(split, x.len(), k);
         spmv::spmm_range(
             self,
             crate::simd::selected(),
@@ -332,6 +398,9 @@ impl<V: Scalar> CsrDu<V> {
 
     /// [`CsrDu::spmm_split_local`] with an explicit, pre-selected
     /// [`crate::simd::Isa`] (see [`CsrDu::spmv_split_local_isa`]).
+    ///
+    /// # Panics
+    /// As [`CsrDu::spmm_split`].
     pub fn spmm_split_local_isa(
         &self,
         isa: crate::simd::Isa,
@@ -340,6 +409,7 @@ impl<V: Scalar> CsrDu<V> {
         k: usize,
         y_local: &mut [V],
     ) {
+        self.assert_split_fits(split, x.len(), k);
         debug_assert_eq!(y_local.len(), (split.row_end - split.row_start) * k);
         spmv::spmm_range(
             self,
@@ -433,22 +503,58 @@ impl<V: Scalar> crate::spmm::SpMm<V> for CsrDu<V> {
 /// matching offset into `values`, and the row block it covers. This is
 /// exactly the per-thread information the paper describes (§IV): "an offset
 /// in the ctl, values and y arrays ... and the total number of rows".
+///
+/// Only [`CsrDu::splits`] (and [`crate::csr_duvi::CsrDuVi::splits`]) can
+/// build one, and a split may only be passed back to the matrix it came
+/// from (or a clone of it): the AVX2 decode reads the ctl range without
+/// bounds checks, trusting that it starts on a row-starting unit of that
+/// matrix's stream. Each split records the identity of its stream, and
+/// the split entry points panic — before reading anything — on a split
+/// cut from another stream or one whose ctl, value or row range reaches
+/// past the matrix's own.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DuSplit {
+    ctl_range: std::ops::Range<usize>,
+    val_start: usize,
+    row_start: usize,
+    row_end: usize,
+    row_wrap_base: usize,
+    nnz: usize,
+    stream_id: u64,
+}
+
+impl DuSplit {
     /// Byte range within the ctl stream.
-    pub ctl_range: std::ops::Range<usize>,
+    pub fn ctl_range(&self) -> std::ops::Range<usize> {
+        self.ctl_range.clone()
+    }
+
     /// Offset of the first value of this split within `values`.
-    pub val_start: usize,
+    pub fn val_start(&self) -> usize {
+        self.val_start
+    }
+
     /// First row owned (inclusive); `y[row_start..row_end]` is written
-    /// (and zeroed) exclusively by this split.
-    pub row_start: usize,
+    /// exclusively by this split.
+    pub fn row_start(&self) -> usize {
+        self.row_start
+    }
+
     /// Last row owned (exclusive).
-    pub row_end: usize,
+    pub fn row_end(&self) -> usize {
+        self.row_end
+    }
+
     /// Wrapping row baseline: the split's first `NR` unit advances
     /// `1 + row_jmp` from this value to land on its true absolute row.
-    pub row_wrap_base: usize,
+    pub fn row_wrap_base(&self) -> usize {
+        self.row_wrap_base
+    }
+
     /// Non-zeros in this split.
-    pub nnz: usize,
+    pub fn nnz(&self) -> usize {
+        self.nnz
+    }
 }
 
 #[cfg(test)]

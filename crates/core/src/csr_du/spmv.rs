@@ -205,9 +205,11 @@ pub(super) fn spmv_range<V: Scalar>(
         use crate::simd::{as_f64s, as_f64s_mut, avx2};
         if let Some(vs) = as_f64s(du.values()) {
             let (xs, ys) = (as_f64s(x).expect("V is f64"), as_f64s_mut(y).expect("V is f64"));
-            // Safety: AVX2 verified by avx2_ok; the ctl stream was built
-            // by this crate's encoder (same trust as the scalar decode);
-            // ncols fits the i32 gather lanes.
+            // SAFETY: AVX2 verified by avx2_ok; ncols fits the i32 gather
+            // lanes. The stream was built by the encoder or accepted by
+            // validate_ctl, and every caller passes either the whole
+            // stream or a split of this matrix that `assert_split_fits`
+            // checked together with `x.len() == ncols * k`.
             unsafe {
                 avx2::du_ctl_k1(
                     du.ctl(),
@@ -265,7 +267,7 @@ pub(super) fn spmm_range<V: Scalar>(
         if let Some(vs) = as_f64s(du.values()) {
             let (xs, ys) = (as_f64s(x).expect("V is f64"), as_f64s_mut(y).expect("V is f64"));
             let src = avx2::ValSrc::Direct(vs);
-            // Safety: as on spmv_range's dispatch above.
+            // SAFETY: as on spmv_range's dispatch above.
             unsafe {
                 match k {
                     1 => avx2::du_ctl_k1(

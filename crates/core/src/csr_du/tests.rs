@@ -89,6 +89,18 @@ fn entirely_empty_matrix() {
 }
 
 #[test]
+fn zero_dimension_matrix_rejects_nonempty_stream() {
+    // One row-starting unit at row 0, column 0: valid for a 1x1 matrix,
+    // but it addresses a row or column a 0-row or 0-column matrix does
+    // not have (the unchecked AVX2 gather relies on columns < ncols).
+    let ctl = vec![FLAG_NEW_ROW, 1, 0];
+    assert!(CsrDu::from_parts_checked(1, 1, ctl.clone(), vec![1.0f64]).is_ok());
+    assert!(CsrDu::from_parts_checked(1, 0, ctl.clone(), vec![1.0f64]).is_err());
+    assert!(CsrDu::from_parts_checked(0, 1, ctl, vec![1.0f64]).is_err());
+    assert!(CsrDu::<f64>::from_parts_checked(0, 0, Vec::new(), Vec::new()).is_ok());
+}
+
+#[test]
 fn long_row_spans_multiple_units() {
     // 600 non-zeros in one row forces ceil(600/255) = 3 units; only the
     // first starts the row.

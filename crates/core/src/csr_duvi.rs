@@ -111,15 +111,21 @@ impl<V: Scalar> CsrDuVi<V> {
         self.du.splits(nparts)
     }
 
-    /// SpMV over one split, writing only the rows the split owns (`y` is
-    /// the full-length output vector).
+    /// SpMV over one split from [`CsrDuVi::splits`] of this matrix,
+    /// writing only the rows the split owns (`y` is the full-length
+    /// output vector).
+    ///
+    /// # Panics
+    /// If `split` does not fit this matrix or `x.len() != ncols` (see
+    /// [`DuSplit`]).
     pub fn spmv_split(&self, split: &DuSplit, x: &[V], y: &mut [V]) {
+        self.du.assert_split_fits(split, x.len(), 1);
         self.spmv_impl(
-            split.ctl_range.clone(),
-            split.val_start,
-            split.row_wrap_base,
-            split.row_start,
-            split.row_end,
+            split.ctl_range(),
+            split.val_start(),
+            split.row_wrap_base(),
+            split.row_start(),
+            split.row_end(),
             0,
             x,
             y,
@@ -135,6 +141,9 @@ impl<V: Scalar> CsrDuVi<V> {
     /// [`CsrDuVi::spmv_split_local`] with an explicit, pre-selected
     /// [`crate::simd::Isa`] — for parallel plans that snapshot the ISA at
     /// construction. An unavailable ISA degrades to the scalar decode.
+    ///
+    /// # Panics
+    /// As [`CsrDuVi::spmv_split`].
     pub fn spmv_split_local_isa(
         &self,
         isa: crate::simd::Isa,
@@ -142,15 +151,16 @@ impl<V: Scalar> CsrDuVi<V> {
         x: &[V],
         y_local: &mut [V],
     ) {
-        debug_assert_eq!(y_local.len(), split.row_end - split.row_start);
+        self.du.assert_split_fits(split, x.len(), 1);
+        debug_assert_eq!(y_local.len(), split.row_end() - split.row_start());
         self.spmv_impl_isa(
             isa,
-            split.ctl_range.clone(),
-            split.val_start,
-            split.row_wrap_base,
-            split.row_start,
-            split.row_end,
-            split.row_start,
+            split.ctl_range(),
+            split.val_start(),
+            split.row_wrap_base(),
+            split.row_start(),
+            split.row_end(),
+            split.row_start(),
             x,
             y_local,
         );
@@ -159,13 +169,17 @@ impl<V: Scalar> CsrDuVi<V> {
     /// SpMM over one split (full-size row-major panels): the multi-vector
     /// analogue of [`CsrDuVi::spmv_split`]. One decode of the ctl stream
     /// *and* one value-table indirection per non-zero feed `k` FMAs.
+    ///
+    /// # Panics
+    /// If `split` does not fit this matrix or `x.len() != ncols * k`.
     pub fn spmm_split(&self, split: &DuSplit, x: &[V], k: usize, y: &mut [V]) {
+        self.du.assert_split_fits(split, x.len(), k);
         self.spmm_impl(
-            split.ctl_range.clone(),
-            split.val_start,
-            split.row_wrap_base,
-            split.row_start,
-            split.row_end,
+            split.ctl_range(),
+            split.val_start(),
+            split.row_wrap_base(),
+            split.row_start(),
+            split.row_end(),
             0,
             x,
             k,
@@ -181,6 +195,9 @@ impl<V: Scalar> CsrDuVi<V> {
 
     /// [`CsrDuVi::spmm_split_local`] with an explicit, pre-selected
     /// [`crate::simd::Isa`] (see [`CsrDuVi::spmv_split_local_isa`]).
+    ///
+    /// # Panics
+    /// As [`CsrDuVi::spmm_split`].
     pub fn spmm_split_local_isa(
         &self,
         isa: crate::simd::Isa,
@@ -189,15 +206,16 @@ impl<V: Scalar> CsrDuVi<V> {
         k: usize,
         y_local: &mut [V],
     ) {
-        debug_assert_eq!(y_local.len(), (split.row_end - split.row_start) * k);
+        self.du.assert_split_fits(split, x.len(), k);
+        debug_assert_eq!(y_local.len(), (split.row_end() - split.row_start()) * k);
         self.spmm_impl_isa(
             isa,
-            split.ctl_range.clone(),
-            split.val_start,
-            split.row_wrap_base,
-            split.row_start,
-            split.row_end,
-            split.row_start,
+            split.ctl_range(),
+            split.val_start(),
+            split.row_wrap_base(),
+            split.row_start(),
+            split.row_end(),
+            split.row_start(),
             x,
             k,
             y_local,
@@ -263,9 +281,12 @@ impl<V: Scalar> CsrDuVi<V> {
             use crate::simd::{as_f64s, as_f64s_mut, avx2};
             if let Some(src) = self.val_src() {
                 let (xs, ys) = (as_f64s(x).expect("V is f64"), as_f64s_mut(y).expect("V is f64"));
-                // Safety: AVX2 verified by avx2_ok; ctl stream built by
-                // this crate's encoder; ncols and the value table fit the
-                // i32 gather lanes.
+                // SAFETY: AVX2 verified by avx2_ok; ncols and the value
+                // table fit the i32 gather lanes; palette indices are
+                // in-table (dedup invariant). The stream was built by the
+                // encoder, and every caller passes either the whole
+                // stream or a split of this matrix that
+                // `assert_split_fits` checked with `x.len() == ncols * k`.
                 unsafe {
                     avx2::du_ctl_k1(
                         self.du.ctl(),
@@ -382,7 +403,7 @@ impl<V: Scalar> CsrDuVi<V> {
             if let Some(src) = self.val_src() {
                 let (xs, ys) = (as_f64s(x).expect("V is f64"), as_f64s_mut(y).expect("V is f64"));
                 let ctl = self.du.ctl();
-                // Safety: as on spmv_impl_isa's dispatch above.
+                // SAFETY: as on spmv_impl_isa's dispatch above.
                 unsafe {
                     match k {
                         1 => avx2::du_ctl_k1(

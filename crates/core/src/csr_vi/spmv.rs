@@ -47,7 +47,8 @@ pub(super) fn spmv_rows<I: SpIndex, V: Scalar>(
     y: &mut [V],
 ) {
     debug_assert!(row_end <= m.nrows());
-    debug_assert_eq!(x.len(), m.ncols());
+    // The AVX2 kernel gathers from `x` unchecked.
+    assert_eq!(x.len(), m.ncols(), "x length must equal ncols");
     #[cfg(target_arch = "x86_64")]
     if crate::simd::avx2_ok(isa) && m.ncols() <= i32::MAX as usize {
         use crate::simd::{as_f64s, as_f64s_mut, as_u32s, avx2};
@@ -55,9 +56,10 @@ pub(super) fn spmv_rows<I: SpIndex, V: Scalar>(
             (as_u32s(&m.row_ptr), as_u32s(&m.col_ind), val_src(&m.vals_unique, &m.val_ind))
         {
             let (xs, ys) = (as_f64s(x).expect("V is f64"), as_f64s_mut(y).expect("V is f64"));
-            // Safety: AVX2 verified by avx2_ok; CSR-VI structure gives
-            // in-bounds columns and in-table value indices; ncols and the
-            // table length fit the i32 gather lanes.
+            // SAFETY: AVX2 verified by avx2_ok; CSR-VI invariants give
+            // columns < ncols == x.len() / k (asserted above) and in-table
+            // value indices; ncols and the table length fit the i32
+            // gather lanes.
             unsafe { avx2::rows_k1(rp, ci, src, row_begin, row_end, y_base, xs, ys) };
             return;
         }
@@ -117,7 +119,8 @@ pub(super) fn spmm_rows<I: SpIndex, V: Scalar>(
     y: &mut [V],
 ) {
     debug_assert!(row_end <= m.nrows());
-    debug_assert_eq!(x.len(), m.ncols() * k);
+    // The AVX2 kernels gather from `x` unchecked.
+    assert_eq!(x.len(), m.ncols() * k, "x must be ncols x k row-major");
     #[cfg(target_arch = "x86_64")]
     if crate::simd::avx2_ok(isa) && matches!(k, 1 | 2 | 4 | 8) && m.ncols() <= i32::MAX as usize {
         use crate::simd::{as_f64s, as_f64s_mut, as_u32s, avx2};
@@ -125,7 +128,7 @@ pub(super) fn spmm_rows<I: SpIndex, V: Scalar>(
             (as_u32s(&m.row_ptr), as_u32s(&m.col_ind), val_src(&m.vals_unique, &m.val_ind))
         {
             let (xs, ys) = (as_f64s(x).expect("V is f64"), as_f64s_mut(y).expect("V is f64"));
-            // Safety: as on the spmv_rows dispatch above.
+            // SAFETY: as on the spmv_rows dispatch above.
             unsafe {
                 match k {
                     1 => avx2::rows_k1(rp, ci, src, row_begin, row_end, y_base, xs, ys),

@@ -177,7 +177,7 @@ impl<'m, V: Scalar> ParCsrDu<'m, V> {
     /// Like [`ParCsrDu::new`] with an explicit kernel ISA.
     pub fn with_isa(matrix: &'m CsrDu<V>, nthreads: usize, isa: Isa) -> Self {
         let splits = matrix.splits(nthreads);
-        let row_bounds = split_row_bounds(splits.iter().map(|s| s.row_end));
+        let row_bounds = split_row_bounds(splits.iter().map(|s| s.row_end()));
         let pool = WorkerPool::new(splits.len().max(1));
         ParCsrDu { splits, row_bounds, matrix, pool, isa }
     }
@@ -347,7 +347,7 @@ impl<'m, V: Scalar> ParCsrDuVi<'m, V> {
     /// Like [`ParCsrDuVi::new`] with an explicit kernel ISA.
     pub fn with_isa(matrix: &'m CsrDuVi<V>, nthreads: usize, isa: Isa) -> Self {
         let splits = matrix.splits(nthreads);
-        let row_bounds = split_row_bounds(splits.iter().map(|s| s.row_end));
+        let row_bounds = split_row_bounds(splits.iter().map(|s| s.row_end()));
         let pool = WorkerPool::new(splits.len().max(1));
         ParCsrDuVi { splits, row_bounds, matrix, pool, isa }
     }

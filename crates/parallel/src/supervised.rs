@@ -198,7 +198,7 @@ impl<V: Scalar> CsrDuChunks<V> {
     pub fn new(matrix: Arc<CsrDu<V>>, nchunks: usize) -> CsrDuChunks<V> {
         let splits = matrix.splits(nchunks.max(1));
         let mut bounds = vec![0usize];
-        bounds.extend(splits.iter().map(|s| s.row_end));
+        bounds.extend(splits.iter().map(|s| s.row_end()));
         CsrDuChunks { matrix, splits, bounds, isa: spmv_core::simd::selected() }
     }
 }
@@ -238,7 +238,7 @@ impl<V: Scalar> CsrDuViChunks<V> {
     pub fn new(matrix: Arc<CsrDuVi<V>>, nchunks: usize) -> CsrDuViChunks<V> {
         let splits = matrix.splits(nchunks.max(1));
         let mut bounds = vec![0usize];
-        bounds.extend(splits.iter().map(|s| s.row_end));
+        bounds.extend(splits.iter().map(|s| s.row_end()));
         CsrDuViChunks { matrix, splits, bounds, isa: spmv_core::simd::selected() }
     }
 }

@@ -147,4 +147,12 @@ echo "== fuzz-smoke (deterministic, fixed seed) =="
 # any panic fails the gate. Reproducible: same seed -> same inputs.
 cargo run -q --release -p spmv-fuzz -- --seed 3203334144 --iters 12000
 
+echo "== perfbench-smoke (benchmark self-tests, tiny scale) =="
+# The benchmark package's own tests: a tiny-scale run of every workload,
+# untraced and traced, whose kernel outputs and served responses must
+# match serial CSR bit for bit. A kernel change that breaks those checks
+# fails here rather than only when the benchmark runs. Only reads
+# perfbench/ (its build output goes to perfbench/target, gitignored).
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "CI gate passed."

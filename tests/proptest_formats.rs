@@ -111,15 +111,15 @@ proptest! {
         let du = CsrDu::from_csr(&csr, &DuOptions::default());
         let splits = du.splits(nparts);
         prop_assert!(!splits.is_empty());
-        prop_assert_eq!(splits[0].row_start, 0);
-        prop_assert_eq!(splits.last().unwrap().row_end, csr.nrows());
+        prop_assert_eq!(splits[0].row_start(), 0);
+        prop_assert_eq!(splits.last().unwrap().row_end(), csr.nrows());
         let mut nnz_total = 0usize;
         for w in splits.windows(2) {
-            prop_assert_eq!(w[0].row_end, w[1].row_start);
-            prop_assert_eq!(w[0].ctl_range.end, w[1].ctl_range.start);
+            prop_assert_eq!(w[0].row_end(), w[1].row_start());
+            prop_assert_eq!(w[0].ctl_range().end, w[1].ctl_range().start);
         }
         for s in &splits {
-            nnz_total += s.nnz;
+            nnz_total += s.nnz();
         }
         prop_assert_eq!(nnz_total, csr.nnz());
     }
