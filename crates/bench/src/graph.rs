@@ -220,9 +220,7 @@ pub type FormatTwins = (Csr<u32, f64>, Csc<u32, f64>);
 /// Column-stochastic structural scaling: every stored entry of column
 /// `j` becomes `1 / outdeg(j)` (the CSC column count). Returns the CSR
 /// and its CSC twin with bit-identical values.
-pub fn scaled_adjacency(
-    csr: &Csr<u32, f64>,
-) -> Result<FormatTwins, SparseError> {
+pub fn scaled_adjacency(csr: &Csr<u32, f64>) -> Result<FormatTwins, SparseError> {
     let ncols = csr.ncols();
     let mut deg = vec![0u64; ncols];
     for &c in csr.col_ind() {

@@ -118,7 +118,7 @@ pub use pool::{
 };
 pub use spmspv::{ParMaskedSpMSpV, ParSpMSpV};
 pub use supervised::{
-    ChunkKernel, CsrChunks, CsrDuChunks, CsrDuViChunks, CsrViChunks, FaultEvent, HealthReport,
-    PoolError, RecoveryPolicy, SupervisedSpMv, WatchdogOpts,
+    assemble_chunks, ChunkKernel, CsrChunks, CsrDuChunks, CsrDuViChunks, CsrViChunks, FaultEvent,
+    HealthReport, PoolError, RecoveryPolicy, SupervisedSpMv, WatchdogOpts,
 };
 pub use telemetry::PoolTelemetry;

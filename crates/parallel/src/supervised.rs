@@ -30,11 +30,19 @@
 //! typed [`PoolError`] instead (the output buffer is left untouched); the
 //! executor itself stays usable either way.
 //!
-//! The price of resilience: `x` is copied into the call state and chunk
-//! outputs are staged in per-chunk buffers before assembly into `y`
-//! (workers must never hold a borrow of caller memory). Use the plain
-//! `Par*` executors when raw throughput matters more than fault
-//! isolation.
+//! Workers must never hold a borrow of caller memory, so the input is
+//! *shared* rather than borrowed: [`SupervisedSpMv::spmm_shared`] takes
+//! the panel as an `Arc<Vec<V>>` that workers read in place (the slice
+//! entry points [`SupervisedSpMv::spmv`] and [`SupervisedSpMv::spmm`]
+//! make the one copy that needs). Each chunk's output is staged in a
+//! fresh buffer of its own, which a straggler keeps if it is abandoned,
+//! and assembly copies the chunks into `y`, writing each row once.
+//! (Buffers kept by the executor between calls measured no faster on
+//! the served benchmarks and held one more vector per matrix.) A
+//! successful call releases its call state, and with it the shared
+//! input, when it returns, unless an abandoned straggler still holds it.
+//! Use the plain `Par*` executors when raw throughput matters more than
+//! fault isolation.
 
 use crate::partition::RowPartition;
 use crate::pool::watchdog_deadline;
@@ -264,6 +272,32 @@ impl<V: Scalar> ChunkKernel<V> for CsrDuViChunks<V> {
     }
 }
 
+/// Writes the row-major `nrows x k` panel `y` chunk by chunk:
+/// `write(chunk, rows)` fills the rows of `y` that `chunk` covers, and
+/// the rows no chunk covers are zeroed. When chunks ascend, as in every
+/// kernel of this module, each row is written exactly once. The
+/// supervised executor copies its staged chunk buffers with it; a serial
+/// caller can compute each chunk straight into its (zeroed) rows.
+pub fn assemble_chunks<V: Scalar>(
+    kernel: &dyn ChunkKernel<V>,
+    k: usize,
+    y: &mut [V],
+    mut write: impl FnMut(usize, &mut [V]),
+) {
+    // Every row below `covered` is written or zeroed already, so a gap
+    // is zeroed before any chunk could write into it.
+    let mut covered = 0;
+    for chunk in 0..kernel.nchunks() {
+        let rows = kernel.chunk_rows(chunk);
+        if rows.start > covered {
+            y[covered * k..rows.start * k].fill(V::zero());
+        }
+        write(chunk, &mut y[rows.start * k..rows.end * k]);
+        covered = covered.max(rows.end);
+    }
+    y[covered * k..].fill(V::zero());
+}
+
 // ---------------------------------------------------------------------
 // Watchdog configuration, errors, health
 // ---------------------------------------------------------------------
@@ -414,7 +448,8 @@ struct Progress {
 /// `Arc`), so an abandoned worker can finish — or never finish — without
 /// endangering the caller.
 struct CallState<V: Scalar> {
-    x: Vec<V>,
+    /// The input panel, shared with the caller rather than borrowed.
+    x: Arc<Vec<V>>,
     /// Panel width: `x` is `ncols * k`, chunk outputs are `rows * k`
     /// row-major. `1` for plain SpMV.
     k: usize,
@@ -574,7 +609,10 @@ fn sup_worker_loop<V: Scalar>(
                 }
                 if st.epoch != seen_epoch {
                     seen_epoch = st.epoch;
-                    break Arc::clone(st.job.as_ref().expect("epoch advanced without a job"));
+                    // No job: the call ended before this worker woke.
+                    if let Some(job) = st.job.as_ref() {
+                        break Arc::clone(job);
+                    }
                 }
                 st = shared.work_cv.wait(st).unwrap_or_else(PoisonError::into_inner);
             }
@@ -612,10 +650,10 @@ struct WorkerSlot {
 /// Fault-tolerant parallel SpMV executor over a [`ChunkKernel`].
 ///
 /// Construction spawns `nthreads - 1` persistent workers (the caller
-/// participates as thread 0). Each [`SupervisedSpMv::spmv`] call fans the
-/// kernel's chunks out over the threads with dynamic claiming, supervises
-/// them against the watchdog deadline, recovers per the policy, and
-/// assembles `y`. See the module docs for the fault model.
+/// participates as thread 0). Each [`SupervisedSpMv::spmm_shared`] call
+/// fans the kernel's chunks out over the threads with dynamic claiming,
+/// supervises them against the watchdog deadline, recovers per the
+/// policy, and assembles `y`. See the module docs for the fault model.
 pub struct SupervisedSpMv<V: Scalar> {
     kernel: Arc<dyn ChunkKernel<V>>,
     shared: Arc<SupShared<V>>,
@@ -667,7 +705,8 @@ impl<V: Scalar> SupervisedSpMv<V> {
         self.opts.deadline = deadline;
     }
 
-    /// Computes `y = A·x` under supervision.
+    /// Computes `y = A·x` under supervision: [`SupervisedSpMv::spmm_shared`]
+    /// on a copy of `x` with `k = 1`.
     ///
     /// Returns the call's [`HealthReport`] (empty events ⇒ fully healthy
     /// parallel run). Under [`RecoveryPolicy::FailFast`] the first fault
@@ -675,20 +714,30 @@ impl<V: Scalar> SupervisedSpMv<V> {
     pub fn spmv(&mut self, x: &[V], y: &mut [V]) -> Result<HealthReport, PoolError> {
         assert_eq!(x.len(), self.kernel.ncols(), "x length must equal ncols");
         assert_eq!(y.len(), self.kernel.nrows(), "y length must equal nrows");
-        self.spmm(x, 1, y)
+        self.spmm_shared(Arc::new(x.to_vec()), 1, y)
+    }
+
+    /// [`SupervisedSpMv::spmm_shared`] on a copy of the panel `x`.
+    pub fn spmm(&mut self, x: &[V], k: usize, y: &mut [V]) -> Result<HealthReport, PoolError> {
+        self.spmm_shared(Arc::new(x.to_vec()), k, y)
     }
 
     /// Computes the row-major panel `y[nrows x k] = A · x[ncols x k]`
-    /// under supervision — the multi-vector analogue of
-    /// [`SupervisedSpMv::spmv`], with the identical fault model: chunks
-    /// are claimed dynamically, panics/stalls/deaths are recovered by
-    /// re-executing the chunk's *panel* serially on the caller
+    /// under supervision, reading `x` in place: workers share the panel
+    /// instead of borrowing it, so no copy is made. Chunks are claimed
+    /// dynamically; panics/stalls/deaths are recovered by re-executing
+    /// the chunk's *panel* serially on the caller
     /// ([`RecoveryPolicy::Degrade`], bit-identical to a serial SpMM), or
     /// the first fault aborts with `y` untouched
     /// ([`RecoveryPolicy::FailFast`]). The `verify_every` self-check
     /// compares full chunk panels bit-for-bit. `k = 1` is bit-identical
     /// to [`SupervisedSpMv::spmv`].
-    pub fn spmm(&mut self, x: &[V], k: usize, y: &mut [V]) -> Result<HealthReport, PoolError> {
+    pub fn spmm_shared(
+        &mut self,
+        x: Arc<Vec<V>>,
+        k: usize,
+        y: &mut [V],
+    ) -> Result<HealthReport, PoolError> {
         assert!(k >= 1, "need at least one right-hand side");
         assert_eq!(x.len(), self.kernel.ncols() * k, "x must be an ncols x k row-major panel");
         assert_eq!(y.len(), self.kernel.nrows() * k, "y must be an nrows x k row-major panel");
@@ -699,7 +748,7 @@ impl<V: Scalar> SupervisedSpMv<V> {
             return Ok(report);
         }
         let state = Arc::new(CallState {
-            x: x.to_vec(),
+            x,
             k,
             nchunks,
             next: AtomicUsize::new(0),
@@ -761,16 +810,17 @@ impl<V: Scalar> SupervisedSpMv<V> {
                 dispatches: 1,
             });
         }
-        // Assemble: zero y (covers rows outside every chunk), then copy
-        // each chunk's winning panel into its row range (scaled by the
-        // panel width).
-        y.fill(V::zero());
-        for c in 0..nchunks {
-            let rows = self.kernel.chunk_rows(c);
-            let slot = lock(&state.results[c]);
-            let out = slot.as_ref().expect("all chunks resolved before assembly");
-            y[rows.start * state.k..rows.end * state.k].copy_from_slice(out);
+        if self.nthreads > 1 {
+            // Drop the workers' handle on the call state now, not at the
+            // next dispatch: it holds the caller's `x`, which should be
+            // freed with its request (keeping it raised RSS under steady
+            // small-request load).
+            lock(&self.shared.state).job = None;
         }
+        assemble_chunks(&*self.kernel, k, y, |c, rows| {
+            let slot = lock(&state.results[c]);
+            rows.copy_from_slice(slot.as_ref().expect("all chunks resolved before assembly"));
+        });
         Ok(report)
     }
 
@@ -1134,6 +1184,62 @@ mod tests {
             let mut columned = vec![0.0; rows.len() * k];
             plain.compute_block(chunk, &x, k, &mut columned);
             assert_eq!(fused, columned, "chunk {chunk}");
+        }
+    }
+
+    /// Chunks over a CSR matrix that leave rows 10..15 and 42.. of 50
+    /// uncovered, listed in `order`.
+    struct GapChunks {
+        csr: Csr<u32, f64>,
+        order: [usize; 3],
+    }
+
+    const GAP_RANGES: [Range<usize>; 3] = [0..10, 15..30, 30..42];
+
+    impl ChunkKernel<f64> for GapChunks {
+        fn nrows(&self) -> usize {
+            self.csr.nrows()
+        }
+        fn ncols(&self) -> usize {
+            self.csr.ncols()
+        }
+        fn nchunks(&self) -> usize {
+            3
+        }
+        fn chunk_rows(&self, chunk: usize) -> Range<usize> {
+            GAP_RANGES[self.order[chunk]].clone()
+        }
+        fn compute(&self, chunk: usize, x: &[f64], out: &mut [f64]) {
+            let r = self.chunk_rows(chunk);
+            self.csr.spmv_rows_local_isa(Isa::Scalar, r.start, r.end, x, out);
+        }
+        fn compute_block(&self, chunk: usize, x: &[f64], k: usize, out: &mut [f64]) {
+            let r = self.chunk_rows(chunk);
+            self.csr.spmm_rows_local_isa(Isa::Scalar, r.start, r.end, x, k, out);
+        }
+    }
+
+    #[test]
+    fn assembly_zeroes_rows_no_chunk_covers() {
+        let csr: Csr<u32, f64> = irregular(50, 40, 17).to_csr();
+        for k in [1usize, 3] {
+            let x: Vec<f64> = (0..40 * k).map(|i| ((i % 13) as f64) * 0.3 - 1.7).collect();
+            let mut expect = vec![0.0; 50 * k];
+            csr.spmm(&x, k, &mut expect);
+            for r in (10..15).chain(42..50) {
+                expect[r * k..(r + 1) * k].fill(0.0);
+            }
+            let x = Arc::new(x);
+            for order in [[0, 1, 2], [2, 0, 1]] {
+                for nthreads in [1usize, 3] {
+                    let kernel = Arc::new(GapChunks { csr: csr.clone(), order });
+                    let mut sup = SupervisedSpMv::with_opts(kernel, nthreads, calm());
+                    let mut y = vec![f64::NAN; 50 * k];
+                    sup.spmm_shared(Arc::clone(&x), k, &mut y).expect("healthy run");
+                    let same = y.iter().zip(&expect).all(|(a, b)| a.to_bits() == b.to_bits());
+                    assert!(same, "k={k} order={order:?} nthreads={nthreads}");
+                }
+            }
         }
     }
 

@@ -374,6 +374,109 @@ fn supervised_spmm_failfast_corruption_error() {
 }
 
 // ---------------------------------------------------------------------
+// Calls on a shared input after an abandoned straggler
+// ---------------------------------------------------------------------
+
+/// Stalls the first `compute_block` it runs *after* taking its output
+/// buffer: scribbles a marker over the buffer, sleeps, then computes for
+/// real. A straggler of this kind holds a chunk buffer while the
+/// executor moves on.
+struct StallMidChunk {
+    inner: CsrChunks<u32, f64>,
+    stall: Duration,
+    armed: std::sync::atomic::AtomicBool,
+}
+
+impl ChunkKernel<f64> for StallMidChunk {
+    fn nrows(&self) -> usize {
+        ChunkKernel::<f64>::nrows(&self.inner)
+    }
+    fn ncols(&self) -> usize {
+        ChunkKernel::<f64>::ncols(&self.inner)
+    }
+    fn nchunks(&self) -> usize {
+        ChunkKernel::<f64>::nchunks(&self.inner)
+    }
+    fn chunk_rows(&self, chunk: usize) -> std::ops::Range<usize> {
+        self.inner.chunk_rows(chunk)
+    }
+    fn compute(&self, chunk: usize, x: &[f64], out: &mut [f64]) {
+        self.compute_block(chunk, x, 1, out);
+    }
+    fn compute_block(&self, chunk: usize, x: &[f64], k: usize, out: &mut [f64]) {
+        if self.armed.swap(false, Ordering::AcqRel) {
+            out.fill(-1.0e300);
+            std::thread::sleep(self.stall);
+            out.fill(0.0);
+        }
+        self.inner.compute_block(chunk, x, k, out);
+    }
+}
+
+/// Calls `sup` through the shared-x entry point until well past the
+/// straggler's wake-up, on a different `x` each call and with `y`
+/// filled with NaN; every result must be bit-identical to serial. A
+/// straggler's late write reaching a later call's output would show up
+/// as a wrong chunk there.
+fn calls_stay_serial_past_the_straggler(
+    sup: &mut SupervisedSpMv<f64>,
+    csr: &Csr<u32, f64>,
+    k: usize,
+    stall: Duration,
+    what: &str,
+) -> usize {
+    let (nrows, ncols) = (csr.nrows(), csr.ncols());
+    let cases: Vec<(Arc<Vec<f64>>, Vec<f64>)> = (0..4)
+        .map(|phase| {
+            let x: Vec<f64> =
+                (0..ncols * k).map(|i| (((i + 7 * phase) % 29) as f64) * 0.23 - 2.0).collect();
+            let mut y = vec![0.0; nrows * k];
+            csr.spmm(&x, k, &mut y);
+            (Arc::new(x), y)
+        })
+        .collect();
+    let start = std::time::Instant::now();
+    let mut calls = 0;
+    while start.elapsed() < stall * 3 {
+        let (x, y_serial) = &cases[calls % cases.len()];
+        let mut y = vec![f64::NAN; nrows * k];
+        sup.spmm_shared(Arc::clone(x), k, &mut y).expect("degrade mode recovers");
+        let same = y.iter().zip(y_serial).all(|(a, b)| a.to_bits() == b.to_bits());
+        assert!(same, "{what} k={k}: call {calls} differs from serial");
+        calls += 1;
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    calls
+}
+
+#[test]
+fn abandoned_straggler_never_reaches_a_later_call() {
+    let coo = irregular(160, 120, 77);
+    let csr: Csr<u32, f64> = coo.to_csr();
+    let stall = Duration::from_millis(150);
+    for k in [1usize, 4] {
+        // A scripted stall before the chunk computes.
+        let kernel: Arc<dyn ChunkKernel<f64>> = Arc::new(CsrChunks::new(Arc::new(csr.clone()), 6));
+        let mut sup = SupervisedSpMv::with_opts(kernel, 3, injection_opts(RecoveryPolicy::Degrade));
+        let armed =
+            FaultPlan::new().inject(FaultSite::chunk(0, 0), FaultAction::DelayOnce(stall)).arm();
+        let calls = calls_stay_serial_past_the_straggler(&mut sup, &csr, k, stall, "DelayOnce");
+        assert_eq!(armed.fired_count(), 1, "k={k}: the stall fired");
+        assert!(calls > 3, "k={k}: only {calls} calls");
+        drop(armed);
+
+        // A stall while the worker holds the chunk's buffer.
+        let kernel: Arc<dyn ChunkKernel<f64>> = Arc::new(StallMidChunk {
+            inner: CsrChunks::new(Arc::new(csr.clone()), 6),
+            stall,
+            armed: std::sync::atomic::AtomicBool::new(true),
+        });
+        let mut sup = SupervisedSpMv::with_opts(kernel, 3, injection_opts(RecoveryPolicy::Degrade));
+        calls_stay_serial_past_the_straggler(&mut sup, &csr, k, stall, "mid-chunk stall");
+    }
+}
+
+// ---------------------------------------------------------------------
 // Borrowed-job pool layer
 // ---------------------------------------------------------------------
 

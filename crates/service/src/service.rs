@@ -309,7 +309,10 @@ pub(crate) struct Pending {
     /// Matrix name, for typed lifecycle errors.
     pub matrix: String,
     pub tenant: String,
-    pub x: Vec<f64>,
+    /// The request's input vector, moved in at admission. Shared, not
+    /// copied: a lone request hands it to the executor as is, and a
+    /// supervisor replay still finds it here.
+    pub x: Arc<Vec<f64>>,
     pub enqueued: Instant,
     pub expires: Instant,
     pub reply: Arc<ReplySlot>,
@@ -575,7 +578,7 @@ impl SpmvService {
                     shard: m.shard,
                     matrix: req.matrix,
                     tenant: req.tenant,
-                    x: req.x,
+                    x: Arc::new(req.x),
                     enqueued: now,
                     expires: now + budget,
                     reply: Arc::clone(&reply),

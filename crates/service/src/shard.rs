@@ -36,7 +36,7 @@ use crate::sched::{release_slot, DrrSched};
 use crate::service::{Pending, Response, ServiceConfig, TenantLimits};
 use crate::stats::{ShardStatsInner, StatsInner};
 use spmv_memsim::Planner;
-use spmv_parallel::{ChunkKernel, PoolError, SupervisedSpMv, WatchdogOpts};
+use spmv_parallel::{assemble_chunks, ChunkKernel, PoolError, SupervisedSpMv, WatchdogOpts};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
@@ -315,7 +315,8 @@ pub(crate) fn shard_loop(inner: &Arc<ServiceInner>, idx: usize, my_inc: u64) {
 
 /// Executes one coalesced batch: expire stale members, gather the
 /// panel, run it (parallel with retry/backoff, serially when the matrix
-/// breaker is open or the whole shard is degraded), scatter, publish.
+/// breaker is open or the whole shard is degraded), scatter, publish. A
+/// lone request skips the gather and the scatter.
 fn run_batch(
     inner: &ServiceInner,
     sh: &ShardShared,
@@ -372,14 +373,20 @@ fn run_batch(
     };
     let (nrows, ncols) = (es.kernel.nrows(), es.kernel.ncols());
 
-    // Gather the column-major request vectors into the row-major
-    // `ncols x k` panel the SpMM kernels expect.
-    let mut x_panel = vec![0.0f64; ncols * k];
-    for (v, p) in live.iter().enumerate() {
-        for (c, &val) in p.x.iter().enumerate() {
-            x_panel[c * k + v] = val;
+    // A lone request runs on its own `x` and its response `y`. A panel
+    // gathers the request vectors into the row-major `ncols x k` layout
+    // the SpMM kernels expect, and is scattered back below.
+    let x = if k == 1 {
+        Arc::clone(&live[0].x)
+    } else {
+        let mut x_panel = vec![0.0f64; ncols * k];
+        for (v, p) in live.iter().enumerate() {
+            for (c, &val) in p.x.iter().enumerate() {
+                x_panel[c * k + v] = val;
+            }
         }
-    }
+        Arc::new(x_panel)
+    };
     let mut y_panel = vec![0.0f64; nrows * k];
 
     // The watchdog deadline tracks the batch's tightest remaining
@@ -393,11 +400,11 @@ fn run_batch(
 
     let run_serial = sh.degraded.load(Ordering::Acquire) || !es.breaker.allow_parallel(now);
     let outcome = if run_serial {
-        serial_spmm(es.kernel.as_ref(), &x_panel, k, &mut y_panel);
+        serial_spmm(es.kernel.as_ref(), &x, k, &mut y_panel);
         stats.bump(&stats.serial_batches);
         BatchOutcome { degraded: false, attempts: 1, serial: true }
     } else {
-        match run_parallel(es, stats, cfg, &x_panel, k, &mut y_panel, tightest) {
+        match run_parallel(es, stats, cfg, &x, k, &mut y_panel, tightest) {
             Ok(o) => o,
             Err((attempts, last)) => {
                 for p in &live {
@@ -416,11 +423,12 @@ fn run_batch(
     };
 
     stats.batch_sizes[k - 1].fetch_add(1, Ordering::Relaxed);
-    for (v, p) in live.iter().enumerate() {
-        let mut y = vec![0.0f64; nrows];
-        for (r, slot) in y.iter_mut().enumerate() {
-            *slot = y_panel[r * k + v];
-        }
+    let ys: Vec<Vec<f64>> = if k == 1 {
+        vec![y_panel]
+    } else {
+        (0..k).map(|v| (0..nrows).map(|r| y_panel[r * k + v]).collect()).collect()
+    };
+    for (p, y) in live.iter().zip(ys) {
         let resp = Response {
             y,
             batch_k: k,
@@ -450,7 +458,7 @@ fn run_parallel(
     es: &mut ExecEntry,
     stats: &StatsInner,
     cfg: &ServiceConfig,
-    x_panel: &[f64],
+    x: &Arc<Vec<f64>>,
     k: usize,
     y_panel: &mut [f64],
     tightest: Instant,
@@ -458,7 +466,7 @@ fn run_parallel(
     let mut attempts = 0u32;
     loop {
         attempts += 1;
-        match es.exec.spmm(x_panel, k, y_panel) {
+        match es.exec.spmm_shared(Arc::clone(x), k, y_panel) {
             Ok(report) => {
                 if report.degraded() {
                     stats.pool_faults.fetch_add(report.events.len() as u64, Ordering::Relaxed);
@@ -490,15 +498,15 @@ fn run_parallel(
 }
 
 /// Serial SpMM over the chunk kernel — the same per-chunk
-/// `compute_block` calls the supervised executor makes, in chunk
-/// order, so the result is bit-identical to the parallel path.
+/// `compute_block` calls the supervised executor makes, through the same
+/// assembly, so the result is bit-identical to the parallel path. Each
+/// chunk computes straight into its zeroed rows of `y`; rows no chunk
+/// covers are zeroed.
 pub(crate) fn serial_spmm(kernel: &dyn ChunkKernel<f64>, x: &[f64], k: usize, y: &mut [f64]) {
-    for chunk in 0..kernel.nchunks() {
-        let rows = kernel.chunk_rows(chunk);
-        let mut out = vec![0.0f64; rows.len() * k];
-        kernel.compute_block(chunk, x, k, &mut out);
-        y[rows.start * k..rows.end * k].copy_from_slice(&out);
-    }
+    assemble_chunks(kernel, k, y, |chunk, rows| {
+        rows.fill(0.0);
+        kernel.compute_block(chunk, x, k, rows);
+    });
 }
 
 // ---------------------------------------------------------------------
@@ -658,5 +666,59 @@ fn supervisor_loop(inner: &Arc<ServiceInner>, mut handles: Vec<Option<JoinHandle
     }
     for h in handles.into_iter().flatten() {
         let _ = h.join();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use spmv_core::{Coo, Csr, Isa};
+    use std::ops::Range;
+
+    /// CSR chunks over 24 rows that leave rows 4..7 and 20.. uncovered.
+    struct GapKernel(Csr<u32, f64>);
+
+    const CHUNKS: [Range<usize>; 3] = [0..4, 7..12, 12..20];
+
+    impl ChunkKernel<f64> for GapKernel {
+        fn nrows(&self) -> usize {
+            self.0.nrows()
+        }
+        fn ncols(&self) -> usize {
+            self.0.ncols()
+        }
+        fn nchunks(&self) -> usize {
+            CHUNKS.len()
+        }
+        fn chunk_rows(&self, chunk: usize) -> Range<usize> {
+            CHUNKS[chunk].clone()
+        }
+        fn compute(&self, chunk: usize, x: &[f64], out: &mut [f64]) {
+            let r = self.chunk_rows(chunk);
+            self.0.spmv_rows_local_isa(Isa::Scalar, r.start, r.end, x, out);
+        }
+        fn compute_block(&self, chunk: usize, x: &[f64], k: usize, out: &mut [f64]) {
+            let r = self.chunk_rows(chunk);
+            self.0.spmm_rows_local_isa(Isa::Scalar, r.start, r.end, x, k, out);
+        }
+    }
+
+    #[test]
+    fn serial_spmm_zeroes_rows_no_chunk_covers() {
+        let triplets = (0..24).flat_map(|r| [(r, r % 9, 1.5 + r as f64), (r, (r * 5) % 9, -2.0)]);
+        let csr: Csr<u32, f64> = Coo::from_triplets(24, 9, triplets).unwrap().to_csr();
+        let kernel = GapKernel(csr.clone());
+        for k in [1usize, 2] {
+            let x: Vec<f64> = (0..9 * k).map(|i| (i as f64) * 0.25 - 1.0).collect();
+            let mut expect = vec![0.0; 24 * k];
+            csr.spmm(&x, k, &mut expect);
+            for r in (4..7).chain(20..24) {
+                expect[r * k..(r + 1) * k].fill(0.0);
+            }
+            let mut y = vec![f64::NAN; 24 * k];
+            serial_spmm(&kernel, &x, k, &mut y);
+            let bits = |v: &[f64]| v.iter().map(|e| e.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&y), bits(&expect), "k={k}");
+        }
     }
 }
