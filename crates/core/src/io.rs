@@ -55,7 +55,7 @@
 //!   matrix); structure catches what checksums cannot (a well-checksummed
 //!   file written by a buggy or malicious encoder).
 
-use crate::crc32::crc32;
+use crate::crc32::{crc32, Crc32};
 use crate::csc::Csc;
 use crate::csr::Csr;
 use crate::csr_du::CsrDu;
@@ -310,11 +310,12 @@ fn check_tag(h: &Header, expected: u8, name: &str) -> Result<()> {
     Ok(())
 }
 
-/// Reads the declared-length, checksum-verified v2 payload. The length is
+/// Reads the declared-length, checksum-verified v2 payload and returns it
+/// with the whole-payload CRC it was verified against. The length is
 /// checked against `limits.max_bytes` *before* any allocation; the buffer
 /// then grows only as bytes actually arrive, so a truncated file costs at
 /// most its real size.
-fn read_payload<R: Read>(r: &mut R, limits: &LoadLimits) -> Result<Vec<u8>> {
+fn read_payload<R: Read>(r: &mut R, limits: &LoadLimits) -> Result<(Vec<u8>, u32)> {
     let mut head = [0u8; 12];
     r.read_exact(&mut head).map_err(io_err)?;
     let declared = u64::from_le_bytes(head[..8].try_into().expect("8 bytes"));
@@ -334,7 +335,7 @@ fn read_payload<R: Read>(r: &mut R, limits: &LoadLimits) -> Result<Vec<u8>> {
     if stored != computed {
         return Err(SparseError::ChecksumMismatch { section: "payload".into(), stored, computed });
     }
-    Ok(payload)
+    Ok((payload, stored))
 }
 
 // ---------------------------------------------------------------------
@@ -428,14 +429,55 @@ impl Fingerprint {
 /// payload bytes [`write_csr`] produces, so it equals the stored
 /// whole-payload checksum of the matrix's v2 CSR container byte for
 /// byte — fingerprinting in memory and fingerprinting the file agree.
+///
+/// The payload is streamed into the checksum straight from the matrix's
+/// arrays, never built: no allocation, one pass over each array.
 pub fn fingerprint_csr(m: &Csr<u32, f64>) -> Fingerprint {
-    let payload = csr_payload(m);
+    let mut payload = Crc32::new();
+    payload.update_u64(m.nrows() as u64);
+    payload.update_u64(m.ncols() as u64);
+    stream_u32_section(&mut payload, m.row_ptr());
+    stream_u32_section(&mut payload, m.col_ind());
+    let values = m.values();
+    stream_section(&mut payload, values.len(), values.iter().map(|v| v.to_bits()), None);
     Fingerprint {
-        crc: crc32(&payload),
+        crc: payload.finish(),
         nrows: m.nrows() as u64,
         ncols: m.ncols() as u64,
         nnz: m.nnz() as u64,
     }
+}
+
+/// Feeds one section exactly as [`put_section`] lays it out (`u64 count
+/// | data | u32 crc(data)`) into the running payload checksum. The data
+/// arrives as little-endian 8-byte `words` plus an optional trailing
+/// 4-byte word; the section checksum advances alongside the payload one.
+fn stream_section(
+    payload: &mut Crc32,
+    count: usize,
+    words: impl Iterator<Item = u64>,
+    tail: Option<u32>,
+) {
+    payload.update_u64(count as u64);
+    let mut section = Crc32::new();
+    for w in words {
+        section.update_u64(w);
+        payload.update_u64(w);
+    }
+    if let Some(t) = tail {
+        section.update(&t.to_le_bytes());
+        payload.update(&t.to_le_bytes());
+    }
+    payload.update(&section.finish().to_le_bytes());
+}
+
+/// [`stream_section`] over a `u32` array: pairs of elements form the
+/// 8-byte words, an odd last element is the tail.
+fn stream_u32_section(payload: &mut Crc32, data: &[u32]) {
+    let pairs = data.chunks_exact(2);
+    let tail = pairs.remainder().first().copied();
+    let words = pairs.map(|p| u64::from(p[0]) | u64::from(p[1]) << 32);
+    stream_section(payload, data.len(), words, tail);
 }
 
 /// Reads a [`Fingerprint`] from any supported container version without
@@ -455,9 +497,9 @@ pub fn read_fingerprint<R: Read>(r: &mut R, limits: &LoadLimits) -> Result<Finge
         let (nrows, ncols, nnz) = body_shape(h.tag, &body, 0)?;
         Ok(Fingerprint { crc: crc32(&body), nrows, ncols, nnz })
     } else {
-        let payload = read_payload(r, limits)?;
+        let (payload, crc) = read_payload(r, limits)?;
         let (nrows, ncols, nnz) = body_shape(h.tag, &payload, 4)?;
-        Ok(Fingerprint { crc: crc32(&payload), nrows, ncols, nnz })
+        Ok(Fingerprint { crc, nrows, ncols, nnz })
     }
 }
 
@@ -552,7 +594,7 @@ pub fn read_csr_with<R: Read>(r: &mut R, limits: &LoadLimits) -> Result<Csr<u32,
         col_ind = read_u32_vec_v1(r, "col_ind", limits)?;
         values = read_f64_vec_v1(r, "values", limits)?;
     } else {
-        let payload = read_payload(r, limits)?;
+        let (payload, _) = read_payload(r, limits)?;
         let mut p = Payload { buf: &payload, pos: 0 };
         nrows = p.u64("nrows")?;
         ncols = p.u64("ncols")?;
@@ -599,7 +641,7 @@ pub fn read_csc_with<R: Read>(r: &mut R, limits: &LoadLimits) -> Result<Csc<u32,
         // The tag postdates v1, so such a header is an encoder bug.
         return Err(SparseError::Parse("CSC frames require container v2".into()));
     }
-    let payload = read_payload(r, limits)?;
+    let (payload, _) = read_payload(r, limits)?;
     let mut p = Payload { buf: &payload, pos: 0 };
     let nrows = p.u64("nrows")?;
     let ncols = p.u64("ncols")?;
@@ -649,7 +691,7 @@ pub fn read_csr_du_with<R: Read>(r: &mut R, limits: &LoadLimits) -> Result<CsrDu
         ctl = read_bytes_v1(r, "ctl", limits)?;
         values = read_f64_vec_v1(r, "values", limits)?;
     } else {
-        let payload = read_payload(r, limits)?;
+        let (payload, _) = read_payload(r, limits)?;
         let mut p = Payload { buf: &payload, pos: 0 };
         nrows = p.u64("nrows")?;
         ncols = p.u64("ncols")?;
@@ -721,7 +763,7 @@ pub fn read_csr_vi_with<R: Read>(r: &mut R, limits: &LoadLimits) -> Result<CsrVi
             }
         };
     } else {
-        let payload = read_payload(r, limits)?;
+        let (payload, _) = read_payload(r, limits)?;
         let mut p = Payload { buf: &payload, pos: 0 };
         nrows = p.u64("nrows")?;
         ncols = p.u64("ncols")?;
@@ -858,6 +900,45 @@ mod tests {
         // And reading the fingerprint back from the container agrees.
         let read = read_fingerprint(&mut Cursor::new(&buf), &LoadLimits::default()).unwrap();
         assert_eq!(read, fp);
+    }
+
+    #[test]
+    fn streamed_fingerprint_equals_written_payload_crc() {
+        fn stored_crc(m: &Csr<u32, f64>) -> u32 {
+            let mut buf = Vec::new();
+            write_csr(m, &mut buf).unwrap();
+            u32::from_le_bytes(buf[15..19].try_into().unwrap())
+        }
+        fn from_entries(nrows: usize, ncols: usize, e: &[(usize, usize, f64)]) -> Csr<u32, f64> {
+            let mut coo = crate::Coo::new(nrows, ncols);
+            for &(r, c, v) in e {
+                coo.push(r, c, v).unwrap();
+            }
+            coo.to_csr()
+        }
+        let mut banded = crate::Coo::new(2_000, 2_000);
+        for r in 0..2_000usize {
+            for c in r.saturating_sub(2)..(r + 3).min(2_000) {
+                banded.push(r, c, (r * 7 + c) as f64 * 0.25 - 3.0).unwrap();
+            }
+        }
+        let cases: Vec<(&str, Csr<u32, f64>)> = vec![
+            ("0x0", crate::Coo::new(0, 0).to_csr()),
+            ("5x5, 0 nnz", crate::Coo::new(5, 5).to_csr()),
+            // (row_ptr len, col_ind len) parity: (odd, odd), (even, even),
+            // (even, odd); the paper matrix is (odd, even).
+            ("2x3, 3 nnz", from_entries(2, 3, &[(0, 0, 1.0), (0, 2, -2.0), (1, 1, 0.5)])),
+            ("3x3, 2 nnz", from_entries(3, 3, &[(0, 1, 4.0), (2, 2, 1e-300)])),
+            ("3x3, 3 nnz", from_entries(3, 3, &[(0, 0, 1.0), (1, 2, f64::MAX), (2, 0, -0.0)])),
+            ("paper", paper_matrix().to_csr()),
+            ("banded", banded.to_csr()),
+        ];
+        for (name, m) in &cases {
+            assert_eq!(fingerprint_csr(m).crc, stored_crc(m), "{name}");
+            assert_eq!(fingerprint_csr(m).crc, crc32(&csr_payload(m)), "{name}");
+        }
+        let nnz = cases.last().unwrap().1.nnz();
+        assert!((9_000..=11_000).contains(&nnz), "banded case has {nnz} nnz");
     }
 
     #[test]

@@ -43,17 +43,47 @@
 //! (cold) benchmark run, so warm runs can report measured medians with
 //! zero re-encodes.
 //!
+//! ## Host trial
+//!
+//! The model is of the paper's Clovertown, not of the host, and the
+//! paper's own thesis is that compression pays only where SpMV is
+//! bandwidth-bound *on the machine at hand*. With
+//! [`PlannerConfig::host_trial`] on, a cold analysis whose model-best
+//! candidate is a compressed format checks that pick on this host
+//! before committing: every candidate format runs on its `Par*`
+//! executor at the largest thread candidate (x all ones, one warm-up
+//! call, then the fastest of three timed calls), and the plan becomes
+//! the ranked candidate of the fastest format at that thread count,
+//! with that entry's predictions. The trial reuses the encodings the
+//! costing already built, so a cold plan still counts three encodes,
+//! but it holds them all until it has decided (about 95 MB on a
+//! 5.4M-nnz matrix) and adds about 0.3 s to that matrix's cold plan at
+//! 2 threads on a 2-vCPU host: sixteen calls of 4–10 ms, four pool
+//! spawns, and about 75 ms per CSR-DU-based executor to split its ctl
+//! stream. A model pick
+//! of CSR runs no trial: CSR has the fewest cycles per nnz in the model,
+//! so choosing it assumes nothing about bandwidth the host could refute.
+//! The trial never runs serially, because bandwidth saturates only when
+//! threads run — a serial trial would undervalue compression exactly
+//! where it pays. Only cold analyses run it; cache hits replay the
+//! stored decision. [`PlannerConfig::default`] leaves the trial off, so
+//! the paper reproduction plans the modeled machine deterministically;
+//! the serving layer turns it on.
+//!
 //! ## Interaction with overrides
 //!
-//! The planner decides *format, thread count and chunking* from the
-//! analytic model of the paper's 8-core Clovertown — it does not probe
-//! the host. Two runtime overrides compose with it downstream:
-//! `SPMV_ISA` changes which SpMV kernel body executes (scalar vs AVX2)
-//! without affecting bytes streamed, so the format ranking stands and
-//! only absolute times shift; and an executor capped at fewer threads
-//! than the plan (e.g. `ServiceConfig::threads`) should pass its cap as
-//! the planner's `thread_candidates` so the plan never promises
-//! parallelism the pool cannot deliver.
+//! The model decides *format, thread count and chunking*; the host trial,
+//! when on, may replace the model's format (never its thread count).
+//! Two runtime overrides compose with it: `SPMV_ISA` changes which SpMV
+//! kernel body executes (scalar vs AVX2) without affecting bytes
+//! streamed, so the *model's* ranking stands and only absolute times
+//! shift — but the host trial times whichever body is selected, so with
+//! the trial on `SPMV_ISA` can change the format a plan picks (every
+//! pick computes the same bits). An executor capped at fewer threads than
+//! the plan (e.g. `ServiceConfig::threads`) should pass its cap as the
+//! planner's `thread_candidates`, so the plan never promises parallelism
+//! the pool cannot deliver and the trial runs at the width the executor
+//! will use.
 //!
 //! ## Online refinement
 //!
@@ -67,14 +97,16 @@ use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::path::Path;
 use std::sync::Mutex;
+use std::time::Instant;
 
 use spmv_core::csr_du::{CsrDu, DuOptions};
 use spmv_core::csr_duvi::CsrDuVi;
 use spmv_core::csr_vi::CsrVi;
 use spmv_core::io::{fingerprint_csr, Fingerprint};
 use spmv_core::{Csr, FormatKind, SparseError};
+use spmv_parallel::{ParCsr, ParCsrDu, ParCsrDuVi, ParCsrVi, ParSpMv};
 
-use crate::cost::FormatCost;
+use crate::cost::{CostModel, FormatCost};
 use crate::placement::Placement;
 use crate::predict::{predict, SimConfig};
 use crate::profile::MatrixProfile;
@@ -96,6 +128,10 @@ pub struct PlannerConfig {
     /// Measured-imbalance threshold above which
     /// [`Planner::refine_from_telemetry`] doubles a cached plan's chunks.
     pub refine_imbalance_threshold: f64,
+    /// When the model ranks a compressed format first, time every
+    /// candidate format on this host before committing and plan the
+    /// fastest (see the [module docs](self#host-trial)). Off by default.
+    pub host_trial: bool,
 }
 
 impl Default for PlannerConfig {
@@ -111,6 +147,7 @@ impl Default for PlannerConfig {
             thread_candidates: vec![1, 2, 4, 8],
             chunks_per_thread: 2,
             refine_imbalance_threshold: 1.25,
+            host_trial: false,
         }
     }
 }
@@ -323,7 +360,8 @@ impl Planner {
         Ok(plan)
     }
 
-    /// Full analysis: profile, encode candidates, predict, rank.
+    /// Full analysis: profile, encode candidates, predict, rank, and —
+    /// with the host trial on and a compressed model pick — time them.
     fn analyze(&self, m: &Csr<u32, f64>, fp: Fingerprint) -> Result<Plan, SparseError> {
         // Degenerate matrices (0 rows / 0 nnz) have no per-nnz cost — the
         // FormatCost constructors reject them by design. Serial CSR is
@@ -361,8 +399,10 @@ impl Planner {
         }
 
         let mut ranking: Vec<(usize, RankedChoice, usize)> = Vec::new();
+        let mut kept: Vec<(FormatKind, Encoded<'_>)> = Vec::new();
         for (order, &kind) in self.cfg.formats.iter().enumerate() {
-            let fc = self.candidate_cost(m, kind)?;
+            let enc = self.encode(m, kind)?;
+            let fc = enc.cost(&self.cfg.sim.cost)?;
             let bytes = fc.stream_bytes + fc.resident_bytes;
             for &t in &threads {
                 let p = predict(&profile, &fc, &Placement::close(t, machine), &self.cfg.sim);
@@ -378,6 +418,9 @@ impl Planner {
                     bytes,
                 ));
             }
+            if self.cfg.host_trial {
+                kept.push((kind, enc));
+            }
         }
         // Total order: NaN sorts after every real time (and so never
         // wins), ties prefer fewer threads, then candidate-list order.
@@ -387,48 +430,55 @@ impl Planner {
                 .then(a.threads.cmp(&b.threads))
                 .then(ao.cmp(bo))
         });
-        let (_, best, matrix_bytes) = ranking[0].clone();
+        let (ranking, bytes): (Vec<RankedChoice>, Vec<usize>) =
+            ranking.into_iter().map(|(_, c, b)| (c, b)).unzip();
+
+        let mut pick = 0;
+        if self.cfg.host_trial && ranking[0].format != FormatKind::Csr {
+            let t = *threads.iter().max().expect("thread candidates checked non-empty");
+            let x = vec![1.0; m.ncols()];
+            let mut y = vec![0.0; m.nrows()];
+            let times: Vec<(FormatKind, f64)> =
+                kept.iter().map(|(kind, enc)| (*kind, enc.trial_time(&x, &mut y, t))).collect();
+            pick = trial_pick(&ranking, t, &times).unwrap_or(0);
+        }
+        let best = ranking[pick].clone();
         Ok(Plan {
             fingerprint: fp,
             format: best.format,
             threads: best.threads,
             chunks: (best.threads * self.cfg.chunks_per_thread).max(1),
-            matrix_bytes,
+            matrix_bytes: bytes[pick],
             predicted_time_s: best.predicted_time_s,
             predicted_mflops: best.predicted_mflops,
             memory_bound: best.memory_bound,
             cache_hit: false,
-            ranking: ranking.into_iter().map(|(_, c, _)| c).collect(),
+            ranking,
             measured: None,
         })
     }
 
-    /// Encodes (counting the encode) and costs one candidate format.
-    fn candidate_cost(
+    /// Encodes one candidate format, counting the encode (CSR is free:
+    /// the input already is one).
+    fn encode<'m>(
         &self,
-        m: &Csr<u32, f64>,
+        m: &'m Csr<u32, f64>,
         kind: FormatKind,
-    ) -> Result<FormatCost, SparseError> {
-        let cm = &self.cfg.sim.cost;
-        match kind {
-            FormatKind::Csr => FormatCost::csr(m, cm),
-            FormatKind::CsrDu => {
-                self.lock().stats.encodes += 1;
-                FormatCost::csr_du(&CsrDu::from_csr(m, &DuOptions::default()), cm)
+    ) -> Result<Encoded<'m>, SparseError> {
+        let enc = match kind {
+            FormatKind::Csr => return Ok(Encoded::Csr(m)),
+            FormatKind::CsrDu => Encoded::Du(CsrDu::from_csr(m, &DuOptions::default())),
+            FormatKind::CsrVi => Encoded::Vi(CsrVi::from_csr(m)),
+            FormatKind::CsrDuVi => Encoded::DuVi(CsrDuVi::from_csr(m, &DuOptions::default())),
+            other => {
+                return Err(SparseError::InvalidArgument(format!(
+                    "planner does not model format {}",
+                    other.name()
+                )))
             }
-            FormatKind::CsrVi => {
-                self.lock().stats.encodes += 1;
-                FormatCost::csr_vi(&CsrVi::from_csr(m), cm)
-            }
-            FormatKind::CsrDuVi => {
-                self.lock().stats.encodes += 1;
-                FormatCost::csr_duvi(&CsrDuVi::from_csr(m, &DuOptions::default()), cm)
-            }
-            other => Err(SparseError::InvalidArgument(format!(
-                "planner does not model format {}",
-                other.name()
-            ))),
-        }
+        };
+        self.lock().stats.encodes += 1;
+        Ok(enc)
     }
 
     /// Records the measured cost of a cold run into the cached plan so
@@ -529,6 +579,67 @@ impl Planner {
         }
         Ok(loaded)
     }
+}
+
+/// One candidate format's matrix, encoded for costing and kept for the
+/// host trial.
+enum Encoded<'m> {
+    Csr(&'m Csr<u32, f64>),
+    Du(CsrDu<f64>),
+    Vi(CsrVi<u32, f64>),
+    DuVi(CsrDuVi<f64>),
+}
+
+impl Encoded<'_> {
+    fn cost(&self, cm: &CostModel) -> Result<FormatCost, SparseError> {
+        match self {
+            Encoded::Csr(m) => FormatCost::csr(*m, cm),
+            Encoded::Du(m) => FormatCost::csr_du(m, cm),
+            Encoded::Vi(m) => FormatCost::csr_vi(m, cm),
+            Encoded::DuVi(m) => FormatCost::csr_duvi(m, cm),
+        }
+    }
+
+    /// Host-trial seconds per `y = A·x` on this format's `Par*`
+    /// executor at `threads`: one warm-up call, then the fastest of three
+    /// timed calls.
+    fn trial_time(&self, x: &[f64], y: &mut [f64], threads: usize) -> f64 {
+        let mut exec: Box<dyn ParSpMv<f64> + '_> = match self {
+            Encoded::Csr(m) => Box::new(ParCsr::new(*m, threads)),
+            Encoded::Du(m) => Box::new(ParCsrDu::new(m, threads)),
+            Encoded::Vi(m) => Box::new(ParCsrVi::new(m, threads)),
+            Encoded::DuVi(m) => Box::new(ParCsrDuVi::new(m, threads)),
+        };
+        exec.par_spmv(x, y);
+        (0..3)
+            .map(|_| {
+                let t = Instant::now();
+                exec.par_spmv(x, y);
+                t.elapsed().as_secs_f64()
+            })
+            .fold(f64::INFINITY, f64::min)
+    }
+}
+
+/// The host trial's decision: the index, in `ranking`, of the candidate
+/// at `threads` whose format has the fastest finite trial time in
+/// `times`. Exact ties keep the model's order (the earlier entry);
+/// NaN or infinite times never win. `None` when no format at `threads`
+/// has a finite time.
+fn trial_pick(
+    ranking: &[RankedChoice],
+    threads: usize,
+    times: &[(FormatKind, f64)],
+) -> Option<usize> {
+    ranking
+        .iter()
+        .enumerate()
+        .filter(|(_, c)| c.threads == threads)
+        .filter_map(|(i, c)| times.iter().find(|(f, _)| *f == c.format).map(|&(_, t)| (i, t)))
+        .filter(|(_, t)| t.is_finite())
+        // `min_by` keeps the first of equal minima: the model's order.
+        .min_by(|a, b| a.1.total_cmp(&b.1))
+        .map(|(i, _)| i)
 }
 
 fn parse_entry(line: &str) -> Result<CacheEntry, SparseError> {
@@ -749,6 +860,93 @@ mod tests {
         times.sort_by(|a, b| a.total_cmp(b));
         assert_eq!(times[0], 0.1);
         assert!(times[3].is_nan());
+    }
+
+    fn two_thread_config(host_trial: bool) -> PlannerConfig {
+        PlannerConfig { thread_candidates: vec![1, 2], host_trial, ..PlannerConfig::default() }
+    }
+
+    #[test]
+    fn host_trial_leaves_model_csr_picks_untouched() {
+        // Small enough that the model plans CSR: no trial runs, and the
+        // plan is the model's to the last field.
+        let m = banded(2_000);
+        let off = Planner::new(two_thread_config(false)).plan_csr(&m).expect("plannable");
+        assert_eq!(off.format, FormatKind::Csr);
+        let on = Planner::new(two_thread_config(true)).plan_csr(&m).expect("plannable");
+        assert_eq!(
+            (on.format, on.threads, on.chunks, on.predicted_time_s),
+            (off.format, off.threads, off.chunks, off.predicted_time_s)
+        );
+        assert_eq!(on.ranking, off.ranking);
+    }
+
+    #[test]
+    fn host_trial_plans_a_ranked_cell_at_the_trial_width() {
+        let m = banded(20_000);
+        let model = Planner::new(two_thread_config(false)).plan_csr(&m).expect("plannable");
+        assert_ne!(model.format, FormatKind::Csr, "the model must pick compressed here");
+
+        let p = Planner::new(two_thread_config(true));
+        let cold = p.plan_csr(&m).expect("plannable");
+        assert!(!cold.cache_hit);
+        // The plan runs the cell that was timed: the largest thread
+        // candidate, chunked for it, with that ranking entry's numbers.
+        assert_eq!((cold.threads, cold.chunks), (2, 4));
+        let entry = cold
+            .ranking
+            .iter()
+            .find(|c| c.format == cold.format && c.threads == 2)
+            .expect("trial pick is a ranked candidate");
+        assert_eq!(cold.predicted_time_s, entry.predicted_time_s);
+        assert_eq!(cold.predicted_mflops, entry.predicted_mflops);
+        assert_eq!(cold.memory_bound, entry.memory_bound);
+        assert_eq!(cold.ranking, model.ranking, "ranking stays the model's");
+        assert_eq!(p.stats().encodes, 3, "the trial reuses the costing's encodes");
+
+        let warm = p.plan_csr(&m).expect("plannable");
+        assert!(warm.cache_hit);
+        assert_eq!(
+            (warm.format, warm.threads, warm.chunks, warm.predicted_time_s),
+            (cold.format, cold.threads, cold.chunks, cold.predicted_time_s)
+        );
+        let s = p.stats();
+        assert_eq!((s.hits, s.misses, s.encodes), (1, 1, 3));
+    }
+
+    #[test]
+    fn trial_pick_takes_the_fastest_finite_format_in_model_order() {
+        let c = |format, threads, predicted_time_s| RankedChoice {
+            format,
+            threads,
+            predicted_time_s,
+            predicted_mflops: 1.0,
+            memory_bound: false,
+        };
+        use FormatKind::{Csr, CsrDu, CsrDuVi, CsrVi};
+        let ranking = vec![
+            c(CsrDuVi, 2, 1.0),
+            c(CsrVi, 2, 2.0),
+            c(CsrDuVi, 1, 2.5),
+            c(CsrDu, 2, 3.0),
+            c(Csr, 2, 4.0),
+            c(Csr, 1, 5.0),
+        ];
+        // The fastest format wins, at the trial's thread count.
+        let times = [(Csr, 3e-3), (CsrDu, 4e-3), (CsrVi, 2e-3), (CsrDuVi, 5e-3)];
+        assert_eq!(trial_pick(&ranking, 2, &times), Some(1));
+        assert_eq!(trial_pick(&ranking, 1, &times), Some(5), "CSR at 1 thread");
+        // An exact tie keeps the model's order.
+        let tie = [(Csr, 2e-3), (CsrDu, 4e-3), (CsrVi, 2e-3), (CsrDuVi, 2e-3)];
+        assert_eq!(trial_pick(&ranking, 2, &tie), Some(0));
+        let tie = [(Csr, 2e-3), (CsrDu, 2e-3), (CsrVi, 9e-3), (CsrDuVi, 9e-3)];
+        assert_eq!(trial_pick(&ranking, 2, &tie), Some(3));
+        // NaN and infinite times never win.
+        let bad = [(Csr, 9e-3), (CsrDu, f64::NAN), (CsrVi, f64::INFINITY), (CsrDuVi, -f64::NAN)];
+        assert_eq!(trial_pick(&ranking, 2, &bad), Some(4));
+        let none = [(Csr, f64::NAN), (CsrDu, f64::INFINITY), (CsrVi, f64::NAN)];
+        assert_eq!(trial_pick(&ranking, 2, &none), None);
+        assert_eq!(trial_pick(&ranking, 4, &times), None, "no candidate at that width");
     }
 
     #[test]

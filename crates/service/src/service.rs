@@ -144,7 +144,9 @@ pub struct ServiceConfig {
     /// [`ServiceBuilder::register_csr`] / [`SpmvService::register_csr`].
     /// Thread candidates above [`threads`](ServiceConfig::threads) are
     /// dropped at planner construction so a plan never promises more
-    /// parallelism than the executor pool can deliver.
+    /// parallelism than the executor pool can deliver. The default turns
+    /// the planner's host trial on: a compressed model pick is timed
+    /// against the other formats on this host before it is committed.
     pub planner: PlannerConfig,
 }
 
@@ -170,7 +172,7 @@ impl Default for ServiceConfig {
             stall_grace: Duration::from_secs(10),
             shard_trip_after: 3,
             drain_deadline: Duration::from_secs(2),
-            planner: PlannerConfig::default(),
+            planner: PlannerConfig { host_trial: true, ..PlannerConfig::default() },
         }
     }
 }
@@ -642,12 +644,24 @@ impl SpmvService {
     /// through the normal [`register`](SpmvService::register) path.
     /// Plans are cached by matrix fingerprint, so evicting and
     /// re-registering the same matrix is a cache hit that re-runs no
-    /// analysis. Returns the decision.
+    /// analysis. Returns the decision. A live name or a closed service
+    /// fails typed, as in [`register`](SpmvService::register), before
+    /// any fingerprinting or planning is spent on the matrix.
     pub fn register_csr(
         &self,
         name: impl Into<String>,
         m: Arc<Csr<u32, f64>>,
     ) -> Result<Plan, ServiceError> {
+        let name = name.into();
+        // Planning a large matrix costs far more than these checks, so a
+        // doomed registration fails before it starts; the registry
+        // insert in `register` stays the authoritative check.
+        if !self.inner.accepting.load(Ordering::Acquire) {
+            return Err(ServiceError::ShuttingDown);
+        }
+        if self.inner.registry.lookup(&name).is_some() {
+            return Err(ServiceError::AlreadyRegistered(name));
+        }
         let plan = self.inner.planner.plan_csr(&m).map_err(ServiceError::PlanningFailed)?;
         let kernel = planned_kernel(&plan, &m).map_err(ServiceError::PlanningFailed)?;
         self.register(name, kernel)?;

@@ -1,10 +1,13 @@
 //! Planner-routed registration: `register_csr` without an explicit
-//! format must pick one through the cost model, serve bit-identical
-//! results, and answer evict + re-register cycles from the plan cache
-//! with zero fresh encodes.
+//! format must pick one through the cost model (checked on this host by
+//! the default host trial when the model picks compression), serve
+//! bit-identical results, answer evict + re-register cycles from the plan
+//! cache with zero fresh encodes, and refuse a doomed registration before
+//! planning it.
 
-use spmv_core::{Coo, Csr, SpMv};
-use spmv_service::{Request, ServiceBuilder, ServiceConfig, SpmvService};
+use spmv_core::{Coo, Csr, FormatKind, SpMv};
+use spmv_memsim::{Planner, PlannerConfig};
+use spmv_service::{Request, ServiceBuilder, ServiceConfig, ServiceError, SpmvService};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -102,4 +105,64 @@ fn degenerate_matrices_register_without_panicking() {
     svc.register_csr("one", one).expect("1x1 plan");
     assert_eq!(submit(&svc, "one", vec![2.0]), vec![5.0]);
     svc.shutdown();
+}
+
+/// The service's own planner settings with the host trial off: what the
+/// cost model alone would plan.
+fn model_only(svc: &SpmvService) -> Planner {
+    Planner::new(PlannerConfig { host_trial: false, ..svc.planner().config().clone() })
+}
+
+#[test]
+fn host_trial_pick_serves_bit_identical_results_and_replays_from_cache() {
+    // Large enough that the model plans a compressed format at 2 threads,
+    // so the default host trial runs on the cold registration.
+    let m = test_matrix(100_000);
+    let svc = ServiceBuilder::new(cfg()).start();
+    assert!(svc.planner().config().host_trial, "the service trials compressed picks by default");
+    let model = model_only(&svc).plan_csr(&m).expect("plannable");
+    assert_ne!(model.format, FormatKind::Csr, "the model must pick compressed here");
+
+    let cold = svc.register_csr("m", Arc::clone(&m)).expect("cold registration");
+    assert!(!cold.cache_hit);
+    assert_eq!((cold.threads, cold.chunks), (2, 4), "the plan runs the timed cell");
+    assert_eq!(svc.planner_stats().encodes, 3, "the trial encodes nothing extra");
+
+    let x: Vec<f64> = (0..m.ncols()).map(|i| (i % 11) as f64 * 0.5 - 2.0).collect();
+    let mut want = vec![0.0; m.nrows()];
+    m.spmv(&x, &mut want);
+    let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(&submit(&svc, "m", x.clone())), bits(&want), "trial pick vs serial CSR");
+
+    svc.evict("m").expect("evict");
+    let warm = svc.register_csr("m", Arc::clone(&m)).expect("warm registration");
+    assert!(warm.cache_hit);
+    assert_eq!((warm.format, warm.threads, warm.chunks), (cold.format, cold.threads, cold.chunks));
+    let s = svc.planner_stats();
+    assert_eq!((s.hits, s.misses, s.encodes), (1, 1, 3), "a hit replays without the trial");
+    assert_eq!(bits(&submit(&svc, "m", x)), bits(&want));
+    svc.shutdown();
+}
+
+#[test]
+fn register_csr_under_a_live_name_fails_before_planning() {
+    let svc = ServiceBuilder::new(cfg()).start();
+    svc.register_csr("m", test_matrix(400)).expect("first registration");
+    let before = svc.planner_stats();
+    let other = test_matrix(500);
+    assert!(matches!(
+        svc.register_csr("m", other),
+        Err(ServiceError::AlreadyRegistered(name)) if name == "m"
+    ));
+    assert_eq!(svc.planner_stats(), before, "a duplicate name must not be planned");
+    svc.shutdown();
+}
+
+#[test]
+fn register_csr_after_begin_shutdown_fails_before_planning() {
+    let svc = ServiceBuilder::new(cfg()).start();
+    svc.begin_shutdown(Duration::from_millis(50));
+    let before = svc.planner_stats();
+    assert!(matches!(svc.register_csr("late", test_matrix(400)), Err(ServiceError::ShuttingDown)));
+    assert_eq!(svc.planner_stats(), before, "a closed service must not plan");
 }

@@ -77,6 +77,10 @@ echo "== service-smoke (overload-safe serving layer) =="
 # counts {1,2,4,7}.
 cargo test -q -p spmv-service
 cargo test -q -p spmv-service --features fault-injection
+# The planner's host trial times whichever kernel body SPMV_ISA selects,
+# so the format pick can differ by ISA; every pick must still serve
+# results bit-identical to serial CSR under both dispatchers.
+SPMV_ISA=scalar cargo test -q -p spmv-service --test planner_register
 # Drive the load generator briefly above saturation with a short
 # deadline. The gate requires: nonzero sheds (admission control actually
 # rejected load), bounded wall-clock (timeout; a hang fails the gate),
