@@ -39,17 +39,26 @@
 //!   [`pool::IterationDriver`] measurement loop, and a spawn-per-call
 //!   baseline ([`pool::run_on_threads`]) kept for one-shot fan-out and for
 //!   quantifying dispatch overhead;
-//! * [`par`] — per-format parallel executors ([`par::ParCsr`],
-//!   [`par::ParCsrDu`], [`par::ParCsrVi`], [`par::ParCsrDuVi`],
-//!   [`par::ParCscColumns`], [`par::ParCsrBlock2d`], [`par::ParDcsr`],
-//!   [`par::ParSymCsr`]) that pre-plan partition, pool and scratch, and
-//!   run `y = A·x` on the pool per call.
+//! * [`supervised`] — the one parallel kernel of each paper format, a
+//!   [`supervised::ChunkKernel`] ([`supervised::CsrChunks`],
+//!   [`supervised::CsrDuChunks`], [`supervised::CsrViChunks`],
+//!   [`supervised::CsrDuViChunks`]), and the fault-tolerant executor
+//!   that runs it;
+//! * [`par`] — parallel executors that pre-plan partition, pool and
+//!   scratch, and run `y = A·x` on the pool per call: [`par::ParChunks`]
+//!   runs any chunk kernel with one thread per chunk, and the paper
+//!   formats' [`par::ParCsr`], [`par::ParCsrDu`], [`par::ParCsrVi`] and
+//!   [`par::ParCsrDuVi`] are that driver over a borrowed matrix;
+//!   [`par::ParCscColumns`], [`par::ParCsrBlock2d`], [`par::ParDcsr`] and
+//!   [`par::ParSymCsr`] keep their own partitioning.
 //!
 //! Output and scratch buffers are handed to pool threads through
 //! [`pool::DisjointSlices`], a small `unsafe` cell whose single invariant
 //! — ranges claimed during one dispatch are pairwise disjoint — is
-//! discharged at every call site by partition blocks that are disjoint by
-//! construction. Everything else is safe Rust.
+//! discharged at every call site by partition blocks that are disjoint:
+//! by construction, or, for the chunks of a [`supervised::ChunkKernel`],
+//! checked once when [`par::ParChunks`] plans them (one call site serves
+//! all four paper formats). Everything else is safe Rust.
 //!
 //! The paper binds threads to specific cores with `sched_setaffinity` to
 //! control cache sharing; placement here is a *logical* concept consumed
@@ -108,8 +117,8 @@ pub mod supervised;
 pub mod telemetry;
 
 pub use par::{
-    ParCscColumns, ParCsr, ParCsrBlock2d, ParCsrDu, ParCsrDuVi, ParCsrVi, ParDcsr, ParSpMm,
-    ParSpMv, ParSymCsr,
+    ParChunks, ParCscColumns, ParCsr, ParCsrBlock2d, ParCsrDu, ParCsrDuVi, ParCsrVi, ParDcsr,
+    ParSpMm, ParSpMv, ParSymCsr,
 };
 pub use partition::{ColPartition, Grid2d, RowPartition};
 pub use pool::{

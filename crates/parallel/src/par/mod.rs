@@ -1,4 +1,4 @@
-//! Per-format parallel SpMV executors.
+//! Parallel SpMV executors.
 //!
 //! Each executor pre-computes its partition at construction (the paper
 //! also partitions once, outside the timed loop) and owns a persistent
@@ -8,20 +8,33 @@
 //! block, and executors that need cross-thread reductions run them as a
 //! second chunked dispatch on the same pool.
 //!
+//! The four paper formats have one parallel kernel each, their
+//! [`ChunkKernel`]. [`ParChunks`] runs any chunk kernel on the pool,
+//! thread `t` computing chunk `t` straight into its rows of `y`;
+//! [`ParCsr`], [`ParCsrDu`], [`ParCsrVi`] and [`ParCsrDuVi`] are that
+//! driver over a borrowed matrix. The supervised executor and the service
+//! run the same kernels over an `Arc`'d matrix. Column, 2-D block,
+//! symmetric and DCSR partitioning keep executors of their own: the first
+//! three reduce across threads, and DCSR has no SpMM kernel.
+//!
 //! Output safety: `y` (and any plan-owned scratch) is handed to threads
 //! through [`DisjointSlices`], with ranges taken from partitions whose
-//! blocks are disjoint by construction — every kernel call writes only
-//! memory it owns.
+//! blocks are disjoint — by construction, or, for a chunk kernel, checked
+//! when the plan is made — so every kernel call writes only memory it
+//! owns.
 
 use crate::partition::{ColPartition, Grid2d, RowPartition};
 use crate::pool::{chunk, DisjointSlices, WorkerPool};
+use crate::supervised::{zero_uncovered, ChunkKernel};
+use crate::supervised::{CsrChunks, CsrDuChunks, CsrDuViChunks, CsrViChunks};
 use crate::telemetry::PoolTelemetry;
-use spmv_core::csr_du::{CsrDu, DuSplit};
+use spmv_core::csr_du::CsrDu;
 use spmv_core::csr_duvi::CsrDuVi;
 use spmv_core::csr_vi::CsrVi;
 use spmv_core::dcsr::{Dcsr, DcsrSplit};
 use spmv_core::sym::SymCsr;
 use spmv_core::{Csc, Csr, Isa, Scalar, SpIndex};
+use std::ops::Range;
 
 /// Common interface of the parallel executors (mirrors [`spmv_core::SpMv`]
 /// with a fixed thread count chosen at plan time).
@@ -46,370 +59,169 @@ pub trait ParSpMv<V: Scalar>: Send {
 /// Multi-vector extension of [`ParSpMv`]: `Y = A·X` for a row-major panel
 /// of `k` right-hand sides (`x[col * k + v]`, `y[row * k + v]` — the
 /// [`spmv_core::DenseBlock`] layout), reusing the executor's planned
-/// partition and persistent pool. Implemented by the four paper-format
-/// executors ([`ParCsr`], [`ParCsrDu`], [`ParCsrVi`], [`ParCsrDuVi`]):
-/// each thread decodes its row block **once** and broadcasts every
-/// decoded scalar across the `k`-wide panel, so the per-thread decode
-/// cost of the compressed formats is amortized `k`-fold. With `k = 1`
-/// the result is bit-identical to [`ParSpMv::par_spmv`].
+/// partition and persistent pool. Implemented by [`ParChunks`], and so by
+/// the four paper-format executors ([`ParCsr`], [`ParCsrDu`],
+/// [`ParCsrVi`], [`ParCsrDuVi`]): each thread decodes its row block
+/// **once** and broadcasts every decoded scalar across the `k`-wide
+/// panel, so the per-thread decode cost of the compressed formats is
+/// amortized `k`-fold. With `k = 1` the result is bit-identical to
+/// [`ParSpMv::par_spmv`].
 pub trait ParSpMm<V: Scalar>: ParSpMv<V> {
     /// Computes `Y = A·X` using the planned partition. Panics if
     /// `x.len() != ncols * k` or `y.len() != nrows * k` or `k == 0`.
     fn par_spmm(&mut self, x: &[V], k: usize, y: &mut [V]);
 }
 
-/// Shared panel-shape preamble of the `par_spmm` implementations.
-fn assert_panel_lens<V>(nrows: usize, ncols: usize, x: &[V], k: usize, y: &[V]) {
-    assert!(k >= 1, "need at least one right-hand side");
-    assert_eq!(x.len(), ncols * k, "x must be ncols x k row-major");
-    assert_eq!(y.len(), nrows * k, "y must be nrows x k row-major");
-}
-
 /// Row bounds implied by ctl-stream splits: `[0, splits[0].row_end, ...]`.
-fn split_row_bounds(row_ends: impl Iterator<Item = usize>) -> Vec<usize> {
+pub(crate) fn split_row_bounds(row_ends: impl Iterator<Item = usize>) -> Vec<usize> {
     let mut bounds = vec![0usize];
     bounds.extend(row_ends);
     bounds
 }
 
 // ---------------------------------------------------------------------
-// CSR — row partitioning
+// Chunk kernels — one driver for the four paper formats
 // ---------------------------------------------------------------------
 
-/// Row-partitioned parallel CSR SpMV (the paper's baseline MT kernel).
-pub struct ParCsr<'m, I: SpIndex = u32, V: Scalar = f64> {
-    matrix: &'m Csr<I, V>,
-    partition: RowPartition,
+/// Runs a [`ChunkKernel`] on a persistent [`WorkerPool`] with one thread
+/// per chunk: thread `t` computes chunk `t` straight into its rows of
+/// `y`, and rows no chunk covers are zeroed. `par_spmv` is `par_spmm`
+/// with `k = 1`.
+pub struct ParChunks<K> {
+    kernel: K,
+    /// `kernel.chunk_rows(t)` for every chunk, checked pairwise disjoint
+    /// when the plan is made.
+    rows: Vec<Range<usize>>,
     pool: WorkerPool,
-    isa: Isa,
 }
+
+impl<K> ParChunks<K> {
+    /// Plans `kernel` on a pool of `kernel.nchunks()` threads (at least
+    /// one). Panics if two chunks share a row.
+    pub fn from_kernel<V: Scalar>(kernel: K) -> ParChunks<K>
+    where
+        K: ChunkKernel<V>,
+    {
+        let rows: Vec<_> = (0..kernel.nchunks()).map(|chunk| kernel.chunk_rows(chunk)).collect();
+        // Each thread gets its chunk's rows of `y` through
+        // `DisjointSlices`, so overlapping chunks are refused here.
+        let mut live: Vec<_> = rows.iter().filter(|r| !r.is_empty()).collect();
+        live.sort_by_key(|r| r.start);
+        assert!(live.windows(2).all(|w| w[0].end <= w[1].start), "chunk row ranges overlap");
+        let pool = WorkerPool::new(rows.len().max(1));
+        ParChunks { kernel, rows, pool }
+    }
+
+    /// The chunk kernel this plan runs.
+    pub fn kernel(&self) -> &K {
+        &self.kernel
+    }
+}
+
+impl<V: Scalar, K: ChunkKernel<V>> ParSpMv<V> for ParChunks<K> {
+    fn nthreads(&self) -> usize {
+        self.rows.len()
+    }
+
+    fn take_telemetry(&mut self) -> Option<PoolTelemetry> {
+        self.pool.take_telemetry()
+    }
+
+    fn par_spmv(&mut self, x: &[V], y: &mut [V]) {
+        self.par_spmm(x, 1, y);
+    }
+}
+
+impl<V: Scalar, K: ChunkKernel<V>> ParSpMm<V> for ParChunks<K> {
+    fn par_spmm(&mut self, x: &[V], k: usize, y: &mut [V]) {
+        assert!(k >= 1, "need at least one right-hand side");
+        assert_eq!(x.len(), self.kernel.ncols() * k, "x must be ncols x k row-major");
+        assert_eq!(y.len(), self.kernel.nrows() * k, "y must be nrows x k row-major");
+        zero_uncovered(self.rows.iter().cloned(), k, y);
+        if self.rows.is_empty() {
+            return;
+        }
+        let slices = DisjointSlices::new(y);
+        let (kernel, rows) = (&self.kernel, &self.rows);
+        self.pool.run(|tid| {
+            let r = &rows[tid];
+            // SAFETY: chunk row ranges were checked pairwise disjoint at
+            // plan time; one tid per chunk.
+            let out = unsafe { slices.range(r.start * k..r.end * k) };
+            kernel.compute_block(tid, x, k, out);
+        });
+    }
+}
+
+/// Row-partitioned parallel CSR SpMV (the paper's baseline MT kernel):
+/// [`CsrChunks`] over a borrowed matrix.
+pub type ParCsr<'m, I = u32, V = f64> = ParChunks<CsrChunks<I, V, &'m Csr<I, V>>>;
 
 impl<'m, I: SpIndex, V: Scalar> ParCsr<'m, I, V> {
     /// Plans an nnz-balanced row partition over `nthreads` threads. The
     /// kernel ISA is snapshotted here (like the partition: chosen once,
     /// outside the timed loop).
     pub fn new(matrix: &'m Csr<I, V>, nthreads: usize) -> Self {
-        Self::with_isa(matrix, nthreads, spmv_core::simd::selected())
+        ParChunks::from_kernel(CsrChunks::new(matrix, nthreads))
     }
 
     /// Like [`ParCsr::new`] with an explicit kernel ISA (unavailable
     /// choices degrade to scalar inside the kernel dispatch).
     pub fn with_isa(matrix: &'m Csr<I, V>, nthreads: usize, isa: Isa) -> Self {
-        let partition = RowPartition::for_csr(matrix, nthreads);
-        let pool = WorkerPool::new(partition.nparts());
-        ParCsr { partition, matrix, pool, isa }
-    }
-
-    /// The planned partition.
-    pub fn partition(&self) -> &RowPartition {
-        &self.partition
-    }
-
-    /// The kernel ISA snapshotted at plan time.
-    pub fn kernel_isa(&self) -> Isa {
-        self.isa
+        ParChunks::from_kernel(CsrChunks::with_isa(matrix, nthreads, isa))
     }
 }
 
-impl<I: SpIndex, V: Scalar> ParSpMv<V> for ParCsr<'_, I, V> {
-    fn nthreads(&self) -> usize {
-        self.partition.nparts()
-    }
-
-    fn take_telemetry(&mut self) -> Option<PoolTelemetry> {
-        self.pool.take_telemetry()
-    }
-
-    fn par_spmv(&mut self, x: &[V], y: &mut [V]) {
-        assert_eq!(x.len(), self.matrix.ncols(), "x length must equal ncols");
-        assert_eq!(y.len(), self.matrix.nrows(), "y length must equal nrows");
-        let slices = DisjointSlices::new(y);
-        let partition = &self.partition;
-        let m = self.matrix;
-        let isa = self.isa;
-        self.pool.run(|tid| {
-            let range = partition.part(tid);
-            // SAFETY: partition blocks are disjoint; one tid per block.
-            let y_local = unsafe { slices.range(range.clone()) };
-            m.spmv_rows_local_isa(isa, range.start, range.end, x, y_local);
-        });
-    }
-}
-
-impl<I: SpIndex, V: Scalar> ParSpMm<V> for ParCsr<'_, I, V> {
-    fn par_spmm(&mut self, x: &[V], k: usize, y: &mut [V]) {
-        assert_panel_lens(self.matrix.nrows(), self.matrix.ncols(), x, k, y);
-        let slices = DisjointSlices::new(y);
-        let partition = &self.partition;
-        let m = self.matrix;
-        let isa = self.isa;
-        self.pool.run(|tid| {
-            let range = partition.part(tid);
-            // SAFETY: partition blocks are disjoint; one tid per block
-            // (panel ranges scale the disjoint row ranges by k).
-            let y_local = unsafe { slices.range(range.start * k..range.end * k) };
-            m.spmm_rows_local_isa(isa, range.start, range.end, x, k, y_local);
-        });
-    }
-}
-
-// ---------------------------------------------------------------------
-// CSR-DU — ctl-stream splits
-// ---------------------------------------------------------------------
-
-/// Row-partitioned parallel CSR-DU SpMV. Each thread receives "an offset
-/// in the ctl, values and y arrays" (§IV) via a pre-computed [`DuSplit`].
-pub struct ParCsrDu<'m, V: Scalar = f64> {
-    matrix: &'m CsrDu<V>,
-    splits: Vec<DuSplit>,
-    row_bounds: Vec<usize>,
-    pool: WorkerPool,
-    isa: Isa,
-}
+/// Row-partitioned parallel CSR-DU SpMV: [`CsrDuChunks`] over a borrowed
+/// matrix. Each thread receives "an offset in the ctl, values and y
+/// arrays" (§IV) via a pre-computed split.
+pub type ParCsrDu<'m, V = f64> = ParChunks<CsrDuChunks<V, &'m CsrDu<V>>>;
 
 impl<'m, V: Scalar> ParCsrDu<'m, V> {
-    /// Plans nnz-balanced ctl-stream splits over `nthreads` threads. The
-    /// kernel ISA is snapshotted at plan time.
+    /// Plans nnz-balanced ctl-stream splits over `nthreads` threads (fewer
+    /// for tiny matrices). The kernel ISA is snapshotted at plan time.
     pub fn new(matrix: &'m CsrDu<V>, nthreads: usize) -> Self {
-        Self::with_isa(matrix, nthreads, spmv_core::simd::selected())
+        ParChunks::from_kernel(CsrDuChunks::new(matrix, nthreads))
     }
 
     /// Like [`ParCsrDu::new`] with an explicit kernel ISA.
     pub fn with_isa(matrix: &'m CsrDu<V>, nthreads: usize, isa: Isa) -> Self {
-        let splits = matrix.splits(nthreads);
-        let row_bounds = split_row_bounds(splits.iter().map(|s| s.row_end()));
-        let pool = WorkerPool::new(splits.len().max(1));
-        ParCsrDu { splits, row_bounds, matrix, pool, isa }
-    }
-
-    /// The planned splits (at most `nthreads`, fewer for tiny matrices).
-    pub fn splits(&self) -> &[DuSplit] {
-        &self.splits
-    }
-
-    /// The kernel ISA snapshotted at plan time.
-    pub fn kernel_isa(&self) -> Isa {
-        self.isa
+        ParChunks::from_kernel(CsrDuChunks::with_isa(matrix, nthreads, isa))
     }
 }
-
-impl<V: Scalar> ParSpMv<V> for ParCsrDu<'_, V> {
-    fn nthreads(&self) -> usize {
-        self.splits.len()
-    }
-
-    fn take_telemetry(&mut self) -> Option<PoolTelemetry> {
-        self.pool.take_telemetry()
-    }
-
-    fn par_spmv(&mut self, x: &[V], y: &mut [V]) {
-        assert_eq!(x.len(), self.matrix.ncols(), "x length must equal ncols");
-        assert_eq!(y.len(), self.matrix.nrows(), "y length must equal nrows");
-        // Trailing rows after the last split (splits() always ends at
-        // nrows, so this is empty — zero it defensively anyway).
-        let covered = *self.row_bounds.last().expect("nonempty bounds");
-        for v in y[covered..].iter_mut() {
-            *v = V::zero();
-        }
-        if self.splits.is_empty() {
-            return;
-        }
-        let slices = DisjointSlices::new(y);
-        let splits = &self.splits;
-        let bounds = &self.row_bounds;
-        let m = self.matrix;
-        let isa = self.isa;
-        self.pool.run(|tid| {
-            // SAFETY: split row ranges are disjoint; one tid per split.
-            let y_local = unsafe { slices.range(bounds[tid]..bounds[tid + 1]) };
-            m.spmv_split_local_isa(isa, &splits[tid], x, y_local);
-        });
-    }
-}
-
-impl<V: Scalar> ParSpMm<V> for ParCsrDu<'_, V> {
-    fn par_spmm(&mut self, x: &[V], k: usize, y: &mut [V]) {
-        assert_panel_lens(self.matrix.nrows(), self.matrix.ncols(), x, k, y);
-        let covered = *self.row_bounds.last().expect("nonempty bounds");
-        for v in y[covered * k..].iter_mut() {
-            *v = V::zero();
-        }
-        if self.splits.is_empty() {
-            return;
-        }
-        let slices = DisjointSlices::new(y);
-        let splits = &self.splits;
-        let bounds = &self.row_bounds;
-        let m = self.matrix;
-        let isa = self.isa;
-        self.pool.run(|tid| {
-            // SAFETY: split row ranges are disjoint; one tid per split.
-            let y_local = unsafe { slices.range(bounds[tid] * k..bounds[tid + 1] * k) };
-            m.spmm_split_local_isa(isa, &splits[tid], x, k, y_local);
-        });
-    }
-}
-
-// ---------------------------------------------------------------------
-// CSR-VI — row partitioning
-// ---------------------------------------------------------------------
 
 /// Row-partitioned parallel CSR-VI SpMV ("trivially derived from the
-/// serial by providing to each thread the first and the last row", §V).
-pub struct ParCsrVi<'m, I: SpIndex = u32, V: Scalar = f64> {
-    matrix: &'m CsrVi<I, V>,
-    partition: RowPartition,
-    pool: WorkerPool,
-    isa: Isa,
-}
+/// serial by providing to each thread the first and the last row", §V):
+/// [`CsrViChunks`] over a borrowed matrix.
+pub type ParCsrVi<'m, I = u32, V = f64> = ParChunks<CsrViChunks<I, V, &'m CsrVi<I, V>>>;
 
 impl<'m, I: SpIndex, V: Scalar> ParCsrVi<'m, I, V> {
     /// Plans an nnz-balanced row partition over `nthreads` threads. The
     /// kernel ISA is snapshotted at plan time.
     pub fn new(matrix: &'m CsrVi<I, V>, nthreads: usize) -> Self {
-        Self::with_isa(matrix, nthreads, spmv_core::simd::selected())
+        ParChunks::from_kernel(CsrViChunks::new(matrix, nthreads))
     }
 
     /// Like [`ParCsrVi::new`] with an explicit kernel ISA.
     pub fn with_isa(matrix: &'m CsrVi<I, V>, nthreads: usize, isa: Isa) -> Self {
-        let partition = RowPartition::by_nnz(matrix.row_ptr(), nthreads);
-        let pool = WorkerPool::new(partition.nparts());
-        ParCsrVi { partition, matrix, pool, isa }
-    }
-
-    /// The kernel ISA snapshotted at plan time.
-    pub fn kernel_isa(&self) -> Isa {
-        self.isa
+        ParChunks::from_kernel(CsrViChunks::with_isa(matrix, nthreads, isa))
     }
 }
 
-impl<I: SpIndex, V: Scalar> ParSpMv<V> for ParCsrVi<'_, I, V> {
-    fn nthreads(&self) -> usize {
-        self.partition.nparts()
-    }
-
-    fn take_telemetry(&mut self) -> Option<PoolTelemetry> {
-        self.pool.take_telemetry()
-    }
-
-    fn par_spmv(&mut self, x: &[V], y: &mut [V]) {
-        assert_eq!(x.len(), self.matrix.ncols(), "x length must equal ncols");
-        assert_eq!(y.len(), self.matrix.nrows(), "y length must equal nrows");
-        let slices = DisjointSlices::new(y);
-        let partition = &self.partition;
-        let m = self.matrix;
-        let isa = self.isa;
-        self.pool.run(|tid| {
-            let range = partition.part(tid);
-            // SAFETY: partition blocks are disjoint; one tid per block.
-            let y_local = unsafe { slices.range(range.clone()) };
-            m.spmv_rows_local_isa(isa, range.start, range.end, x, y_local);
-        });
-    }
-}
-
-impl<I: SpIndex, V: Scalar> ParSpMm<V> for ParCsrVi<'_, I, V> {
-    fn par_spmm(&mut self, x: &[V], k: usize, y: &mut [V]) {
-        assert_panel_lens(self.matrix.nrows(), self.matrix.ncols(), x, k, y);
-        let slices = DisjointSlices::new(y);
-        let partition = &self.partition;
-        let m = self.matrix;
-        let isa = self.isa;
-        self.pool.run(|tid| {
-            let range = partition.part(tid);
-            // SAFETY: partition blocks are disjoint; one tid per block.
-            let y_local = unsafe { slices.range(range.start * k..range.end * k) };
-            m.spmm_rows_local_isa(isa, range.start, range.end, x, k, y_local);
-        });
-    }
-}
-
-// ---------------------------------------------------------------------
-// CSR-DU-VI — ctl-stream splits
-// ---------------------------------------------------------------------
-
-/// Row-partitioned parallel CSR-DU-VI SpMV.
-pub struct ParCsrDuVi<'m, V: Scalar = f64> {
-    matrix: &'m CsrDuVi<V>,
-    splits: Vec<DuSplit>,
-    row_bounds: Vec<usize>,
-    pool: WorkerPool,
-    isa: Isa,
-}
+/// Row-partitioned parallel CSR-DU-VI SpMV: [`CsrDuViChunks`] over a
+/// borrowed matrix.
+pub type ParCsrDuVi<'m, V = f64> = ParChunks<CsrDuViChunks<V, &'m CsrDuVi<V>>>;
 
 impl<'m, V: Scalar> ParCsrDuVi<'m, V> {
     /// Plans nnz-balanced ctl-stream splits over `nthreads` threads. The
     /// kernel ISA is snapshotted at plan time.
     pub fn new(matrix: &'m CsrDuVi<V>, nthreads: usize) -> Self {
-        Self::with_isa(matrix, nthreads, spmv_core::simd::selected())
+        ParChunks::from_kernel(CsrDuViChunks::new(matrix, nthreads))
     }
 
     /// Like [`ParCsrDuVi::new`] with an explicit kernel ISA.
     pub fn with_isa(matrix: &'m CsrDuVi<V>, nthreads: usize, isa: Isa) -> Self {
-        let splits = matrix.splits(nthreads);
-        let row_bounds = split_row_bounds(splits.iter().map(|s| s.row_end()));
-        let pool = WorkerPool::new(splits.len().max(1));
-        ParCsrDuVi { splits, row_bounds, matrix, pool, isa }
-    }
-
-    /// The kernel ISA snapshotted at plan time.
-    pub fn kernel_isa(&self) -> Isa {
-        self.isa
-    }
-}
-
-impl<V: Scalar> ParSpMv<V> for ParCsrDuVi<'_, V> {
-    fn nthreads(&self) -> usize {
-        self.splits.len()
-    }
-
-    fn take_telemetry(&mut self) -> Option<PoolTelemetry> {
-        self.pool.take_telemetry()
-    }
-
-    fn par_spmv(&mut self, x: &[V], y: &mut [V]) {
-        assert_eq!(x.len(), self.matrix.ncols(), "x length must equal ncols");
-        assert_eq!(y.len(), self.matrix.nrows(), "y length must equal nrows");
-        let covered = *self.row_bounds.last().expect("nonempty bounds");
-        for v in y[covered..].iter_mut() {
-            *v = V::zero();
-        }
-        if self.splits.is_empty() {
-            return;
-        }
-        let slices = DisjointSlices::new(y);
-        let splits = &self.splits;
-        let bounds = &self.row_bounds;
-        let m = self.matrix;
-        let isa = self.isa;
-        self.pool.run(|tid| {
-            // SAFETY: split row ranges are disjoint; one tid per split.
-            let y_local = unsafe { slices.range(bounds[tid]..bounds[tid + 1]) };
-            m.spmv_split_local_isa(isa, &splits[tid], x, y_local);
-        });
-    }
-}
-
-impl<V: Scalar> ParSpMm<V> for ParCsrDuVi<'_, V> {
-    fn par_spmm(&mut self, x: &[V], k: usize, y: &mut [V]) {
-        assert_panel_lens(self.matrix.nrows(), self.matrix.ncols(), x, k, y);
-        let covered = *self.row_bounds.last().expect("nonempty bounds");
-        for v in y[covered * k..].iter_mut() {
-            *v = V::zero();
-        }
-        if self.splits.is_empty() {
-            return;
-        }
-        let slices = DisjointSlices::new(y);
-        let splits = &self.splits;
-        let bounds = &self.row_bounds;
-        let m = self.matrix;
-        let isa = self.isa;
-        self.pool.run(|tid| {
-            // SAFETY: split row ranges are disjoint; one tid per split.
-            let y_local = unsafe { slices.range(bounds[tid] * k..bounds[tid + 1] * k) };
-            m.spmm_split_local_isa(isa, &splits[tid], x, k, y_local);
-        });
+        ParChunks::from_kernel(CsrDuViChunks::with_isa(matrix, nthreads, isa))
     }
 }
 

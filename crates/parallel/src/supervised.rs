@@ -1,5 +1,12 @@
 //! Supervised parallel SpMV: watchdog, graceful degradation, self-healing.
 //!
+//! This module also defines the one parallel kernel of each paper
+//! format: a [`ChunkKernel`] ([`CsrChunks`], [`CsrDuChunks`],
+//! [`CsrViChunks`], [`CsrDuViChunks`]) that computes one row chunk of
+//! `y = A·x`. The supervised executor below runs it over an `Arc`'d
+//! matrix; [`crate::par::ParChunks`] runs the same kernel over a borrowed
+//! one.
+//!
 //! The borrowed-job [`crate::pool::WorkerPool`] is the *fast* path: zero
 //! allocation per dispatch, but a live straggler can never be abandoned —
 //! the dispatched closure borrows the caller's stack, so `run` must wait
@@ -41,9 +48,11 @@
 //! the served benchmarks and held one more vector per matrix.) A
 //! successful call releases its call state, and with it the shared
 //! input, when it returns, unless an abandoned straggler still holds it.
-//! Use the plain `Par*` executors when raw throughput matters more than
-//! fault isolation.
+//! The plain `Par*` executors run the same chunk kernels without
+//! supervision, straight into `y`; use them when raw throughput matters
+//! more than fault isolation.
 
+use crate::par::split_row_bounds;
 use crate::partition::RowPartition;
 use crate::pool::watchdog_deadline;
 use crate::telemetry::PoolTelemetry;
@@ -51,7 +60,8 @@ use spmv_core::csr_du::{CsrDu, DuSplit};
 use spmv_core::csr_duvi::CsrDuVi;
 use spmv_core::csr_vi::CsrVi;
 use spmv_core::{Csr, Isa, Scalar, SpIndex};
-use std::ops::Range;
+use std::marker::PhantomData;
+use std::ops::{Deref, Range};
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
@@ -62,15 +72,20 @@ use std::time::{Duration, Instant};
 // Chunk kernels
 // ---------------------------------------------------------------------
 
-/// A matrix pre-partitioned into independently computable row chunks.
+/// A matrix pre-partitioned into independently computable row chunks:
+/// the one parallel kernel of each format. [`crate::par::ParChunks`] runs
+/// it on a worker pool, one thread per chunk, and [`SupervisedSpMv`] runs
+/// it under a watchdog.
 ///
-/// Implementors own their matrix (`'static`, typically behind an `Arc`),
-/// so a chunk computation can outlive any particular `spmv` call — the
-/// property that makes stall abandonment sound. `compute` must be
-/// **deterministic** (same chunk + same `x` ⇒ bit-identical output): the
-/// watchdog re-executes chunks after faults and the self-check compares
-/// recomputed chunks bit-for-bit.
-pub trait ChunkKernel<V: Scalar>: Send + Sync + 'static {
+/// `compute_block` must be **deterministic** (same chunk + same `x` ⇒
+/// bit-identical output): the watchdog re-executes chunks after faults
+/// and the self-check compares recomputed chunks bit-for-bit. The
+/// supervised executor shares its kernel with its workers behind an
+/// `Arc<dyn ChunkKernel<V>>`, which needs a `'static` kernel (one that
+/// owns its matrix, typically through an `Arc`), so a chunk computation
+/// can outlive any particular call — the property that makes stall
+/// abandonment sound.
+pub trait ChunkKernel<V: Scalar>: Send + Sync {
     /// Rows of the matrix (length of `y`).
     fn nrows(&self) -> usize;
     /// Columns of the matrix (length of `x`).
@@ -80,56 +95,43 @@ pub trait ChunkKernel<V: Scalar>: Send + Sync + 'static {
     fn nchunks(&self) -> usize;
     /// Row range `chunk` covers.
     fn chunk_rows(&self, chunk: usize) -> Range<usize>;
-    /// Computes `out = (A·x)[chunk_rows(chunk)]`; `out` has exactly
-    /// `chunk_rows(chunk).len()` elements, pre-zeroed.
-    fn compute(&self, chunk: usize, x: &[V], out: &mut [V]);
-    /// Multi-vector variant: `x` is an `ncols x k` row-major panel and
-    /// `out` a `chunk_rows(chunk).len() x k` row-major panel, pre-zeroed.
-    /// Must be deterministic like [`ChunkKernel::compute`], and its
-    /// `k = 1` case must be bit-identical to `compute` (the supervisor
-    /// routes both SpMV and SpMM recovery through this method). The
-    /// default decomposes into `k` independent `compute` calls; format
-    /// kernels override it with fused panels that decode each unit once.
-    fn compute_block(&self, chunk: usize, x: &[V], k: usize, out: &mut [V]) {
-        if k == 1 {
-            self.compute(chunk, x, out);
-            return;
-        }
-        let ncols = self.ncols();
-        let rows = self.chunk_rows(chunk).len();
-        let mut xv = vec![V::zero(); ncols];
-        let mut yv = vec![V::zero(); rows];
-        for v in 0..k {
-            for c in 0..ncols {
-                xv[c] = x[c * k + v];
-            }
-            yv.fill(V::zero());
-            self.compute(chunk, &xv, &mut yv);
-            for r in 0..rows {
-                out[r * k + v] = yv[r];
-            }
-        }
-    }
+    /// Computes `out = (A·x)[chunk_rows(chunk)]` for the `ncols x k`
+    /// row-major panel `x`, overwriting every element of the
+    /// `chunk_rows(chunk).len() x k` row-major panel `out`; `k = 1` is
+    /// SpMV. Format kernels decode each unit once for all `k` columns.
+    fn compute_block(&self, chunk: usize, x: &[V], k: usize, out: &mut [V]);
 }
 
-/// Row-partitioned chunks over a CSR matrix (nnz-balanced).
-pub struct CsrChunks<I: SpIndex, V: Scalar> {
-    matrix: Arc<Csr<I, V>>,
+/// Row-partitioned chunks over a CSR matrix (nnz-balanced). `M` is any
+/// handle that derefs to the matrix: an `Arc` for the supervised
+/// executor, a borrow for [`crate::par::ParCsr`].
+pub struct CsrChunks<I: SpIndex, V: Scalar, M = Arc<Csr<I, V>>> {
+    matrix: M,
     partition: RowPartition,
     isa: Isa,
+    _format: PhantomData<fn() -> (I, V)>,
 }
 
-impl<I: SpIndex, V: Scalar> CsrChunks<I, V> {
+impl<I: SpIndex, V: Scalar, M: Deref<Target = Csr<I, V>>> CsrChunks<I, V, M> {
     /// Partitions `matrix` into `nchunks` nnz-balanced row chunks. The
     /// kernel ISA is snapshotted here, so every chunk execution — worker,
     /// serial retry and bit-exact self-check alike — runs the same kernel.
-    pub fn new(matrix: Arc<Csr<I, V>>, nchunks: usize) -> CsrChunks<I, V> {
-        let partition = RowPartition::for_csr(&matrix, nchunks.max(1));
-        CsrChunks { matrix, partition, isa: spmv_core::simd::selected() }
+    pub fn new(matrix: M, nchunks: usize) -> CsrChunks<I, V, M> {
+        CsrChunks::with_isa(matrix, nchunks, spmv_core::simd::selected())
+    }
+
+    /// Like [`CsrChunks::new`] with an explicit kernel ISA (unavailable
+    /// choices degrade to scalar inside the kernel dispatch).
+    pub fn with_isa(matrix: M, nchunks: usize, isa: Isa) -> CsrChunks<I, V, M> {
+        let partition = RowPartition::by_nnz(matrix.row_ptr(), nchunks.max(1));
+        CsrChunks { matrix, partition, isa, _format: PhantomData }
     }
 }
 
-impl<I: SpIndex, V: Scalar> ChunkKernel<V> for CsrChunks<I, V> {
+impl<I: SpIndex, V: Scalar, M> ChunkKernel<V> for CsrChunks<I, V, M>
+where
+    M: Deref<Target = Csr<I, V>> + Send + Sync,
+{
     fn nrows(&self) -> usize {
         self.matrix.nrows()
     }
@@ -142,33 +144,39 @@ impl<I: SpIndex, V: Scalar> ChunkKernel<V> for CsrChunks<I, V> {
     fn chunk_rows(&self, chunk: usize) -> Range<usize> {
         self.partition.part(chunk)
     }
-    fn compute(&self, chunk: usize, x: &[V], out: &mut [V]) {
-        let r = self.partition.part(chunk);
-        self.matrix.spmv_rows_local_isa(self.isa, r.start, r.end, x, out);
-    }
     fn compute_block(&self, chunk: usize, x: &[V], k: usize, out: &mut [V]) {
         let r = self.partition.part(chunk);
         self.matrix.spmm_rows_local_isa(self.isa, r.start, r.end, x, k, out);
     }
 }
 
-/// Row-partitioned chunks over a CSR-VI matrix (nnz-balanced).
-pub struct CsrViChunks<I: SpIndex = u32, V: Scalar = f64> {
-    matrix: Arc<CsrVi<I, V>>,
+/// Row-partitioned chunks over a CSR-VI matrix (nnz-balanced), with the
+/// matrix handle `M` as on [`CsrChunks`].
+pub struct CsrViChunks<I: SpIndex = u32, V: Scalar = f64, M = Arc<CsrVi<I, V>>> {
+    matrix: M,
     partition: RowPartition,
     isa: Isa,
+    _format: PhantomData<fn() -> (I, V)>,
 }
 
-impl<I: SpIndex, V: Scalar> CsrViChunks<I, V> {
+impl<I: SpIndex, V: Scalar, M: Deref<Target = CsrVi<I, V>>> CsrViChunks<I, V, M> {
     /// Partitions `matrix` into `nchunks` nnz-balanced row chunks
     /// (kernel ISA snapshotted, as on [`CsrChunks::new`]).
-    pub fn new(matrix: Arc<CsrVi<I, V>>, nchunks: usize) -> CsrViChunks<I, V> {
+    pub fn new(matrix: M, nchunks: usize) -> CsrViChunks<I, V, M> {
+        CsrViChunks::with_isa(matrix, nchunks, spmv_core::simd::selected())
+    }
+
+    /// Like [`CsrViChunks::new`] with an explicit kernel ISA.
+    pub fn with_isa(matrix: M, nchunks: usize, isa: Isa) -> CsrViChunks<I, V, M> {
         let partition = RowPartition::by_nnz(matrix.row_ptr(), nchunks.max(1));
-        CsrViChunks { matrix, partition, isa: spmv_core::simd::selected() }
+        CsrViChunks { matrix, partition, isa, _format: PhantomData }
     }
 }
 
-impl<I: SpIndex, V: Scalar> ChunkKernel<V> for CsrViChunks<I, V> {
+impl<I: SpIndex, V: Scalar, M> ChunkKernel<V> for CsrViChunks<I, V, M>
+where
+    M: Deref<Target = CsrVi<I, V>> + Send + Sync,
+{
     fn nrows(&self) -> usize {
         self.matrix.nrows()
     }
@@ -181,37 +189,40 @@ impl<I: SpIndex, V: Scalar> ChunkKernel<V> for CsrViChunks<I, V> {
     fn chunk_rows(&self, chunk: usize) -> Range<usize> {
         self.partition.part(chunk)
     }
-    fn compute(&self, chunk: usize, x: &[V], out: &mut [V]) {
-        let r = self.partition.part(chunk);
-        self.matrix.spmv_rows_local_isa(self.isa, r.start, r.end, x, out);
-    }
     fn compute_block(&self, chunk: usize, x: &[V], k: usize, out: &mut [V]) {
         let r = self.partition.part(chunk);
         self.matrix.spmm_rows_local_isa(self.isa, r.start, r.end, x, k, out);
     }
 }
 
-/// Ctl-stream chunks over a CSR-DU matrix (each chunk is a [`DuSplit`]).
-pub struct CsrDuChunks<V: Scalar> {
-    matrix: Arc<CsrDu<V>>,
+/// Ctl-stream chunks over a CSR-DU matrix: each chunk is a [`DuSplit`],
+/// "an offset in the ctl, values and y arrays" (§IV). The matrix handle
+/// `M` is as on [`CsrChunks`].
+pub struct CsrDuChunks<V: Scalar, M = Arc<CsrDu<V>>> {
+    matrix: M,
     splits: Vec<DuSplit>,
     bounds: Vec<usize>,
     isa: Isa,
+    _format: PhantomData<fn() -> V>,
 }
 
-impl<V: Scalar> CsrDuChunks<V> {
+impl<V: Scalar, M: Deref<Target = CsrDu<V>>> CsrDuChunks<V, M> {
     /// Plans `nchunks` nnz-balanced ctl-stream splits (possibly fewer for
     /// tiny matrices; zero for an empty one). Kernel ISA snapshotted, as
     /// on [`CsrChunks::new`].
-    pub fn new(matrix: Arc<CsrDu<V>>, nchunks: usize) -> CsrDuChunks<V> {
+    pub fn new(matrix: M, nchunks: usize) -> CsrDuChunks<V, M> {
+        CsrDuChunks::with_isa(matrix, nchunks, spmv_core::simd::selected())
+    }
+
+    /// Like [`CsrDuChunks::new`] with an explicit kernel ISA.
+    pub fn with_isa(matrix: M, nchunks: usize, isa: Isa) -> CsrDuChunks<V, M> {
         let splits = matrix.splits(nchunks.max(1));
-        let mut bounds = vec![0usize];
-        bounds.extend(splits.iter().map(|s| s.row_end()));
-        CsrDuChunks { matrix, splits, bounds, isa: spmv_core::simd::selected() }
+        let bounds = split_row_bounds(splits.iter().map(DuSplit::row_end));
+        CsrDuChunks { matrix, splits, bounds, isa, _format: PhantomData }
     }
 }
 
-impl<V: Scalar> ChunkKernel<V> for CsrDuChunks<V> {
+impl<V: Scalar, M: Deref<Target = CsrDu<V>> + Send + Sync> ChunkKernel<V> for CsrDuChunks<V, M> {
     fn nrows(&self) -> usize {
         self.matrix.nrows()
     }
@@ -224,34 +235,40 @@ impl<V: Scalar> ChunkKernel<V> for CsrDuChunks<V> {
     fn chunk_rows(&self, chunk: usize) -> Range<usize> {
         self.bounds[chunk]..self.bounds[chunk + 1]
     }
-    fn compute(&self, chunk: usize, x: &[V], out: &mut [V]) {
-        self.matrix.spmv_split_local_isa(self.isa, &self.splits[chunk], x, out);
-    }
     fn compute_block(&self, chunk: usize, x: &[V], k: usize, out: &mut [V]) {
         self.matrix.spmm_split_local_isa(self.isa, &self.splits[chunk], x, k, out);
     }
 }
 
-/// Ctl-stream chunks over a CSR-DU-VI matrix.
-pub struct CsrDuViChunks<V: Scalar> {
-    matrix: Arc<CsrDuVi<V>>,
+/// Ctl-stream chunks over a CSR-DU-VI matrix, with the matrix handle `M`
+/// as on [`CsrChunks`].
+pub struct CsrDuViChunks<V: Scalar, M = Arc<CsrDuVi<V>>> {
+    matrix: M,
     splits: Vec<DuSplit>,
     bounds: Vec<usize>,
     isa: Isa,
+    _format: PhantomData<fn() -> V>,
 }
 
-impl<V: Scalar> CsrDuViChunks<V> {
+impl<V: Scalar, M: Deref<Target = CsrDuVi<V>>> CsrDuViChunks<V, M> {
     /// Plans `nchunks` nnz-balanced ctl-stream splits (kernel ISA
     /// snapshotted, as on [`CsrChunks::new`]).
-    pub fn new(matrix: Arc<CsrDuVi<V>>, nchunks: usize) -> CsrDuViChunks<V> {
+    pub fn new(matrix: M, nchunks: usize) -> CsrDuViChunks<V, M> {
+        CsrDuViChunks::with_isa(matrix, nchunks, spmv_core::simd::selected())
+    }
+
+    /// Like [`CsrDuViChunks::new`] with an explicit kernel ISA.
+    pub fn with_isa(matrix: M, nchunks: usize, isa: Isa) -> CsrDuViChunks<V, M> {
         let splits = matrix.splits(nchunks.max(1));
-        let mut bounds = vec![0usize];
-        bounds.extend(splits.iter().map(|s| s.row_end()));
-        CsrDuViChunks { matrix, splits, bounds, isa: spmv_core::simd::selected() }
+        let bounds = split_row_bounds(splits.iter().map(DuSplit::row_end));
+        CsrDuViChunks { matrix, splits, bounds, isa, _format: PhantomData }
     }
 }
 
-impl<V: Scalar> ChunkKernel<V> for CsrDuViChunks<V> {
+impl<V: Scalar, M> ChunkKernel<V> for CsrDuViChunks<V, M>
+where
+    M: Deref<Target = CsrDuVi<V>> + Send + Sync,
+{
     fn nrows(&self) -> usize {
         self.matrix.nrows()
     }
@@ -264,12 +281,29 @@ impl<V: Scalar> ChunkKernel<V> for CsrDuViChunks<V> {
     fn chunk_rows(&self, chunk: usize) -> Range<usize> {
         self.bounds[chunk]..self.bounds[chunk + 1]
     }
-    fn compute(&self, chunk: usize, x: &[V], out: &mut [V]) {
-        self.matrix.spmv_split_local_isa(self.isa, &self.splits[chunk], x, out);
-    }
     fn compute_block(&self, chunk: usize, x: &[V], k: usize, out: &mut [V]) {
         self.matrix.spmm_split_local_isa(self.isa, &self.splits[chunk], x, k, out);
     }
+}
+
+/// Zeroes the rows of the row-major `nrows x k` panel `y` that none of
+/// the `chunks` row ranges covers. When the ranges ascend, it zeroes
+/// exactly those rows; when they do not, it may zero covered rows too, so
+/// call it before the chunks are written.
+pub(crate) fn zero_uncovered<V: Scalar>(
+    chunks: impl IntoIterator<Item = Range<usize>>,
+    k: usize,
+    y: &mut [V],
+) {
+    // Every row below `covered` lies in a chunk or is zeroed already.
+    let mut covered = 0;
+    for rows in chunks {
+        if rows.start > covered {
+            y[covered * k..rows.start * k].fill(V::zero());
+        }
+        covered = covered.max(rows.end);
+    }
+    y[covered * k..].fill(V::zero());
 }
 
 /// Writes the row-major `nrows x k` panel `y` chunk by chunk:
@@ -277,25 +311,18 @@ impl<V: Scalar> ChunkKernel<V> for CsrDuViChunks<V> {
 /// the rows no chunk covers are zeroed. When chunks ascend, as in every
 /// kernel of this module, each row is written exactly once. The
 /// supervised executor copies its staged chunk buffers with it; a serial
-/// caller can compute each chunk straight into its (zeroed) rows.
+/// caller can compute each chunk straight into its rows.
 pub fn assemble_chunks<V: Scalar>(
     kernel: &dyn ChunkKernel<V>,
     k: usize,
     y: &mut [V],
     mut write: impl FnMut(usize, &mut [V]),
 ) {
-    // Every row below `covered` is written or zeroed already, so a gap
-    // is zeroed before any chunk could write into it.
-    let mut covered = 0;
+    zero_uncovered((0..kernel.nchunks()).map(|chunk| kernel.chunk_rows(chunk)), k, y);
     for chunk in 0..kernel.nchunks() {
         let rows = kernel.chunk_rows(chunk);
-        if rows.start > covered {
-            y[covered * k..rows.start * k].fill(V::zero());
-        }
         write(chunk, &mut y[rows.start * k..rows.end * k]);
-        covered = covered.max(rows.end);
     }
-    y[covered * k..].fill(V::zero());
 }
 
 // ---------------------------------------------------------------------
@@ -1026,6 +1053,7 @@ impl<V: Scalar> Drop for SupervisedSpMv<V> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::par::{ParChunks, ParSpMm};
     use spmv_core::csr_du::DuOptions;
     use spmv_core::{Coo, SpMv};
 
@@ -1148,45 +1176,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn default_compute_block_decomposes_per_column() {
-        // A kernel that does NOT override compute_block still yields the
-        // column-wise decomposition of its compute method.
-        let coo = irregular(40, 30, 21);
-        let csr: Csr<u32, f64> = coo.to_csr();
-        let chunks = CsrChunks::new(Arc::new(csr.clone()), 3);
-        let k = 3;
-        let x: Vec<f64> = (0..30 * k).map(|i| (i as f64) * 0.11 - 1.0).collect();
-        for chunk in 0..ChunkKernel::<f64>::nchunks(&chunks) {
-            let rows = chunks.chunk_rows(chunk);
-            let mut fused = vec![0.0; rows.len() * k];
-            chunks.compute_block(chunk, &x, k, &mut fused);
-            // Re-derive via the trait's default body: per-column compute.
-            struct NoOverride(CsrChunks<u32, f64>);
-            impl ChunkKernel<f64> for NoOverride {
-                fn nrows(&self) -> usize {
-                    ChunkKernel::nrows(&self.0)
-                }
-                fn ncols(&self) -> usize {
-                    ChunkKernel::ncols(&self.0)
-                }
-                fn nchunks(&self) -> usize {
-                    ChunkKernel::nchunks(&self.0)
-                }
-                fn chunk_rows(&self, chunk: usize) -> Range<usize> {
-                    self.0.chunk_rows(chunk)
-                }
-                fn compute(&self, chunk: usize, x: &[f64], out: &mut [f64]) {
-                    self.0.compute(chunk, x, out);
-                }
-            }
-            let plain = NoOverride(CsrChunks::new(Arc::new(csr.clone()), 3));
-            let mut columned = vec![0.0; rows.len() * k];
-            plain.compute_block(chunk, &x, k, &mut columned);
-            assert_eq!(fused, columned, "chunk {chunk}");
-        }
-    }
-
     /// Chunks over a CSR matrix that leave rows 10..15 and 42.. of 50
     /// uncovered, listed in `order`.
     struct GapChunks {
@@ -1208,10 +1197,6 @@ mod tests {
         }
         fn chunk_rows(&self, chunk: usize) -> Range<usize> {
             GAP_RANGES[self.order[chunk]].clone()
-        }
-        fn compute(&self, chunk: usize, x: &[f64], out: &mut [f64]) {
-            let r = self.chunk_rows(chunk);
-            self.csr.spmv_rows_local_isa(Isa::Scalar, r.start, r.end, x, out);
         }
         fn compute_block(&self, chunk: usize, x: &[f64], k: usize, out: &mut [f64]) {
             let r = self.chunk_rows(chunk);
@@ -1239,8 +1224,44 @@ mod tests {
                     let same = y.iter().zip(&expect).all(|(a, b)| a.to_bits() == b.to_bits());
                     assert!(same, "k={k} order={order:?} nthreads={nthreads}");
                 }
+                // The pool driver zeroes the same rows, before its one
+                // thread per chunk writes the rest.
+                let mut par = ParChunks::from_kernel(GapChunks { csr: csr.clone(), order });
+                let mut y = vec![f64::NAN; 50 * k];
+                par.par_spmm(&x, k, &mut y);
+                let same = y.iter().zip(&expect).all(|(a, b)| a.to_bits() == b.to_bits());
+                assert!(same, "ParChunks k={k} order={order:?}");
             }
         }
+    }
+
+    /// Two chunks of a 12-row matrix that both claim rows 5..8.
+    struct OverlapChunks;
+
+    impl ChunkKernel<f64> for OverlapChunks {
+        fn nrows(&self) -> usize {
+            12
+        }
+        fn ncols(&self) -> usize {
+            4
+        }
+        fn nchunks(&self) -> usize {
+            2
+        }
+        fn chunk_rows(&self, chunk: usize) -> Range<usize> {
+            [0..8, 5..12][chunk].clone()
+        }
+        fn compute_block(&self, _chunk: usize, _x: &[f64], _k: usize, out: &mut [f64]) {
+            out.fill(0.0);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "chunk row ranges overlap")]
+    fn pool_driver_refuses_overlapping_chunks() {
+        // Each pool thread writes its chunk's rows of `y` through
+        // `DisjointSlices`, so a plan with shared rows must not exist.
+        ParChunks::from_kernel(OverlapChunks);
     }
 
     #[test]

@@ -400,9 +400,6 @@ impl ChunkKernel<f64> for StallMidChunk {
     fn chunk_rows(&self, chunk: usize) -> std::ops::Range<usize> {
         self.inner.chunk_rows(chunk)
     }
-    fn compute(&self, chunk: usize, x: &[f64], out: &mut [f64]) {
-        self.compute_block(chunk, x, 1, out);
-    }
     fn compute_block(&self, chunk: usize, x: &[f64], k: usize, out: &mut [f64]) {
         if self.armed.swap(false, Ordering::AcqRel) {
             out.fill(-1.0e300);

@@ -500,13 +500,10 @@ fn run_parallel(
 /// Serial SpMM over the chunk kernel — the same per-chunk
 /// `compute_block` calls the supervised executor makes, through the same
 /// assembly, so the result is bit-identical to the parallel path. Each
-/// chunk computes straight into its zeroed rows of `y`; rows no chunk
-/// covers are zeroed.
+/// chunk computes straight into its rows of `y`; rows no chunk covers
+/// are zeroed.
 pub(crate) fn serial_spmm(kernel: &dyn ChunkKernel<f64>, x: &[f64], k: usize, y: &mut [f64]) {
-    assemble_chunks(kernel, k, y, |chunk, rows| {
-        rows.fill(0.0);
-        kernel.compute_block(chunk, x, k, rows);
-    });
+    assemble_chunks(kernel, k, y, |chunk, rows| kernel.compute_block(chunk, x, k, rows));
 }
 
 // ---------------------------------------------------------------------
@@ -692,10 +689,6 @@ mod tests {
         }
         fn chunk_rows(&self, chunk: usize) -> Range<usize> {
             CHUNKS[chunk].clone()
-        }
-        fn compute(&self, chunk: usize, x: &[f64], out: &mut [f64]) {
-            let r = self.chunk_rows(chunk);
-            self.0.spmv_rows_local_isa(Isa::Scalar, r.start, r.end, x, out);
         }
         fn compute_block(&self, chunk: usize, x: &[f64], k: usize, out: &mut [f64]) {
             let r = self.chunk_rows(chunk);

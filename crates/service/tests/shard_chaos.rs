@@ -78,10 +78,6 @@ impl ChunkKernel<f64> for SlowKernel {
     fn chunk_rows(&self, chunk: usize) -> Range<usize> {
         self.inner.chunk_rows(chunk)
     }
-    fn compute(&self, chunk: usize, x: &[f64], out: &mut [f64]) {
-        std::thread::sleep(self.delay);
-        self.inner.compute(chunk, x, out);
-    }
     fn compute_block(&self, chunk: usize, x: &[f64], k: usize, out: &mut [f64]) {
         std::thread::sleep(self.delay);
         self.inner.compute_block(chunk, x, k, out);

@@ -8,7 +8,7 @@
 use spmv_core::csr_du::{CsrDu, DuOptions};
 use spmv_core::csr_vi::CsrVi;
 use spmv_core::{Coo, Csr, SpMv};
-use spmv_parallel::{ParCsrDu, ParSpMv};
+use spmv_parallel::{ChunkKernel, ParCsrDu, ParSpMv};
 
 fn main() {
     // 1. Assemble a matrix in COO (triplet) form — here a small banded
@@ -69,7 +69,7 @@ fn main() {
     let mut y_par = vec![0.0; n];
     par.par_spmv(&x, &mut y_par);
     assert_eq!(y_csr, y_par);
-    println!("4-thread CSR-DU SpMV agreement: OK ({} splits)", par.splits().len());
+    println!("4-thread CSR-DU SpMV agreement: OK ({} splits)", par.kernel().nchunks());
 
     // 6. The paper's selection rule, automated.
     let auto = spmv_repro::auto_format(&csr);

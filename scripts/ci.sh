@@ -21,6 +21,15 @@ cargo test -q
 echo "== cargo test --workspace =="
 cargo test --workspace -q
 
+echo "== examples-smoke (every example runs to completion) =="
+# Clippy above only compiles the examples. Running them checks what
+# they assert: quickstart's bit-identical CSR/CSR-DU/CSR-VI and
+# 4-thread ParCsrDu results, cg_solver's identical solver trajectories
+# through compressed kernels, and the I/O round trip of mtx_tool.
+for ex in quickstart cg_solver compression_report scaling_study mtx_tool; do
+    cargo run -q --release --example "$ex" > /dev/null
+done
+
 echo "== fault-smoke (scripted fault recovery matrix) =="
 # Deterministic injected panics/stalls/deaths/corruption through both
 # parallel layers; every recovery must be bit-identical to serial.
