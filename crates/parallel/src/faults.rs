@@ -1,17 +1,16 @@
-//! Deterministic fault injection for the parallel execution layer.
+//! Deterministic fault injection for the supervised executor.
 //!
-//! The recovery paths in [`crate::supervised`] and [`crate::pool`] only
-//! matter if they are exercised; this module provides the scripted faults
-//! that exercise them. A [`FaultPlan`] is a list of (injection point →
-//! action) rules armed on the current thread; the hooks inside the
-//! supervised executor consult the plan and fire each rule **exactly
-//! once**.
+//! The recovery paths in [`crate::supervised`] only matter if they are
+//! exercised; this module provides the scripted faults that exercise
+//! them. A [`FaultPlan`] is a list of (injection point → action) rules
+//! armed on the current thread; the hooks inside the supervised executor
+//! consult the plan and fire each rule **exactly once**.
 //!
 //! ## Injection points
 //!
 //! Hooks are compiled in only under the `fault-injection` cargo feature
 //! (release builds carry zero injection code — the hook functions compile
-//! to nothing). The supervised executor consults the plan at three points:
+//! to nothing). The supervised executor consults the plan at two points:
 //!
 //! * **before a worker computes a chunk** — [`FaultAction::PanicOnce`]
 //!   panics on the worker thread (caught by the worker loop),
@@ -21,15 +20,13 @@
 //!   worker that must be respawned;
 //! * **after a worker computes a chunk** — [`FaultAction::CorruptChunk`]
 //!   flips the sign of the first element the worker produced, simulating
-//!   silent data corruption that only the self-check can catch;
-//! * **inside `WorkerPool` jobs** — the same before-compute actions keyed
-//!   by thread id, for the borrowed-job recovery tests.
+//!   silent data corruption that only the self-check can catch.
 //!
 //! ## Determinism
 //!
 //! There is no randomness anywhere: a rule names its target explicitly
-//! (dispatch sequence number, chunk index and/or worker thread id), and
-//! the plan is consumed-once, so a test that arms
+//! (dispatch sequence number and/or chunk index), and the plan is
+//! consumed-once, so a test that arms
 //! `panic on dispatch 0, chunk 2` observes exactly one panic at exactly
 //! that point on every run, under every thread interleaving. The "fixed
 //! seed" of the CI fault-smoke gate is the script itself.
@@ -67,30 +64,21 @@ pub struct FaultSite {
     pub dispatch: Option<u64>,
     /// Chunk index within the dispatch.
     pub chunk: Option<usize>,
-    /// Worker thread id (`1..nthreads`; the caller is `0`).
-    pub tid: Option<usize>,
 }
 
 impl FaultSite {
-    /// Matches any chunk of any dispatch on any thread.
+    /// Matches any chunk of any dispatch.
     pub fn any() -> FaultSite {
-        FaultSite { dispatch: None, chunk: None, tid: None }
+        FaultSite { dispatch: None, chunk: None }
     }
 
-    /// Matches one chunk of one dispatch on any thread.
+    /// Matches one chunk of one dispatch, whichever worker claims it.
     pub fn chunk(dispatch: u64, chunk: usize) -> FaultSite {
-        FaultSite { dispatch: Some(dispatch), chunk: Some(chunk), tid: None }
+        FaultSite { dispatch: Some(dispatch), chunk: Some(chunk) }
     }
 
-    /// Matches any chunk a given worker picks up in a given dispatch.
-    pub fn worker(dispatch: u64, tid: usize) -> FaultSite {
-        FaultSite { dispatch: Some(dispatch), chunk: None, tid: Some(tid) }
-    }
-
-    fn matches(&self, dispatch: u64, chunk: Option<usize>, tid: usize) -> bool {
-        self.dispatch.is_none_or(|d| d == dispatch)
-            && (self.chunk.is_none() || self.chunk == chunk)
-            && self.tid.is_none_or(|t| t == tid)
+    fn matches(&self, dispatch: u64, chunk: usize) -> bool {
+        self.dispatch.is_none_or(|d| d == dispatch) && self.chunk.is_none_or(|c| c == chunk)
     }
 }
 
@@ -131,9 +119,9 @@ impl FaultPlan {
         self
     }
 
-    /// Arms the plan for code run on the current thread *and* on pool
-    /// workers dispatched while armed. Returns a guard; the plan is
-    /// disarmed when the guard drops.
+    /// Arms the plan for code run on the current thread *and* on
+    /// supervised workers dispatched while armed. Returns a guard; the
+    /// plan is disarmed when the guard drops.
     pub fn arm(self) -> ArmedPlan {
         let shared = Arc::new(PlanState { plan: self, dispatch: Mutex::new(0) });
         ACTIVE.with(|a| *a.borrow_mut() = Some(Arc::clone(&shared)));
@@ -141,9 +129,9 @@ impl FaultPlan {
     }
 
     /// Consumes the first unfired rule matching the site, if any.
-    fn take(&self, dispatch: u64, chunk: Option<usize>, tid: usize) -> Option<FaultAction> {
+    fn take(&self, dispatch: u64, chunk: usize) -> Option<FaultAction> {
         for rule in &self.rules {
-            if rule.site.matches(dispatch, chunk, tid)
+            if rule.site.matches(dispatch, chunk)
                 && rule
                     .fired
                     .compare_exchange(false, true, Ordering::AcqRel, Ordering::Acquire)
@@ -225,8 +213,8 @@ impl FaultHandle {
     /// Consumes a matching before-compute rule. `PanicOnce` panics here;
     /// `DelayOnce` sleeps here; `ExitThread` and `CorruptChunk` are
     /// returned for the caller to act on.
-    pub fn before_compute(&self, chunk: Option<usize>, tid: usize) -> Option<FaultAction> {
-        let action = self.state.as_ref()?.plan.take(self.dispatch, chunk, tid)?;
+    pub fn before_compute(&self, chunk: usize) -> Option<FaultAction> {
+        let action = self.state.as_ref()?.plan.take(self.dispatch, chunk)?;
         match action {
             FaultAction::PanicOnce => panic!("injected panic"),
             FaultAction::DelayOnce(d) => {
@@ -247,9 +235,9 @@ mod tests {
         let plan = FaultPlan::new().inject(FaultSite::chunk(0, 1), FaultAction::CorruptChunk);
         let armed = plan.arm();
         let h = FaultHandle::capture();
-        assert_eq!(h.before_compute(Some(0), 1), None); // wrong chunk
-        assert_eq!(h.before_compute(Some(1), 1), Some(FaultAction::CorruptChunk));
-        assert_eq!(h.before_compute(Some(1), 1), None); // consumed
+        assert_eq!(h.before_compute(0), None); // wrong chunk
+        assert_eq!(h.before_compute(1), Some(FaultAction::CorruptChunk));
+        assert_eq!(h.before_compute(1), None); // consumed
         assert_eq!(armed.fired_count(), 1);
     }
 
@@ -258,9 +246,9 @@ mod tests {
         let plan = FaultPlan::new().inject(FaultSite::chunk(1, 0), FaultAction::CorruptChunk);
         let _armed = plan.arm();
         let h0 = FaultHandle::capture();
-        assert_eq!(h0.before_compute(Some(0), 1), None); // dispatch 0: no match
+        assert_eq!(h0.before_compute(0), None); // dispatch 0: no match
         let h1 = FaultHandle::capture();
-        assert_eq!(h1.before_compute(Some(0), 1), Some(FaultAction::CorruptChunk));
+        assert_eq!(h1.before_compute(0), Some(FaultAction::CorruptChunk));
     }
 
     #[test]
@@ -269,7 +257,7 @@ mod tests {
             let _armed = FaultPlan::new().inject(FaultSite::any(), FaultAction::CorruptChunk).arm();
         }
         let h = FaultHandle::capture();
-        assert_eq!(h.before_compute(Some(0), 1), None);
+        assert_eq!(h.before_compute(0), None);
     }
 
     #[test]
@@ -277,6 +265,6 @@ mod tests {
     fn panic_once_panics() {
         let _armed = FaultPlan::new().inject(FaultSite::any(), FaultAction::PanicOnce).arm();
         let h = FaultHandle::capture();
-        h.before_compute(Some(0), 1);
+        h.before_compute(0);
     }
 }

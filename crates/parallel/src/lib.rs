@@ -37,8 +37,8 @@
 //!   (boundaries rounded to the nearest nnz prefix);
 //! * [`pool`] — the persistent [`pool::WorkerPool`], the
 //!   [`pool::IterationDriver`] measurement loop, and a spawn-per-call
-//!   baseline ([`pool::run_on_threads`]) kept for one-shot fan-out and for
-//!   quantifying dispatch overhead;
+//!   baseline ([`pool::run_on_threads`]) kept for quantifying dispatch
+//!   overhead;
 //! * [`supervised`] — the one parallel kernel of each paper format, a
 //!   [`supervised::ChunkKernel`] ([`supervised::CsrChunks`],
 //!   [`supervised::CsrDuChunks`], [`supervised::CsrViChunks`],
@@ -69,30 +69,28 @@
 //! ## Fault tolerance
 //!
 //! Long-running multithreaded SpMV must survive its workers, not trust
-//! them. Two layers provide that (see the README's *Failure model*
-//! section for the full contract):
+//! them. [`supervised::SupervisedSpMv`] is the crate's one watchdog (see
+//! the README's *Failure model* section for the full contract): it runs
+//! chunk-granular SpMV with typed fault handling. Under
+//! [`supervised::RecoveryPolicy::Degrade`] any panicked, stalled, dead,
+//! or (with `verify_every`) corrupted chunk is re-executed serially on the
+//! caller — the result is bit-identical to a serial run and the call
+//! reports a [`supervised::HealthReport`]; under
+//! [`supervised::RecoveryPolicy::FailFast`] the first fault returns a
+//! typed [`supervised::PoolError`] with `y` untouched. Either way the
+//! executor remains reusable.
 //!
-//! * [`pool::WorkerPool`] dispatches are watchdog-supervised: the caller
-//!   monitors per-worker heartbeats against a deadline, takes over the
-//!   slice of a worker that died, re-raises worker panics after draining
-//!   the dispatch, flags (but waits for) merely-slow workers, and
-//!   respawns lost threads on the next dispatch — surfacing everything as
-//!   [`pool::PoolEvent`]s.
-//! * [`supervised::SupervisedSpMv`] runs chunk-granular SpMV with typed
-//!   fault handling: under [`supervised::RecoveryPolicy::Degrade`] any
-//!   panicked, stalled, dead, or (with `verify_every`) corrupted chunk is
-//!   re-executed serially on the caller — the result is bit-identical to
-//!   a serial run and the call reports a [`supervised::HealthReport`];
-//!   under [`supervised::RecoveryPolicy::FailFast`] the first fault
-//!   returns a typed [`supervised::PoolError`] with `y` untouched. Either
-//!   way the executor remains reusable.
+//! [`pool::WorkerPool`], and every `Par*` executor on it, has no
+//! watchdog: a panic on any thread is re-raised on the caller once the
+//! dispatch has drained, with the plan left reusable, and a slow worker
+//! is waited for, because the job borrows the caller's stack.
 //!
 //! The `fault-injection` feature compiles in a deterministic scripted
 //! fault harness ([`faults`], test-only) that drives panics, stalls,
-//! thread deaths, and silent corruption through both layers; the recovery
-//! matrix lives in `tests/fault_injection.rs`, and feature-independent
-//! guarantees (tight-deadline correctness, self-check on honest kernels)
-//! in the workspace-root `tests/fault_tolerance.rs`.
+//! thread deaths, and silent corruption through the supervised executor;
+//! the recovery matrix lives in `tests/fault_injection.rs`, and
+//! feature-independent guarantees (tight-deadline correctness, self-check
+//! on honest kernels) in the workspace-root `tests/fault_tolerance.rs`.
 //!
 //! ## Observability
 //!
@@ -121,13 +119,11 @@ pub use par::{
     ParSpMm, ParSpMv, ParSymCsr,
 };
 pub use partition::{ColPartition, Grid2d, RowPartition};
-pub use pool::{
-    parse_watchdog_ms, run_on_threads, watchdog_deadline, watchdog_deadline_checked,
-    DisjointSlices, IterationDriver, PoolEvent, WorkerPool, DEFAULT_WATCHDOG,
-};
+pub use pool::{run_on_threads, DisjointSlices, IterationDriver, WorkerPool};
 pub use spmspv::{ParMaskedSpMSpV, ParSpMSpV};
 pub use supervised::{
-    assemble_chunks, ChunkKernel, CsrChunks, CsrDuChunks, CsrDuViChunks, CsrViChunks, FaultEvent,
-    HealthReport, PoolError, RecoveryPolicy, SupervisedSpMv, WatchdogOpts,
+    assemble_chunks, parse_watchdog_ms, watchdog_deadline, watchdog_deadline_checked, ChunkKernel,
+    CsrChunks, CsrDuChunks, CsrDuViChunks, CsrViChunks, FaultEvent, HealthReport, PoolError,
+    RecoveryPolicy, SupervisedSpMv, WatchdogOpts, DEFAULT_WATCHDOG,
 };
 pub use telemetry::PoolTelemetry;

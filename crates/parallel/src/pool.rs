@@ -14,21 +14,25 @@
 //! before returning *or unwinding*, and a panic on any thread is re-raised
 //! on the caller with the pool left reusable.
 //!
+//! The pool has no watchdog. Every job runs under `catch_unwind`, so a
+//! panic cannot end a worker thread; a worker thread returns only at
+//! shutdown; and a live straggler must be waited for anyway, because the
+//! job borrows the caller's stack. Detecting and recovering from stalled
+//! or lost workers is [`crate::supervised::SupervisedSpMv`]'s job, whose
+//! workers own everything they touch.
+//!
 //! [`IterationDriver`] layers the paper's repeated-iteration protocol on
 //! top: one pool dispatch runs all rounds, with a [`Barrier`] between
 //! consecutive rounds (and none after the last — the pool's own completion
 //! handshake already joins it).
 
 use crate::telemetry::PoolTelemetry;
-use spmv_core::SparseError;
 use std::any::Any;
 use std::marker::PhantomData;
 use std::ops::Range;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
 
 // ---------------------------------------------------------------------
 // WorkerPool
@@ -60,16 +64,6 @@ struct State {
     /// First panic raised inside a worker's slice of the current job;
     /// re-raised on the dispatching caller's stack by [`WorkerPool::run`].
     panic_payload: Option<Box<dyn Any + Send>>,
-    /// `finished[tid - 1]` holds the last epoch worker `tid` completed.
-    /// Written under this mutex *before* `active` is decremented, so the
-    /// watchdog can tell "still computing" from "thread died mid-job".
-    finished: Vec<u64>,
-    /// Fault-tolerance events since the last [`WorkerPool::take_events`].
-    events: Vec<PoolEvent>,
-    /// Fault-injection handle captured at dispatch time so workers can
-    /// consult the plan armed on the dispatching thread. Test-only.
-    #[cfg(feature = "fault-injection")]
-    fault: Option<crate::faults::FaultHandle>,
 }
 
 struct Shared {
@@ -78,10 +72,6 @@ struct Shared {
     work_cv: Condvar,
     /// The dispatching caller parks here until `active` drains to zero.
     done_cv: Condvar,
-    /// `heartbeats[tid - 1]` is bumped by worker `tid` at job pickup and
-    /// completion; a counter that stops advancing while the worker is
-    /// active marks it as stalled or dead for the watchdog.
-    heartbeats: Vec<AtomicU64>,
     /// Per-thread busy-time/job counters (slot 0 = caller); drained by
     /// [`WorkerPool::take_telemetry`].
     #[cfg(feature = "telemetry")]
@@ -94,7 +84,7 @@ struct Shared {
 fn record_busy<R>(shared: &Shared, tid: usize, f: impl FnOnce() -> R) -> R {
     #[cfg(feature = "telemetry")]
     {
-        let t0 = Instant::now();
+        let t0 = std::time::Instant::now();
         let r = f();
         shared.telemetry.record(tid, t0.elapsed());
         r
@@ -103,91 +93,6 @@ fn record_busy<R>(shared: &Shared, tid: usize, f: impl FnOnce() -> R) -> R {
     {
         let _ = (shared, tid);
         f()
-    }
-}
-
-/// Something the pool's watchdog observed and recovered from (or flagged).
-/// Drained by [`WorkerPool::take_events`]; an empty list means every
-/// dispatch completed on the healthy path.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum PoolEvent {
-    /// A worker thread terminated without completing its slice of the
-    /// job; the caller re-executed that slice serially (the result is
-    /// unaffected — per-thread slices are deterministic and idempotent).
-    WorkerDied { tid: usize, epoch: u64 },
-    /// A dead worker was replaced with a fresh thread at the next
-    /// dispatch; the pool is back at full strength.
-    WorkerRespawned { tid: usize },
-    /// A worker exceeded the watchdog deadline but its thread was still
-    /// alive, so the dispatch (soundly) kept waiting for it. On the
-    /// borrowed-job path a live straggler can never be abandoned — its
-    /// closure borrows the caller's stack; see `supervised` for the
-    /// owned-data path where true stall abandonment is possible.
-    SlowWorker { tid: usize, waited: Duration },
-}
-
-/// Health-report ring limit: recovery is rare, so hitting this cap means
-/// something is systemically wrong; further events are dropped rather
-/// than letting a long-lived pool grow without bound.
-const MAX_POOL_EVENTS: usize = 256;
-
-fn push_event(st: &mut State, ev: PoolEvent) {
-    if st.events.len() < MAX_POOL_EVENTS {
-        st.events.push(ev);
-    }
-}
-
-/// The watchdog deadline used when `SPMV_WATCHDOG_MS` is unset.
-pub const DEFAULT_WATCHDOG: Duration = Duration::from_millis(1000);
-
-/// Parses an `SPMV_WATCHDOG_MS` value: a positive integer millisecond
-/// count. Zero is rejected — a zero deadline would triage every dispatch
-/// as stalled before it ran.
-pub fn parse_watchdog_ms(v: &str) -> Result<Duration, SparseError> {
-    match v.trim().parse::<u64>() {
-        Ok(ms) if ms >= 1 => Ok(Duration::from_millis(ms)),
-        _ => Err(SparseError::InvalidArgument(format!(
-            "SPMV_WATCHDOG_MS={v:?} is not a positive integer millisecond count"
-        ))),
-    }
-}
-
-/// Watchdog deadline: `SPMV_WATCHDOG_MS` env override, else 1 s. One
-/// deadline serves both the pool watchdog (triage interval for dead /
-/// slow workers) and the supervised executor's stall detector. CI runs
-/// the tier-1 suite once with this set aggressively low to prove a tight
-/// deadline cannot corrupt results (only add `SlowWorker` noise).
-///
-/// A malformed value falls back to the default with a **one-time**
-/// warning on stderr (this lenient path runs inside constructors that
-/// cannot return errors); explicit API paths use
-/// [`watchdog_deadline_checked`] to surface the typed error instead.
-pub fn watchdog_deadline() -> Duration {
-    match std::env::var("SPMV_WATCHDOG_MS") {
-        Ok(v) => parse_watchdog_ms(&v).unwrap_or_else(|e| {
-            static WARNED: std::sync::Once = std::sync::Once::new();
-            WARNED.call_once(|| {
-                eprintln!(
-                    "warning: {e}; using the default {} ms watchdog deadline",
-                    DEFAULT_WATCHDOG.as_millis()
-                );
-            });
-            DEFAULT_WATCHDOG
-        }),
-        Err(_) => DEFAULT_WATCHDOG,
-    }
-}
-
-/// Strict form of [`watchdog_deadline`] for explicit API paths (the
-/// service builder, `loadgen`): a malformed `SPMV_WATCHDOG_MS` returns
-/// [`SparseError::InvalidArgument`] instead of silently falling back.
-pub fn watchdog_deadline_checked() -> Result<Duration, SparseError> {
-    match std::env::var("SPMV_WATCHDOG_MS") {
-        Ok(v) => parse_watchdog_ms(&v),
-        Err(std::env::VarError::NotPresent) => Ok(DEFAULT_WATCHDOG),
-        Err(std::env::VarError::NotUnicode(_)) => {
-            Err(SparseError::InvalidArgument("SPMV_WATCHDOG_MS is not valid unicode".into()))
-        }
     }
 }
 
@@ -203,80 +108,15 @@ fn lock_state(shared: &Shared) -> MutexGuard<'_, State> {
 /// paths of [`WorkerPool::run`]: the borrowed closure behind the
 /// type-erased job pointer must outlive every worker's use of it even when
 /// the caller's own `f(0)` panics.
-///
-/// The wait doubles as the pool's **watchdog**: instead of parking
-/// indefinitely, it wakes every `deadline` and triages outstanding
-/// workers. A worker whose thread has *terminated* without completing its
-/// slice (`JoinHandle::is_finished`, which synchronizes with the thread's
-/// end) is taken over — the caller re-executes that `tid`'s slice on its
-/// own stack, which is sound because the job pointer is still live and
-/// per-thread slices are deterministic and idempotent. A worker that is
-/// merely *slow* is flagged ([`PoolEvent::SlowWorker`]) but still waited
-/// for: on this borrowed-job path an alive straggler can never be
-/// abandoned (its closure borrows the caller's frame).
 struct DrainGuard<'a> {
     shared: &'a Shared,
-    handles: &'a [JoinHandle<()>],
-    job: Job,
-    deadline: Duration,
 }
 
 impl Drop for DrainGuard<'_> {
     fn drop(&mut self) {
-        let start = Instant::now();
-        let mut slow_reported = false;
         let mut st = lock_state(self.shared);
-        let epoch = st.epoch;
         while st.active > 0 {
-            let (guard, timeout) = self
-                .shared
-                .done_cv
-                .wait_timeout(st, self.deadline)
-                .unwrap_or_else(PoisonError::into_inner);
-            st = guard;
-            if st.active == 0 {
-                break;
-            }
-            if !timeout.timed_out() {
-                continue;
-            }
-            // Deadline passed with workers outstanding: triage each one.
-            let dead: Vec<usize> = (1..=self.handles.len())
-                .filter(|&tid| st.finished[tid - 1] != epoch && self.handles[tid - 1].is_finished())
-                .collect();
-            for tid in dead {
-                // The thread terminated without completing its slice.
-                // Degrade gracefully: run the slice here. Mark it finished
-                // first so a second triage pass cannot take it over twice.
-                st.finished[tid - 1] = epoch;
-                push_event(&mut st, PoolEvent::WorkerDied { tid, epoch });
-                drop(st);
-                // SAFETY: we are inside `run`, so the pointee is live; the
-                // dead worker can no longer touch it (`is_finished`
-                // synchronizes with the thread's termination). The re-run
-                // happens on the caller's stack, so its time is credited
-                // to telemetry slot 0.
-                let outcome = record_busy(self.shared, 0, || {
-                    panic::catch_unwind(AssertUnwindSafe(|| unsafe {
-                        (*self.job.0)(tid);
-                    }))
-                });
-                st = lock_state(self.shared);
-                if let Err(payload) = outcome {
-                    if st.panic_payload.is_none() {
-                        st.panic_payload = Some(payload);
-                    }
-                }
-                st.active -= 1;
-            }
-            if st.active > 0 && !slow_reported {
-                for tid in 1..=self.handles.len() {
-                    if st.finished[tid - 1] != epoch && !self.handles[tid - 1].is_finished() {
-                        push_event(&mut st, PoolEvent::SlowWorker { tid, waited: start.elapsed() });
-                    }
-                }
-                slow_reported = true;
-            }
+            st = self.shared.done_cv.wait(st).unwrap_or_else(PoisonError::into_inner);
         }
         // The borrow behind the job pointer dies when `run` exits.
         st.job = None;
@@ -311,23 +151,11 @@ pub struct WorkerPool {
     shared: Arc<Shared>,
     handles: Vec<JoinHandle<()>>,
     nthreads: usize,
-    deadline: Duration,
 }
 
 impl WorkerPool {
-    /// Spawns `nthreads - 1` workers (none for `nthreads == 1`) with the
-    /// process-default watchdog deadline ([`watchdog_deadline`]).
+    /// Spawns `nthreads - 1` workers (none for `nthreads == 1`).
     pub fn new(nthreads: usize) -> WorkerPool {
-        WorkerPool::with_deadline(nthreads, watchdog_deadline())
-    }
-
-    /// Like [`WorkerPool::new`] with an explicit watchdog deadline: how
-    /// long a dispatch waits before triaging outstanding workers for
-    /// death or slowness. Any positive value is *safe* — a too-low
-    /// deadline only adds triage wake-ups and `SlowWorker` events, never
-    /// false recoveries (takeover requires an actually-terminated
-    /// thread).
-    pub fn with_deadline(nthreads: usize, deadline: Duration) -> WorkerPool {
         assert!(nthreads >= 1, "need at least one thread");
         let shared = Arc::new(Shared {
             state: Mutex::new(State {
@@ -336,40 +164,20 @@ impl WorkerPool {
                 active: 0,
                 shutdown: false,
                 panic_payload: None,
-                finished: vec![0; nthreads - 1],
-                events: Vec::new(),
-                #[cfg(feature = "fault-injection")]
-                fault: None,
             }),
             work_cv: Condvar::new(),
             done_cv: Condvar::new(),
-            heartbeats: (1..nthreads).map(|_| AtomicU64::new(0)).collect(),
             #[cfg(feature = "telemetry")]
             telemetry: crate::telemetry::TelemetrySink::new(nthreads),
         });
-        let handles = (1..nthreads).map(|tid| spawn_worker(&shared, tid, 0)).collect();
-        WorkerPool { shared, handles, nthreads, deadline: deadline.max(Duration::from_millis(1)) }
+        let handles = (1..nthreads).map(|tid| spawn_worker(&shared, tid)).collect();
+        WorkerPool { shared, handles, nthreads }
     }
 
     /// Number of threads participating in each dispatch (including the
     /// caller).
     pub fn nthreads(&self) -> usize {
         self.nthreads
-    }
-
-    /// Per-worker heartbeat counters (`nthreads - 1` entries, worker
-    /// `tid`'s counter at index `tid - 1`). Bumped at job pickup and
-    /// completion; a counter frozen during a dispatch marks that worker
-    /// stalled or dead.
-    pub fn heartbeats(&self) -> Vec<u64> {
-        self.shared.heartbeats.iter().map(|h| h.load(Ordering::Acquire)).collect()
-    }
-
-    /// Drains the fault-tolerance events recorded since the last call —
-    /// the pool's health report. Empty means every dispatch completed on
-    /// the healthy path.
-    pub fn take_events(&mut self) -> Vec<PoolEvent> {
-        std::mem::take(&mut lock_state(&self.shared).events)
     }
 
     /// Drains per-thread telemetry (busy time, job counts, dispatch
@@ -388,44 +196,12 @@ impl WorkerPool {
         }
     }
 
-    /// Replaces any worker whose thread has terminated (death is observed
-    /// by the watchdog mid-dispatch; replacement happens here, at the
-    /// next dispatch). Called automatically by [`WorkerPool::run`]; the
-    /// pool therefore *self-heals* — one dead worker degrades exactly one
-    /// dispatch, not the pool.
-    fn ensure_workers(&mut self) {
-        for tid in 1..self.nthreads {
-            if !self.handles[tid - 1].is_finished() {
-                continue;
-            }
-            let epoch = {
-                let mut st = lock_state(&self.shared);
-                push_event(&mut st, PoolEvent::WorkerRespawned { tid });
-                st.epoch
-            };
-            // The replacement starts with the current epoch as "seen" so
-            // it cannot re-run a past job.
-            self.handles[tid - 1] = spawn_worker(&self.shared, tid, epoch);
-        }
-    }
-
     /// Runs `f(tid)` once per thread, `tid` in `0..nthreads`, and returns
     /// after every thread has finished. The caller executes `tid == 0` on
     /// its own stack; `f` may therefore borrow local data. Taking
     /// `&mut self` makes concurrent dispatch onto one pool unrepresentable
     /// in safe code — the soundness of the borrowed-job pointer depends on
     /// exactly one dispatch being in flight.
-    ///
-    /// # Fault tolerance
-    ///
-    /// If a worker's thread terminates without completing its slice, the
-    /// watchdog detects it within one deadline, the caller re-executes
-    /// that `tid`'s slice serially, and the dead worker is replaced on
-    /// the next dispatch ([`PoolEvent`] records both). For this recovery
-    /// to preserve results, `f(tid)` must be **idempotent per `tid`** —
-    /// re-running a slice after a partial run must produce the same final
-    /// state. Every SpMV slice in this crate qualifies (each slice
-    /// deterministically overwrites only its own output range).
     pub fn run<F>(&mut self, f: F)
     where
         F: Fn(usize) + Sync,
@@ -437,7 +213,6 @@ impl WorkerPool {
             record_busy(&self.shared, 0, || f(0));
             return;
         }
-        self.ensure_workers();
         #[cfg(feature = "telemetry")]
         self.shared.telemetry.record_dispatch();
         let f_ref: &(dyn Fn(usize) + Sync) = &f;
@@ -451,22 +226,13 @@ impl WorkerPool {
             st.job = Some(job);
             st.epoch += 1;
             st.active = self.nthreads - 1;
-            #[cfg(feature = "fault-injection")]
-            {
-                st.fault = Some(crate::faults::FaultHandle::capture());
-            }
         }
         self.shared.work_cv.notify_all();
         // From here workers may be running `f`. The guard waits for all of
         // them (and clears the job) on both the return and the unwind path
         // of `f(0)` below, so the borrow never dangles; it also re-raises
         // a worker panic once the drain completes.
-        let guard = DrainGuard {
-            shared: &self.shared,
-            handles: &self.handles,
-            job,
-            deadline: self.deadline,
-        };
+        let guard = DrainGuard { shared: &self.shared };
         record_busy(&self.shared, 0, || f(0));
         drop(guard);
     }
@@ -485,17 +251,17 @@ impl Drop for WorkerPool {
     }
 }
 
-/// Spawns the worker thread for `tid`, starting with `seen_epoch` so a
-/// replacement spawned mid-life cannot re-run a past job.
-fn spawn_worker(shared: &Arc<Shared>, tid: usize, seen_epoch: u64) -> JoinHandle<()> {
+/// Spawns the worker thread for `tid`.
+fn spawn_worker(shared: &Arc<Shared>, tid: usize) -> JoinHandle<()> {
     let shared = Arc::clone(shared);
     std::thread::Builder::new()
         .name(format!("spmv-worker-{tid}"))
-        .spawn(move || worker_loop(&shared, tid, seen_epoch))
+        .spawn(move || worker_loop(&shared, tid))
         .expect("failed to spawn pool worker")
 }
 
-fn worker_loop(shared: &Shared, tid: usize, mut seen_epoch: u64) {
+fn worker_loop(shared: &Shared, tid: usize) {
+    let mut seen_epoch = 0;
     loop {
         let job = {
             let mut st = lock_state(shared);
@@ -510,22 +276,6 @@ fn worker_loop(shared: &Shared, tid: usize, mut seen_epoch: u64) {
                 st = shared.work_cv.wait(st).unwrap_or_else(PoisonError::into_inner);
             }
         };
-        shared.heartbeats[tid - 1].fetch_add(1, Ordering::AcqRel);
-        // Fault injection (tests only): a scripted `ExitThread` makes this
-        // thread terminate *without* completing its slice — exactly the
-        // failure the watchdog's dead-worker takeover recovers from. A
-        // scripted panic here likewise unwinds the thread (death by
-        // panic); `DelayOnce` stalls it past the deadline.
-        #[cfg(feature = "fault-injection")]
-        {
-            let handle = lock_state(shared).fault.clone();
-            if let Some(handle) = handle {
-                if handle.before_compute(None, tid) == Some(crate::faults::FaultAction::ExitThread)
-                {
-                    return;
-                }
-            }
-        }
         // SAFETY: `run` keeps the closure alive until `active` drains to
         // zero, which happens only after this call returns. A panic in the
         // job must not unwind past the decrement below — it would strand
@@ -541,11 +291,9 @@ fn worker_loop(shared: &Shared, tid: usize, mut seen_epoch: u64) {
                 st.panic_payload = Some(payload);
             }
         }
-        st.finished[tid - 1] = seen_epoch;
         st.active -= 1;
         let done = st.active == 0;
         drop(st);
-        shared.heartbeats[tid - 1].fetch_add(1, Ordering::AcqRel);
         if done {
             shared.done_cv.notify_one();
         }
@@ -619,9 +367,8 @@ pub fn chunk(n: usize, nchunks: usize, k: usize) -> Range<usize> {
 /// Runs `f(tid)` on `nthreads` scoped threads and waits for all of them.
 ///
 /// This is the *spawn-per-call* baseline the persistent [`WorkerPool`]
-/// replaces in the hot paths; it survives for one-shot jobs (corpus
-/// evaluation fan-out) and as the comparison arm of the dispatch-overhead
-/// benchmark.
+/// replaces in the hot paths; it survives as the comparison arm of the
+/// dispatch-overhead benchmark.
 pub fn run_on_threads<F>(nthreads: usize, f: F)
 where
     F: Fn(usize) + Sync,
@@ -680,11 +427,7 @@ impl IterationDriver {
     /// A panic in `body` propagates like [`WorkerPool::run`]'s — but if
     /// other threads are already blocked in an inter-round barrier wait
     /// they will never be released, so `body` should not panic except to
-    /// abort the process (measurement bodies here never do). For the same
-    /// reason the pool's dead-worker takeover does not compose with the
-    /// inter-round barrier (a re-run of a dead thread's rounds would
-    /// arrive at the wrong barrier generation); a thread death inside a
-    /// measurement loop is unrecoverable here.
+    /// abort the process (measurement bodies here never do).
     pub fn run<F>(&mut self, body: F)
     where
         F: Fn(usize, usize) + Sync,
@@ -702,51 +445,11 @@ impl IterationDriver {
     }
 }
 
-/// A tiny work-stealing-free dynamic counter for irregular tasks: threads
-/// repeatedly claim the next index until `n` is exhausted. Useful for
-/// embarrassingly parallel per-matrix jobs in the harness.
-pub fn parallel_for_dynamic<F>(nthreads: usize, n: usize, f: F)
-where
-    F: Fn(usize) + Sync,
-{
-    let next = AtomicUsize::new(0);
-    run_on_threads(nthreads.max(1), |_tid| loop {
-        let i = next.fetch_add(1, Ordering::Relaxed);
-        if i >= n {
-            break;
-        }
-        f(i);
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Mutex;
-
-    #[test]
-    fn watchdog_ms_parser_accepts_positive_integers_only() {
-        assert_eq!(parse_watchdog_ms("5").unwrap(), Duration::from_millis(5));
-        assert_eq!(parse_watchdog_ms(" 250 ").unwrap(), Duration::from_millis(250));
-        for bad in ["", "0", "-5", "1.5", "fast", "10ms", "99999999999999999999999"] {
-            let err = parse_watchdog_ms(bad).unwrap_err();
-            assert!(
-                matches!(err, SparseError::InvalidArgument(_)),
-                "{bad:?} must be a typed rejection, got {err}"
-            );
-            assert!(err.to_string().contains("SPMV_WATCHDOG_MS"), "{err}");
-        }
-    }
-
-    #[test]
-    fn checked_watchdog_deadline_agrees_with_lenient_path_on_valid_env() {
-        // CI runs the suite both with SPMV_WATCHDOG_MS unset and set to a
-        // valid value; in both cases the strict and lenient readers must
-        // agree. (Malformed values are covered by the pure parser test —
-        // mutating the process environment would race other tests.)
-        assert_eq!(watchdog_deadline_checked().unwrap(), watchdog_deadline());
-    }
 
     #[test]
     fn pool_executes_each_tid_once() {
@@ -801,6 +504,24 @@ mod tests {
         let mut pool = WorkerPool::new(8);
         pool.run(|_| {});
         drop(pool); // must not hang or leak threads
+    }
+
+    #[test]
+    fn pool_waits_for_a_slow_worker_before_returning() {
+        // The borrowed job's soundness on the normal return path: `run`
+        // returns only after every worker has finished its slice, however
+        // long one of them takes.
+        let mut pool = WorkerPool::new(3);
+        let hits: Vec<AtomicUsize> = (0..3).map(|_| AtomicUsize::new(0)).collect();
+        pool.run(|tid| {
+            if tid == 2 {
+                std::thread::sleep(std::time::Duration::from_millis(100));
+            }
+            hits[tid].fetch_add(1, Ordering::SeqCst);
+        });
+        for (tid, h) in hits.iter().enumerate() {
+            assert_eq!(h.load(Ordering::SeqCst), 1, "tid {tid}");
+        }
     }
 
     #[test]
@@ -958,14 +679,5 @@ mod tests {
                 assert_eq!(covered, n);
             }
         }
-    }
-
-    #[test]
-    fn parallel_for_dynamic_covers_all_indices() {
-        let hits: Vec<AtomicUsize> = (0..100).map(|_| AtomicUsize::new(0)).collect();
-        parallel_for_dynamic(4, 100, |i| {
-            hits[i].fetch_add(1, Ordering::Relaxed);
-        });
-        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
     }
 }

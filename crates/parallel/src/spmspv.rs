@@ -25,17 +25,6 @@
 //! active-column order — the result is **bit-identical across thread
 //! counts and bucket counts**, and to the serial [`SpMSpV`] paths.
 //!
-//! ## Supervision
-//!
-//! Every dispatch slice is *idempotent*: the count phase zeroes its own
-//! count range first, the scatter derives its cursors from the prefix
-//! table, and the accumulate phase zeroes its buckets' accumulator rows
-//! before folding. That is exactly the contract [`WorkerPool::run`]
-//! needs to transparently re-execute a dead worker's slice and respawn
-//! the worker afterwards — a worker death mid-phase changes nothing in
-//! the output. Recoveries are reported as [`PoolEvent`]s, drained via
-//! [`ParSpMSpV::take_events`].
-//!
 //! ## Masked-CSR fallback ([`ParMaskedSpMSpV`])
 //!
 //! When the matrix is only available row-major, the fallback densifies
@@ -44,7 +33,7 @@
 //! column order, so it matches the bucket plan bit-for-bit (structural
 //! support included).
 
-use crate::pool::{chunk, DisjointSlices, PoolEvent, WorkerPool};
+use crate::pool::{chunk, DisjointSlices, WorkerPool};
 use spmv_core::error::{Result, SparseError};
 use spmv_core::spmspv::{choose_path, DENSE_CROSSOVER_DENSITY};
 use spmv_core::{Csc, Csr, Scalar, SpIndex, SpMSpVPath, SparseVec};
@@ -60,10 +49,10 @@ fn check_x_dim(ncols: usize, x_dim: usize) -> Result<()> {
 
 /// Parallel two-phase bucket SpMSpV over a borrowed CSC matrix.
 ///
-/// Owns a [`WorkerPool`] and per-call scratch (reused across calls, so a
-/// long-lived plan does no steady-state allocation beyond the output).
-/// See the [module docs](self) for the algorithm, determinism and
-/// supervision contracts.
+/// Owns a [`WorkerPool`] and per-call scratch, reused across calls. A
+/// call still allocates its output and, in the scatter phase, two
+/// `nbuckets`-long vectors per thread. See the [module docs](self) for
+/// the algorithm and determinism contracts.
 pub struct ParSpMSpV<'m, I: SpIndex = u32, V: Scalar = f64> {
     m: &'m Csc<I, V>,
     pool: WorkerPool,
@@ -140,13 +129,6 @@ impl<'m, I: SpIndex, V: Scalar> ParSpMSpV<'m, I, V> {
         choose_path(x.density(), self.crossover)
     }
 
-    /// Drains fault-tolerance events recorded by the pool since the last
-    /// call (dead-worker takeovers, respawns, slow workers). An empty
-    /// list means every dispatch completed on the healthy path.
-    pub fn take_events(&mut self) -> Vec<PoolEvent> {
-        self.pool.take_events()
-    }
-
     /// Multiplies by a sparse vector on the bucket plan.
     pub fn spmspv(&mut self, x: &SparseVec<V>) -> Result<SparseVec<V>> {
         check_x_dim(self.m.ncols(), x.dim())?;
@@ -159,7 +141,7 @@ impl<'m, I: SpIndex, V: Scalar> ParSpMSpV<'m, I, V> {
         let (x_ind, x_val) = (x.indices(), x.values());
 
         // Phase 1: per-(thread, bucket) pair counts. Each slice zeroes
-        // its own range first, so a re-executed slice stays correct.
+        // its own range first: the counts persist from the last call.
         {
             let ds_counts = DisjointSlices::new(&mut self.counts);
             self.pool.run(|tid| {
@@ -188,8 +170,8 @@ impl<'m, I: SpIndex, V: Scalar> ParSpMSpV<'m, I, V> {
         self.pair_rows.resize(total, 0);
         self.pair_vals.resize(total, V::zero());
 
-        // Phase 2: synchronization-free scatter into disjoint ranges.
-        // Cursors are re-derived from the prefix table on (re-)execution.
+        // Phase 2: synchronization-free scatter into the disjoint ranges
+        // the prefix table laid out.
         {
             let ds_rows = DisjointSlices::new(&mut self.pair_rows);
             let ds_vals = DisjointSlices::new(&mut self.pair_vals);
@@ -219,7 +201,7 @@ impl<'m, I: SpIndex, V: Scalar> ParSpMSpV<'m, I, V> {
 
         // Phase 3: per-bucket accumulation. Thread `t` owns buckets
         // chunk(nb, nt, t); it zeroes their accumulator rows before
-        // folding (idempotent), then counts each bucket's support.
+        // folding, then counts each bucket's support.
         {
             let ds_acc = DisjointSlices::new(&mut self.acc);
             let ds_hit = DisjointSlices::new(&mut self.hit);
@@ -261,8 +243,7 @@ impl<'m, I: SpIndex, V: Scalar> ParSpMSpV<'m, I, V> {
         let mut out_ind = vec![0u32; out_nnz];
         let mut out_val = vec![V::zero(); out_nnz];
 
-        // Phase 4: gather each bucket's support into the sorted output
-        // (pure writes of recomputable values — trivially idempotent).
+        // Phase 4: gather each bucket's support into the sorted output.
         {
             let ds_oind = DisjointSlices::new(&mut out_ind);
             let ds_oval = DisjointSlices::new(&mut out_val);
@@ -328,11 +309,6 @@ impl<'m, I: SpIndex, V: Scalar> ParMaskedSpMSpV<'m, I, V> {
         self.nthreads
     }
 
-    /// Drains pool fault-tolerance events (see [`ParSpMSpV::take_events`]).
-    pub fn take_events(&mut self) -> Vec<PoolEvent> {
-        self.pool.take_events()
-    }
-
     /// Multiplies by a sparse vector on the masked row partition.
     pub fn spmspv(&mut self, x: &SparseVec<V>) -> Result<SparseVec<V>> {
         check_x_dim(self.m.ncols(), x.dim())?;
@@ -349,10 +325,9 @@ impl<'m, I: SpIndex, V: Scalar> ParMaskedSpMSpV<'m, I, V> {
             self.active[c] = 1;
         }
 
-        // Masked accumulation over disjoint row slices. Every write is a
-        // pure function of the (read-only) inputs, so re-execution after
-        // a worker death is idempotent; `hit` is written unconditionally
-        // so no stale state from a previous call can leak through.
+        // Masked accumulation over disjoint row slices. `hit` is written
+        // unconditionally so no stale state from a previous call can leak
+        // through.
         {
             let ds_acc = DisjointSlices::new(&mut self.acc);
             let ds_hit = DisjointSlices::new(&mut self.hit);
@@ -459,7 +434,6 @@ mod tests {
                 let mut plan = ParSpMSpV::with_buckets(&csc, nthreads, nbuckets);
                 let got = plan.spmspv(&x).unwrap();
                 assert_eq!(got, reference, "nthreads={nthreads} nbuckets={nbuckets}");
-                assert!(plan.take_events().is_empty(), "healthy path must record no events");
             }
         }
     }

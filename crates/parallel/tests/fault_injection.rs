@@ -1,9 +1,9 @@
 //! Fault-injection recovery matrix (requires `--features fault-injection`).
 //!
 //! Drives scripted faults — worker panics, stalls past the watchdog
-//! deadline, thread deaths, and silent chunk corruption — through both
-//! parallel execution layers, across thread counts {1, 2, 4, 7}, and
-//! asserts the two acceptance properties after every recovery:
+//! deadline, thread deaths, and silent chunk corruption — through the
+//! supervised executor, across thread counts {1, 2, 4, 7}, and asserts
+//! the two acceptance properties after every recovery:
 //!
 //! 1. the result is **bit-identical** to the serial kernel;
 //! 2. the executor remains **reusable** (a healthy follow-up call
@@ -11,12 +11,9 @@
 //!
 //! Tests arm their [`FaultPlan`] on the calling thread, so concurrent
 //! tests cannot see each other's faults. Injection is deterministic: the
-//! supervised tests disable caller participation and key their rules by
-//! **chunk** (chunks are claimed dynamically, so a tid-keyed rule could
-//! miss if another worker drains the queue first — whichever worker
-//! claims the targeted chunk receives the fault); the pool tests key by
-//! **tid**, which is deterministic there because each worker always
-//! executes exactly its own `tid` slice.
+//! tests disable caller participation and key their rules by **chunk**
+//! (chunks are claimed dynamically, so whichever worker claims the
+//! targeted chunk receives the fault).
 
 #![cfg(feature = "fault-injection")]
 
@@ -27,12 +24,14 @@ use spmv_parallel::supervised::{
     ChunkKernel, CsrChunks, CsrDuChunks, FaultEvent, PoolError, RecoveryPolicy, SupervisedSpMv,
     WatchdogOpts,
 };
-use spmv_parallel::{PoolEvent, WorkerPool};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
 
 const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 7];
+
+/// A scripted fault and the check its fail-fast error must pass.
+type FailFastCase = (FaultAction, fn(&PoolError) -> bool);
 
 fn irregular(nrows: usize, ncols: usize, seed: u64) -> Coo<f64> {
     let mut t: Vec<(usize, usize, f64)> = Vec::new();
@@ -191,7 +190,7 @@ fn supervised_failfast_returns_typed_errors() {
     let coo = irregular(120, 100, 5);
     let csr: Csr<u32, f64> = coo.to_csr();
     let x = x_for(100);
-    let cases: Vec<(FaultAction, fn(&PoolError) -> bool)> = vec![
+    let cases: Vec<FailFastCase> = vec![
         (FaultAction::PanicOnce, |e| matches!(e, PoolError::WorkerPanicked { .. })),
         (FaultAction::DelayOnce(Duration::from_millis(200)), |e| {
             matches!(e, PoolError::WorkerStalled { .. })
@@ -338,7 +337,7 @@ fn supervised_spmm_failfast_leaves_panel_untouched() {
     let csr: Csr<u32, f64> = coo.to_csr();
     let k = 4;
     let x = x_panel_for(100, k);
-    let cases: Vec<(FaultAction, fn(&PoolError) -> bool)> = vec![
+    let cases: Vec<FailFastCase> = vec![
         (FaultAction::PanicOnce, |e| matches!(e, PoolError::WorkerPanicked { .. })),
         (FaultAction::DelayOnce(Duration::from_millis(200)), |e| {
             matches!(e, PoolError::WorkerStalled { .. })
@@ -470,166 +469,5 @@ fn abandoned_straggler_never_reaches_a_later_call() {
         });
         let mut sup = SupervisedSpMv::with_opts(kernel, 3, injection_opts(RecoveryPolicy::Degrade));
         calls_stay_serial_past_the_straggler(&mut sup, &csr, k, stall, "mid-chunk stall");
-    }
-}
-
-// ---------------------------------------------------------------------
-// Borrowed-job pool layer
-// ---------------------------------------------------------------------
-
-/// Pool deadline for injection tests: short, so dead-worker takeover
-/// happens quickly.
-fn test_pool(nthreads: usize) -> WorkerPool {
-    WorkerPool::with_deadline(nthreads, Duration::from_millis(25))
-}
-
-#[test]
-fn pool_takes_over_dead_worker_and_respawns() {
-    for &nthreads in THREAD_COUNTS.iter().filter(|&&n| n >= 2) {
-        let mut pool = test_pool(nthreads);
-        let armed = FaultPlan::new().inject(FaultSite::worker(0, 1), FaultAction::ExitThread).arm();
-        let hits: Vec<AtomicUsize> = (0..nthreads).map(|_| AtomicUsize::new(0)).collect();
-        pool.run(|tid| {
-            hits[tid].fetch_add(1, Ordering::SeqCst);
-        });
-        assert_eq!(armed.fired_count(), 1, "nthreads={nthreads}");
-        // Every tid's slice ran exactly once — tid 1's via caller takeover.
-        for (tid, h) in hits.iter().enumerate() {
-            assert_eq!(h.load(Ordering::SeqCst), 1, "tid {tid}, nthreads={nthreads}");
-        }
-        let events = pool.take_events();
-        assert!(
-            events.iter().any(|e| matches!(e, PoolEvent::WorkerDied { tid: 1, .. })),
-            "nthreads={nthreads}: {events:?}"
-        );
-        drop(armed);
-        // Reuse: next dispatch respawns the dead worker and runs clean.
-        let hits2: Vec<AtomicUsize> = (0..nthreads).map(|_| AtomicUsize::new(0)).collect();
-        pool.run(|tid| {
-            hits2[tid].fetch_add(1, Ordering::SeqCst);
-        });
-        for (tid, h) in hits2.iter().enumerate() {
-            assert_eq!(h.load(Ordering::SeqCst), 1, "reuse tid {tid}, nthreads={nthreads}");
-        }
-        let events = pool.take_events();
-        assert!(
-            events.iter().any(|e| matches!(e, PoolEvent::WorkerRespawned { tid: 1 })),
-            "nthreads={nthreads}: {events:?}"
-        );
-    }
-}
-
-#[test]
-fn pool_flags_slow_worker_but_waits_for_it() {
-    let mut pool = test_pool(3);
-    let _armed = FaultPlan::new()
-        .inject(FaultSite::worker(0, 2), FaultAction::DelayOnce(Duration::from_millis(100)))
-        .arm();
-    let hits: Vec<AtomicUsize> = (0..3).map(|_| AtomicUsize::new(0)).collect();
-    pool.run(|tid| {
-        hits[tid].fetch_add(1, Ordering::SeqCst);
-    });
-    // The stalled worker was waited for (borrowed job: abandonment would
-    // be unsound), so its slice still ran exactly once.
-    for (tid, h) in hits.iter().enumerate() {
-        assert_eq!(h.load(Ordering::SeqCst), 1, "tid {tid}");
-    }
-    let events = pool.take_events();
-    assert!(events.iter().any(|e| matches!(e, PoolEvent::SlowWorker { tid: 2, .. })), "{events:?}");
-}
-
-#[test]
-fn pool_heartbeats_advance_for_healthy_workers() {
-    let mut pool = test_pool(4);
-    let before = pool.heartbeats();
-    pool.run(|_tid| {});
-    let after = pool.heartbeats();
-    for tid in 1..4 {
-        assert!(
-            after[tid - 1] >= before[tid - 1] + 2,
-            "worker {tid} heartbeat must advance (pickup + completion)"
-        );
-    }
-}
-
-#[test]
-fn par_executor_survives_worker_death_mid_spmv() {
-    // End-to-end through a real executor: kill a worker during a
-    // parallel CSR SpMV; the result must still be bit-identical and the
-    // plan reusable. Uses the env-independent pool inside ParCsr, so the
-    // deadline is the default — the takeover happens within ~1 s.
-    let coo = irregular(200, 150, 21);
-    let csr: Csr<u32, f64> = coo.to_csr();
-    let x = x_for(150);
-    let mut y_serial = vec![0.0; 200];
-    csr.spmv(&x, &mut y_serial);
-    let mut par = spmv_parallel::ParCsr::new(&csr, 4);
-    let armed = FaultPlan::new().inject(FaultSite::worker(0, 2), FaultAction::ExitThread).arm();
-    let mut y = vec![0.0; 200];
-    use spmv_parallel::ParSpMv;
-    par.par_spmv(&x, &mut y);
-    assert_eq!(armed.fired_count(), 1);
-    assert_eq!(y, y_serial, "takeover must reproduce the serial result");
-    drop(armed);
-    let mut y2 = vec![0.0; 200];
-    par.par_spmv(&x, &mut y2);
-    assert_eq!(y2, y_serial, "plan reusable after worker death");
-}
-
-#[test]
-fn spmspv_bucket_plan_survives_worker_death_in_every_phase() {
-    // The bucket plan issues four dispatches per call (count, scatter,
-    // accumulate, gather); each slice is documented idempotent, so a
-    // worker death in any phase must recover bit-identically. Dispatch
-    // ids on a fresh pool are 0..4, which lets the plan target phases.
-    use spmv_core::spmspv::SpMSpV;
-    use spmv_core::{Csc, SparseVec};
-    use spmv_parallel::ParSpMSpV;
-    let coo = irregular(180, 140, 33);
-    let csr: Csr<u32, f64> = coo.to_csr();
-    let csc = Csc::from_csr(&csr).unwrap();
-    let ind: Vec<u32> = (0..140).step_by(4).collect();
-    let val: Vec<f64> = ind.iter().map(|&i| 0.5 + (i % 5) as f64).collect();
-    let x = SparseVec::new(140, ind, val).unwrap();
-    let reference = csc.spmspv(&x).unwrap();
-    for phase in 0..4u64 {
-        let mut plan = ParSpMSpV::new(&csc, 4);
-        let armed =
-            FaultPlan::new().inject(FaultSite::worker(phase, 2), FaultAction::ExitThread).arm();
-        let got = plan.spmspv(&x).expect("recovered call succeeds");
-        assert_eq!(armed.fired_count(), 1, "phase {phase}");
-        assert_eq!(got, reference, "phase {phase}: takeover must be bit-identical");
-        let events = plan.take_events();
-        assert!(
-            events.iter().any(|e| matches!(e, PoolEvent::WorkerDied { tid: 2, .. })),
-            "phase {phase}: {events:?}"
-        );
-        drop(armed);
-        // Reusability: a healthy follow-up on the same plan (the dead
-        // worker is respawned at its next dispatch).
-        assert_eq!(plan.spmspv(&x).unwrap(), reference, "phase {phase}: reuse");
-    }
-}
-
-#[test]
-fn spmspv_masked_plan_survives_worker_death() {
-    use spmv_core::spmspv::SpMSpV;
-    use spmv_core::SparseVec;
-    use spmv_parallel::ParMaskedSpMSpV;
-    let coo = irregular(180, 140, 34);
-    let csr: Csr<u32, f64> = coo.to_csr();
-    let ind: Vec<u32> = (0..140).step_by(3).collect();
-    let val: Vec<f64> = ind.iter().map(|&i| 1.0 + (i % 3) as f64 * 0.5).collect();
-    let x = SparseVec::new(140, ind, val).unwrap();
-    let reference = csr.spmspv(&x).unwrap();
-    for phase in 0..2u64 {
-        let mut plan = ParMaskedSpMSpV::new(&csr, 4);
-        let armed =
-            FaultPlan::new().inject(FaultSite::worker(phase, 1), FaultAction::ExitThread).arm();
-        let got = plan.spmspv(&x).expect("recovered call succeeds");
-        assert_eq!(armed.fired_count(), 1, "phase {phase}");
-        assert_eq!(got, reference, "phase {phase}: takeover must be bit-identical");
-        drop(armed);
-        assert_eq!(plan.spmspv(&x).unwrap(), reference, "phase {phase}: reuse");
     }
 }

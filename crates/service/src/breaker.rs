@@ -17,6 +17,7 @@
 //! Driven only by the single dispatcher thread, so it needs no interior
 //! mutability; time is passed in, so tests are deterministic.
 
+use crate::shard::FAR_FUTURE;
 use std::time::{Duration, Instant};
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -41,13 +42,14 @@ pub struct CircuitBreaker {
 
 impl CircuitBreaker {
     /// A closed breaker that trips after `trip_after` consecutive faults
-    /// and stays open for `cooldown` before probing.
+    /// and stays open for `cooldown` before probing. A cooldown too long
+    /// for an `Instant` (`Duration::MAX`) means "never probe".
     pub fn new(trip_after: u32, cooldown: Duration) -> CircuitBreaker {
         CircuitBreaker {
             state: State::Closed,
             consecutive_faults: 0,
             trip_after: trip_after.max(1),
-            cooldown,
+            cooldown: cooldown.min(FAR_FUTURE),
             trips: 0,
         }
     }
@@ -145,6 +147,16 @@ mod tests {
         assert_eq!(b.trips(), 2);
         assert!(!b.allow_parallel(probe_at + Duration::from_millis(99)), "fresh cooldown");
         assert!(b.allow_parallel(probe_at + Duration::from_millis(100)));
+    }
+
+    #[test]
+    fn unbounded_cooldown_trips_and_stays_open() {
+        let t0 = Instant::now();
+        let mut b = CircuitBreaker::new(1, Duration::MAX);
+        assert!(b.record_fault(t0), "trips without overflowing its reopen instant");
+        assert!(b.is_open());
+        assert!(!b.allow_parallel(t0 + Duration::from_secs(10 * 365 * 24 * 60 * 60)));
+        assert!(b.is_open());
     }
 
     #[test]

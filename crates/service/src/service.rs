@@ -22,7 +22,8 @@ use crate::error::ServiceError;
 use crate::registry::MatrixId;
 use crate::registry::Registry;
 use crate::shard::{
-    bump_shard, lock, spawn_shard, spawn_supervisor, sweep_evicting, ServiceInner, ShardShared,
+    bump_shard, lock, spawn_shard, spawn_supervisor, sweep_evicting, worst_healthy_batch,
+    ServiceInner, ShardShared, FAR_FUTURE,
 };
 use crate::stats::{ServiceStats, StatsInner, MAX_BATCH};
 use spmv_core::csr_du::{CsrDu, DuOptions};
@@ -540,6 +541,11 @@ impl SpmvService {
         }
 
         let now = Instant::now();
+        // Worked out before any counter or quota is touched. Both spans
+        // are capped at `FAR_FUTURE`, so neither instant can overflow and
+        // a budget of `Duration::MAX` reads as "no deadline".
+        let expires = now + budget.min(FAR_FUTURE);
+        let backstop = expires + self.reply_grace();
         let reply = Arc::new(ReplySlot::new());
         let sh = &self.inner.shards[m.shard];
         {
@@ -582,7 +588,7 @@ impl SpmvService {
                     tenant: req.tenant,
                     x: Arc::new(req.x),
                     enqueued: now,
-                    expires: now + budget,
+                    expires,
                     reply: Arc::clone(&reply),
                 }),
             );
@@ -597,7 +603,7 @@ impl SpmvService {
         // hang even if the whole dispatch layer is wedged: past the
         // grace window the client publishes `DeadlineExceeded` itself
         // (publish-once keeps the accounting single-entry either way).
-        match reply.wait_until(now + budget + self.reply_grace()) {
+        match reply.wait_until(backstop) {
             Some(r) => r,
             None => {
                 reply.publish_with(
@@ -616,10 +622,7 @@ impl SpmvService {
     /// fires: enough for every retry to blow the full watchdog deadline
     /// plus backoff, with margin for scheduling noise.
     fn reply_grace(&self) -> Duration {
-        let cfg = &self.inner.cfg;
-        cfg.max_exec_deadline * (cfg.max_retries + 2)
-            + cfg.max_backoff * (cfg.max_retries + 1)
-            + Duration::from_secs(5)
+        worst_healthy_batch(&self.inner.cfg).saturating_add(Duration::from_secs(5)).min(FAR_FUTURE)
     }
 
     /// Registers a matrix on the **live** service. The matrix is

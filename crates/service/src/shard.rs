@@ -164,15 +164,25 @@ pub(crate) fn bump_shard(
     }
 }
 
+/// The longest span the service adds to an `Instant`. A longer budget,
+/// grace or cooldown (`Duration::MAX` included) means "never" and is
+/// capped here, so every deadline instant stays representable.
+pub(crate) const FAR_FUTURE: Duration = Duration::from_secs(100 * 365 * 24 * 60 * 60);
+
+/// The worst healthy batch: every retry blowing the full watchdog
+/// deadline, plus the backoff between them. Saturating, because
+/// `max_retries: u32::MAX` is a legal "retry until the deadline".
+pub(crate) fn worst_healthy_batch(cfg: &ServiceConfig) -> Duration {
+    cfg.max_exec_deadline
+        .saturating_mul(cfg.max_retries.saturating_add(2))
+        .saturating_add(cfg.max_backoff.saturating_mul(cfg.max_retries.saturating_add(1)))
+}
+
 /// A stalled heartbeat only counts as a stall past this threshold: the
-/// configured grace, but never tighter than the worst healthy batch
-/// (every retry blowing the full watchdog deadline plus backoff) —
+/// configured grace, but never tighter than the worst healthy batch —
 /// a slow-but-legal batch must not look like a wedge.
 pub(crate) fn stall_threshold(cfg: &ServiceConfig) -> Duration {
-    let exec_bound = cfg.max_exec_deadline * (cfg.max_retries + 2)
-        + cfg.max_backoff * (cfg.max_retries + 1)
-        + Duration::from_millis(250);
-    cfg.stall_grace.max(exec_bound)
+    cfg.stall_grace.max(worst_healthy_batch(cfg).saturating_add(Duration::from_millis(250)))
 }
 
 pub(crate) fn spawn_shard(inner: &Arc<ServiceInner>, idx: usize, my_inc: u64) -> JoinHandle<()> {
@@ -590,7 +600,7 @@ pub(crate) fn spawn_supervisor(
 fn supervisor_loop(inner: &Arc<ServiceInner>, mut handles: Vec<Option<JoinHandle<()>>>) {
     let nshards = inner.shards.len();
     let mut failures = vec![0u32; nshards];
-    let stall_ms = stall_threshold(&inner.cfg).as_millis() as u64;
+    let stall_ms = u64::try_from(stall_threshold(&inner.cfg).as_millis()).unwrap_or(u64::MAX);
     let interval = inner.cfg.supervise_interval.max(Duration::from_millis(1));
     loop {
         std::thread::sleep(interval);
@@ -694,6 +704,14 @@ mod tests {
             let r = self.chunk_rows(chunk);
             self.0.spmm_rows_local_isa(Isa::Scalar, r.start, r.end, x, k, out);
         }
+    }
+
+    #[test]
+    fn unbounded_retries_saturate_the_stall_threshold() {
+        // `u32::MAX` retries is a legal config: the supervisor's threshold
+        // must grow with it, neither overflowing nor wrapping short.
+        let cfg = ServiceConfig { max_retries: u32::MAX, ..ServiceConfig::default() };
+        assert!(stall_threshold(&cfg) >= cfg.max_exec_deadline * u32::MAX);
     }
 
     #[test]

@@ -513,3 +513,49 @@ fn failfast_policy_retries_and_still_completes_on_healthy_pool() {
     assert_eq!(resp.y, want);
     assert_eq!(resp.attempts, 1, "healthy pool needs no retries");
 }
+
+#[test]
+fn unbounded_deadline_serves_and_releases_its_quota_slot() {
+    // `Duration::MAX` is past any `Instant`: it must read as "no
+    // deadline", and each request must give its tenant's quota slot back.
+    // One more such request than the default quota, then a normal one.
+    let coo = irregular(90, 70, 31);
+    let csr: Csr<u32, f64> = coo.to_csr();
+    let svc = ServiceBuilder::new(calm_config())
+        .register_matrix("m", Arc::new(CsrChunks::new(Arc::new(csr.clone()), 4)))
+        .start();
+    let n = TenantLimits::default().max_inflight + 1;
+    for i in 0..n {
+        let x = x_for(70, i);
+        let mut want = vec![0.0f64; 90];
+        csr.spmv(&x, &mut want);
+        let r = Request { deadline: Some(Duration::MAX), ..req("m", "t", x) };
+        let resp = svc.submit(r).unwrap_or_else(|e| panic!("request {i}: {e}"));
+        assert_eq!(resp.y, want, "request {i}");
+    }
+    svc.submit(req("m", "t", x_for(70, 0))).expect("no quota slot leaked");
+    let stats = svc.shutdown();
+    let total = n as u64 + 1;
+    assert_eq!((stats.submitted, stats.admitted, stats.completed), (total, total, total));
+    assert_eq!(stats.submitted, stats.admitted + stats.shed_overload + stats.shed_quota);
+    assert_eq!(stats.admitted, stats.completed + stats.deadline_expired + stats.failed);
+}
+
+#[test]
+fn unbounded_retries_serve_and_shut_down_cleanly() {
+    // `max_retries: u32::MAX` means "retry until the batch deadline"; the
+    // client backstop and the supervisor scale their slack with it.
+    let coo = irregular(90, 80, 37);
+    let csr: Csr<u32, f64> = coo.to_csr();
+    let cfg = ServiceConfig { max_retries: u32::MAX, ..calm_config() };
+    let svc = ServiceBuilder::new(cfg)
+        .register_matrix("m", Arc::new(CsrChunks::new(Arc::new(csr.clone()), 4)))
+        .start();
+    let x = x_for(80, 2);
+    let mut want = vec![0.0f64; 90];
+    csr.spmv(&x, &mut want);
+    let resp = svc.submit(req("m", "t", x)).expect("served");
+    assert_eq!(resp.y, want);
+    let stats = svc.shutdown();
+    assert_eq!((stats.submitted, stats.completed), (1, 1));
+}

@@ -12,6 +12,9 @@ cargo fmt --all -- --check
 echo "== cargo clippy (workspace, warnings are errors) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "== cargo clippy --all-features (code behind fault-injection and telemetry) =="
+cargo clippy --workspace --all-targets --all-features -- -D warnings
+
 echo "== cargo build --release =="
 cargo build --release
 
@@ -31,14 +34,14 @@ for ex in quickstart cg_solver compression_report scaling_study mtx_tool; do
 done
 
 echo "== fault-smoke (scripted fault recovery matrix) =="
-# Deterministic injected panics/stalls/deaths/corruption through both
-# parallel layers; every recovery must be bit-identical to serial.
+# Deterministic injected panics/stalls/deaths/corruption through the
+# supervised executor; every recovery must be bit-identical to serial.
 cargo test -q -p spmv-parallel --features fault-injection
 
 echo "== tier-1 under a 5 ms watchdog deadline =="
 # An aggressively low deadline forces spurious stall triage on this
-# single-CPU host; it may only cause (correct) serial recovery — any
-# wrong result or error fails the gate.
+# 2-CPU host; it may only cause (correct) serial recovery — any wrong
+# result or error fails the gate.
 SPMV_WATCHDOG_MS=5 cargo test -q --test fault_tolerance
 
 echo "== telemetry feature matrix =="
@@ -159,6 +162,18 @@ echo "== fuzz-smoke (deterministic, fixed seed) =="
 # 12k mutated inputs per parser (io container, MatrixMarket, ctl stream);
 # any panic fails the gate. Reproducible: same seed -> same inputs.
 cargo run -q --release -p spmv-fuzz -- --seed 3203334144 --iters 12000
+
+echo "== paper-oracle (paper tables byte-identical to results/) =="
+# The full-scale paper harness (Tables II-IV, Figs. 7-8, the CSR-DU
+# ablation) is deterministic: seeded corpus generation plus the memsim
+# model, no wall-clock input. Every table must match its committed JSON
+# byte for byte; a change meant to move them regenerates results/ and
+# reproduce_output.txt with `reproduce --out results all`.
+rm -rf target/paper-oracle
+cargo run -q --release -p spmv-bench --bin reproduce -- --out target/paper-oracle all > /dev/null
+for table in table2 table3 table4 fig7 fig8 ablation-du; do
+    cmp "results/$table.json" "target/paper-oracle/$table.json"
+done
 
 echo "== perfbench-smoke (benchmark self-tests, tiny scale) =="
 # The benchmark package's own tests: a tiny-scale run of every workload,
