@@ -178,8 +178,37 @@ pub(super) fn to_csr<V: Scalar>(du: &CsrDu<V>) -> Result<Csr<u32, V>> {
     Csr::from_raw_parts(du.nrows(), du.ncols(), row_ptr, col_ind, du.values().to_vec())
 }
 
+/// The part of a unit header that [`splits`] needs: the row step, the
+/// length and where the next unit starts.
+struct Header {
+    new_row: bool,
+    row_jmp: usize,
+    len: usize,
+    end: usize,
+}
+
+/// Reads the header of the unit at `pos` and skips its body: the column
+/// jump varint is stepped over by its continuation bits and the `len - 1`
+/// stored deltas without decoding them.
+#[inline(always)]
+fn read_header(ctl: &[u8], pos: usize) -> Header {
+    let uflags = ctl[pos];
+    let len = ctl[pos + 1] as usize;
+    let mut end = pos + 2;
+    let new_row = uflags & FLAG_NEW_ROW != 0;
+    let row_jmp =
+        if new_row && uflags & FLAG_ROW_JMP != 0 { read_varint(ctl, &mut end) as usize } else { 0 };
+    while ctl[end] & 0x80 != 0 {
+        end += 1;
+    }
+    end += 1 + len.saturating_sub(1) * UnitType::from_flags(uflags).delta_bytes();
+    Header { new_row, row_jmp, len, end }
+}
+
 /// Computes up to `nparts` nnz-balanced splits, cutting only where the next
-/// unit starts a new row.
+/// unit starts a new row. Walks unit headers only — a split needs rows and
+/// value offsets, never columns — and reads the next unit's header in
+/// full only where it cuts.
 pub(super) fn splits<V: Scalar>(du: &CsrDu<V>, nparts: usize) -> Vec<DuSplit> {
     assert!(nparts >= 1, "need at least one part");
     let total_nnz = du.nnz();
@@ -197,49 +226,54 @@ pub(super) fn splits<V: Scalar>(du: &CsrDu<V>, nparts: usize) -> Vec<DuSplit> {
         return out;
     }
 
-    let units: Vec<Unit> = du.cursor().collect();
+    let ctl = du.ctl();
     let mut part_start_ctl = 0usize;
     let mut part_start_val = 0usize;
     let mut part_start_row = 0usize;
     // Stream head decodes from virtual row -1.
     let mut part_wrap_base = usize::MAX;
-    let mut nnz_seen = 0usize;
     let mut part = 0usize;
+    let mut target = total_nnz / nparts;
+    // Position, row (wrapping) and first value offset of the current unit.
+    let mut pos = 0usize;
+    let mut row = usize::MAX;
+    let mut val = 0usize;
 
-    for (i, unit) in units.iter().enumerate() {
-        nnz_seen += unit.len;
-        let target = (part + 1) * total_nnz / nparts;
-        let next = units.get(i + 1);
-        let at_end = next.is_none();
-        let cuttable = next.map(|n| n.new_row).unwrap_or(true);
-        if at_end || (nnz_seen >= target && cuttable && part + 1 < nparts) {
-            let (row_end, next_base) = match next {
-                Some(n) => {
-                    // The next part's first unit advances by 1 + row_jmp
-                    // from the baseline, so pick the baseline that lands it
-                    // on its true row.
-                    (n.row, n.row.wrapping_sub(1 + n.row_jmp as usize))
-                }
-                None => (du.nrows(), 0),
+    while pos < ctl.len() {
+        let unit = read_header(ctl, pos);
+        if unit.new_row {
+            row = row.wrapping_add(1 + unit.row_jmp);
+        }
+        let val_end = val + unit.len;
+        let at_end = unit.end >= ctl.len();
+        let cuttable = at_end || ctl[unit.end] & FLAG_NEW_ROW != 0;
+        if at_end || (val_end >= target && cuttable && part + 1 < nparts) {
+            let (row_end, next_base) = if at_end {
+                (du.nrows(), 0)
+            } else {
+                // The next part's first unit advances by 1 + row_jmp from
+                // its baseline, so this unit's row is the baseline that
+                // lands it on its true row.
+                (row.wrapping_add(1 + read_header(ctl, unit.end).row_jmp), row)
             };
             out.push(DuSplit {
-                ctl_range: part_start_ctl..unit.ctl_end,
+                ctl_range: part_start_ctl..unit.end,
                 val_start: part_start_val,
                 row_start: part_start_row,
                 row_end,
                 row_wrap_base: part_wrap_base,
-                nnz: unit.val_offset + unit.len - part_start_val,
+                nnz: val_end - part_start_val,
                 stream_id: du.stream_id,
             });
-            part_start_ctl = unit.ctl_end;
-            part_start_val = unit.val_offset + unit.len;
+            part_start_ctl = unit.end;
+            part_start_val = val_end;
             part_start_row = row_end;
             part_wrap_base = next_base;
             part += 1;
+            target = (part + 1) * total_nnz / nparts;
         }
-        if at_end {
-            break;
-        }
+        pos = unit.end;
+        val = val_end;
     }
     out
 }

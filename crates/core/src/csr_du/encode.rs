@@ -144,16 +144,19 @@ impl CtlBuilder {
     }
 }
 
-/// Encodes `csr` into the CSR-DU byte stream.
-pub(super) fn encode<I: SpIndex, V: Scalar>(csr: &Csr<I, V>, opts: &DuOptions) -> CsrDu<V> {
+/// Encodes the structure of `csr` into the CSR-DU ctl stream. The result
+/// holds no values: [`CsrDu::from_csr`] attaches a copy of the CSR's, and
+/// CSR-DU-VI stores its own value table instead.
+pub(super) fn encode_ctl<I: SpIndex, V: Scalar>(csr: &Csr<I, V>, opts: &DuOptions) -> CsrDu<V> {
     assert!(opts.max_unit >= 1 && opts.max_unit <= 255, "max_unit must be in 1..=255");
     assert!(opts.min_seq >= 2, "a sequential run needs at least 2 elements");
 
     let mut b = CtlBuilder::new(csr.nnz());
     let mut pending_empty_rows: u64 = 0;
 
+    let (row_ptr, col_ind) = (csr.row_ptr(), csr.col_ind());
     for row in 0..csr.nrows() {
-        let cols: Vec<usize> = csr.row_iter(row).map(|(c, _)| c).collect();
+        let cols = &col_ind[row_ptr[row].index()..row_ptr[row + 1].index()];
         if cols.is_empty() {
             pending_empty_rows += 1;
             continue;
@@ -167,14 +170,14 @@ pub(super) fn encode<I: SpIndex, V: Scalar>(csr: &Csr<I, V>, opts: &DuOptions) -
         let mut new_row = true;
 
         while idx < cols.len() {
-            let jmp = (cols[idx] - prev_col) as u64;
+            let jmp = (cols[idx].index() - prev_col) as u64;
             let row_jmp = if new_row { std::mem::take(&mut pending_empty_rows) } else { 0 };
 
             if opts.enable_seq {
                 // Greedy sequential-run detection starting at idx.
                 let mut run = 1usize;
                 while idx + run < cols.len()
-                    && cols[idx + run] == cols[idx + run - 1] + 1
+                    && cols[idx + run].index() == cols[idx + run - 1].index() + 1
                     && run < opts.max_unit
                 {
                     run += 1;
@@ -186,7 +189,7 @@ pub(super) fn encode<I: SpIndex, V: Scalar>(csr: &Csr<I, V>, opts: &DuOptions) -
                         b.deltas.push(1);
                     }
                     b.finalize();
-                    prev_col = cols[idx + run - 1];
+                    prev_col = cols[idx + run - 1].index();
                     idx += run;
                     new_row = false;
                     continue;
@@ -195,12 +198,12 @@ pub(super) fn encode<I: SpIndex, V: Scalar>(csr: &Csr<I, V>, opts: &DuOptions) -
 
             // General delta unit.
             b.open_unit(jmp, new_row, row_jmp);
-            prev_col = cols[idx];
+            prev_col = cols[idx].index();
             idx += 1;
             new_row = false;
 
             while idx < cols.len() && b.len() < opts.max_unit {
-                let d = (cols[idx] - prev_col) as u64;
+                let d = (cols[idx].index() - prev_col) as u64;
                 let need = UnitType::for_delta(d as usize);
                 if need.delta_bytes() > b.unit_type.delta_bytes() {
                     if b.len() >= opts.widen_threshold {
@@ -214,7 +217,7 @@ pub(super) fn encode<I: SpIndex, V: Scalar>(csr: &Csr<I, V>, opts: &DuOptions) -
                     // run is emitted as SEQ.
                     let mut run = 1usize;
                     while idx + run < cols.len()
-                        && cols[idx + run] == cols[idx + run - 1] + 1
+                        && cols[idx + run].index() == cols[idx + run - 1].index() + 1
                         && run < opts.min_seq
                     {
                         run += 1;
@@ -224,7 +227,7 @@ pub(super) fn encode<I: SpIndex, V: Scalar>(csr: &Csr<I, V>, opts: &DuOptions) -
                     }
                 }
                 b.deltas.push(d);
-                prev_col = cols[idx];
+                prev_col = cols[idx].index();
                 idx += 1;
             }
             b.finalize();
@@ -238,8 +241,8 @@ pub(super) fn encode<I: SpIndex, V: Scalar>(csr: &Csr<I, V>, opts: &DuOptions) -
         nrows: csr.nrows(),
         ncols: csr.ncols(),
         nnz: csr.nnz(),
-        ctl: b.ctl,
-        values: csr.values().to_vec(),
+        ctl: std::sync::Arc::new(b.ctl),
+        values: Vec::new(),
         units,
         stream_id: super::next_stream_id(),
     }

@@ -48,6 +48,7 @@ use crate::index::SpIndex;
 use crate::scalar::Scalar;
 use crate::spmv::{FormatKind, SpMv};
 use crate::stats::SizeReport;
+use std::sync::Arc;
 
 /// Bit in `uflags` marking that the unit starts a new row.
 pub const FLAG_NEW_ROW: u8 = 0x80;
@@ -130,7 +131,10 @@ pub struct CsrDu<V: Scalar = f64> {
     nrows: usize,
     ncols: usize,
     nnz: usize,
-    ctl: Vec<u8>,
+    /// Shared by clones and by the CSR-DU-VI assembled from this matrix
+    /// ([`crate::csr_duvi::CsrDuVi::from_du_vi`]): the stream is never
+    /// written after the encode.
+    ctl: Arc<Vec<u8>>,
     values: Vec<V>,
     units: usize,
     /// Identity of this ctl stream (shared by clones), stamped into every
@@ -164,7 +168,25 @@ impl<V: Scalar> CsrDu<V> {
     /// Encodes a CSR matrix into CSR-DU. The construction is `O(nnz)`: one
     /// scan of the matrix, exactly as the paper requires (§IV).
     pub fn from_csr<I: SpIndex>(csr: &Csr<I, V>, opts: &DuOptions) -> CsrDu<V> {
-        encode::encode(csr, opts)
+        encode::encode_ctl(csr, opts).with_values(csr.values().to_vec())
+    }
+
+    /// The ctl stream of `csr` alone, with an empty value array: the
+    /// structure half of CSR-DU-VI, which stores its values as a table.
+    pub(crate) fn structure_from_csr<I: SpIndex>(csr: &Csr<I, V>, opts: &DuOptions) -> CsrDu<V> {
+        encode::encode_ctl(csr, opts)
+    }
+
+    /// This matrix's structure: its ctl stream, shared, with an empty
+    /// value array and a stream identity of its own — what
+    /// [`CsrDu::structure_from_csr`] would encode from the same CSR.
+    pub(crate) fn structure(&self) -> CsrDu<V> {
+        CsrDu {
+            values: Vec::new(),
+            stream_id: next_stream_id(),
+            ctl: Arc::clone(&self.ctl),
+            ..*self
+        }
     }
 
     /// Rebuilds a CSR-DU matrix from an *untrusted* ctl stream and value
@@ -183,7 +205,15 @@ impl<V: Scalar> CsrDu<V> {
                 values.len()
             )));
         }
-        Ok(CsrDu { nrows, ncols, nnz, ctl, values, units, stream_id: next_stream_id() })
+        Ok(CsrDu {
+            nrows,
+            ncols,
+            nnz,
+            ctl: Arc::new(ctl),
+            values,
+            units,
+            stream_id: next_stream_id(),
+        })
     }
 
     /// Number of rows.
@@ -206,8 +236,6 @@ impl<V: Scalar> CsrDu<V> {
         &self.ctl
     }
 
-    /// Drops the value array, keeping only structure (used by the combined
-    /// CSR-DU-VI format, which stores values separately).
     /// Re-walks the ctl stream with full bounds checks, returning
     /// `(nnz, units)`. Shared by [`SpMv::validate`] here and in the
     /// combined DU-VI format, whose inner `CsrDu` carries no values.
@@ -215,12 +243,7 @@ impl<V: Scalar> CsrDu<V> {
         validate::validate_ctl(&self.ctl, self.nrows, self.ncols)
     }
 
-    pub(crate) fn without_values(mut self) -> CsrDu<V> {
-        self.values = Vec::new();
-        self
-    }
-
-    /// Re-attaches a value array (inverse of [`CsrDu::without_values`]).
+    /// Attaches a value array to a structure-only matrix.
     pub(crate) fn with_values(mut self, values: Vec<V>) -> CsrDu<V> {
         debug_assert_eq!(values.len(), self.nnz);
         self.values = values;

@@ -316,3 +316,192 @@ fn stats_totals_consistent() {
     assert!((s.avg_unit_len() - 16.0 / 6.0).abs() < 1e-12);
     assert_eq!(s.u8_fraction(), 1.0);
 }
+
+// ---------------------------------------------------------------------
+// Header-only splits against the cursor walk
+// ---------------------------------------------------------------------
+
+/// The split walk `splits` replaced, kept as its reference: every unit
+/// decoded through [`DuCursor`], with the same cut rule. `stream_id` is
+/// the identity the splits are stamped with.
+fn cursor_splits(
+    ctl: &[u8],
+    nrows: usize,
+    total_nnz: usize,
+    stream_id: u64,
+    nparts: usize,
+) -> Vec<DuSplit> {
+    if total_nnz == 0 {
+        return vec![DuSplit {
+            ctl_range: 0..0,
+            val_start: 0,
+            row_start: 0,
+            row_end: nrows,
+            row_wrap_base: usize::MAX,
+            nnz: 0,
+            stream_id,
+        }];
+    }
+    let units: Vec<Unit> = DuCursor::new(ctl).collect();
+    let mut out = Vec::new();
+    let (mut part_start_ctl, mut part_start_val, mut part_start_row) = (0, 0, 0);
+    let mut part_wrap_base = usize::MAX;
+    let (mut nnz_seen, mut part) = (0, 0);
+    for (i, unit) in units.iter().enumerate() {
+        nnz_seen += unit.len;
+        let target = (part + 1) * total_nnz / nparts;
+        let next = units.get(i + 1);
+        let cuttable = next.map(|n| n.new_row).unwrap_or(true);
+        if next.is_none() || (nnz_seen >= target && cuttable && part + 1 < nparts) {
+            let (row_end, next_base) = match next {
+                Some(n) => (n.row, n.row.wrapping_sub(1 + n.row_jmp as usize)),
+                None => (nrows, 0),
+            };
+            out.push(DuSplit {
+                ctl_range: part_start_ctl..unit.ctl_end,
+                val_start: part_start_val,
+                row_start: part_start_row,
+                row_end,
+                row_wrap_base: part_wrap_base,
+                nnz: unit.val_offset + unit.len - part_start_val,
+                stream_id,
+            });
+            part_start_ctl = unit.ctl_end;
+            part_start_val = unit.val_offset + unit.len;
+            part_start_row = row_end;
+            part_wrap_base = next_base;
+            part += 1;
+        }
+    }
+    out
+}
+
+/// Matrices covering every path of the split walk and of both value
+/// builders: empty-row runs leading, interior (one long enough for a
+/// two-byte row-jump varint) and trailing; u16 and u32 deltas; rows
+/// longer than a unit, so some units do not start a row; SEQ units;
+/// repeated values, NaN payloads and both signed zeros; and the
+/// degenerate 1×1, 0-nnz and 0-row shapes.
+fn split_shapes() -> Vec<(&'static str, Csr<u32, f64>, DuOptions)> {
+    let value = |r: usize, c: usize| match (r + c) % 7 {
+        0 => -0.0,
+        1 => 0.0,
+        2 => f64::from_bits(0x7FF8_0000_0000_0000 | (r * 31 + c) as u64),
+        k => k as f64 * 0.5,
+    };
+    let coo = |nrows, ncols, cells: Vec<(usize, usize)>| {
+        let t = cells.into_iter().map(|(r, c)| (r, c, value(r, c)));
+        Coo::from_triplets(nrows, ncols, t).unwrap().to_csr()
+    };
+
+    let mut empty_runs = Vec::new();
+    for r in (3..40).chain(240..390) {
+        for j in 0..(1 + r % 5) {
+            empty_runs.push((r, (r * 7 + j * 13) % 500));
+        }
+    }
+    empty_runs.sort_unstable();
+    empty_runs.dedup();
+
+    let mut wide = Vec::new();
+    for r in 0..60 {
+        wide.extend((0..4).map(|j| (r, j * 300 + r)));
+        wide.extend((0..3).map(|j| (r, 2_000 + j * 100_000 + r)));
+    }
+
+    let mut long_rows = Vec::new();
+    for r in 0..12 {
+        if r % 4 != 1 {
+            long_rows.extend((0..(100 + r * 60)).map(|j| (r, j * 2 + r % 2)));
+        }
+    }
+
+    let mut runs = Vec::new();
+    for r in 0..80 {
+        runs.extend((0..(10 + r % 20)).map(|j| (r, r + j)));
+        runs.extend([(r, 200 + r * 3), (r, 700 + r)]);
+    }
+
+    vec![
+        ("empty-row runs", coo(400, 500, empty_runs), DuOptions::default()),
+        ("u16/u32 deltas", coo(60, 400_000, wide.clone()), DuOptions::default()),
+        ("long rows", coo(12, 1_600, long_rows), DuOptions::default()),
+        ("seq units", coo(80, 900, runs), DuOptions::with_seq()),
+        ("seq units, wide", coo(60, 400_000, wide), DuOptions::with_seq()),
+        ("1x1", coo(1, 1, vec![(0, 0)]), DuOptions::default()),
+        ("0-nnz", coo(5, 5, Vec::new()), DuOptions::default()),
+        ("0-row", coo(0, 7, Vec::new()), DuOptions::default()),
+    ]
+}
+
+#[test]
+fn split_shapes_reach_every_walk_path() {
+    let shapes = split_shapes();
+    let du = |name: &str| {
+        let (_, csr, opts) = shapes.iter().find(|(n, _, _)| *n == name).unwrap();
+        CsrDu::from_csr(csr, opts)
+    };
+    let units = |name: &str| du(name).cursor().collect::<Vec<Unit>>();
+    let jumps = units("empty-row runs");
+    assert_eq!(jumps[0].row_jmp, 3, "leading empty rows");
+    assert!(jumps.iter().any(|u| u.row_jmp >= 128), "two-byte row-jump varint");
+    assert!(du("empty-row runs").nrows() > jumps.last().unwrap().row + 1, "trailing empty rows");
+    let types: Vec<UnitType> = units("u16/u32 deltas").iter().map(|u| u.utype).collect();
+    assert!(types.contains(&UnitType::U16) && types.contains(&UnitType::U32));
+    assert!(units("long rows").iter().any(|u| !u.new_row), "units inside a row");
+    assert!(units("seq units").iter().any(|u| u.utype == UnitType::Seq));
+}
+
+#[test]
+fn header_splits_equal_the_cursor_walk() {
+    for (name, csr, opts) in split_shapes() {
+        let du = CsrDu::from_csr(&csr, &opts);
+        let duvi = crate::csr_duvi::CsrDuVi::from_csr(&csr, &opts);
+        // A DU-VI split carries its own matrix's stream identity.
+        let duvi_stream = duvi.splits(1)[0].stream_id;
+        for n in (1..=16).chain([du.units() + 1, du.units() + 9]) {
+            assert_eq!(
+                du.splits(n),
+                cursor_splits(du.ctl(), du.nrows(), du.nnz(), du.stream_id, n),
+                "{name}: CSR-DU, n = {n}"
+            );
+            assert_eq!(
+                duvi.splits(n),
+                cursor_splits(duvi.ctl(), duvi.nrows(), duvi.nnz(), duvi_stream, n),
+                "{name}: CSR-DU-VI, n = {n}"
+            );
+        }
+    }
+}
+
+#[test]
+fn duvi_from_parts_equals_the_direct_encode() {
+    use crate::csr_duvi::CsrDuVi;
+    use crate::csr_vi::CsrVi;
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    for (name, csr, opts) in split_shapes() {
+        let direct = CsrDuVi::from_csr(&csr, &opts);
+        let parts = CsrDuVi::from_du_vi(&CsrDu::from_csr(&csr, &opts), &CsrVi::from_csr(&csr));
+        assert_eq!(parts.ctl(), direct.ctl(), "{name}: ctl");
+        assert_eq!(parts.units(), direct.units(), "{name}: units");
+        assert_eq!(bits(parts.vals_unique()), bits(direct.vals_unique()), "{name}: table bits");
+        assert_eq!(parts.val_ind(), direct.val_ind(), "{name}: ids");
+        assert_eq!(
+            (parts.nrows(), parts.ncols(), parts.nnz()),
+            (direct.nrows(), direct.ncols(), direct.nnz()),
+            "{name}: shape"
+        );
+        assert!(parts.validate().is_ok(), "{name}: assembled matrix validates");
+    }
+}
+
+#[test]
+#[should_panic(expected = "encode different matrices")]
+fn duvi_from_parts_rejects_mismatched_encodings() {
+    let a = paper_matrix().to_csr();
+    let b = Coo::from_triplets(6, 6, vec![(0usize, 0usize, 1.0f64)]).unwrap().to_csr();
+    let _ = crate::csr_duvi::CsrDuVi::from_du_vi(
+        &CsrDu::from_csr(&a, &DuOptions::default()),
+        &crate::csr_vi::CsrVi::from_csr(&b),
+    );
+}

@@ -10,12 +10,13 @@
 
 use crate::csr::Csr;
 use crate::csr_du::{CsrDu, DuOptions, DuSplit};
-use crate::csr_vi::ValInd;
+use crate::csr_vi::{CsrVi, ValInd};
 use crate::error::Result;
 use crate::index::SpIndex;
 use crate::scalar::Scalar;
 use crate::spmv::{FormatKind, SpMv};
 use crate::stats::SizeReport;
+use std::sync::Arc;
 
 /// A sparse matrix with delta-unit structure compression and value
 /// indirection.
@@ -23,7 +24,7 @@ use crate::stats::SizeReport;
 pub struct CsrDuVi<V: Scalar = f64> {
     du: CsrDu<V>, // `values` inside is EMPTY; kept for ctl + dims + splits
     vals_unique: Vec<V>,
-    val_ind: ValInd,
+    val_ind: Arc<ValInd>,
     nnz: usize,
 }
 
@@ -32,10 +33,37 @@ impl<V: Scalar> CsrDuVi<V> {
     /// uses the same canonical-bit-pattern rules as CSR-VI (NaNs collapse
     /// to one table slot; `-0.0`/`+0.0` stay distinct).
     pub fn from_csr<I: SpIndex>(csr: &Csr<I, V>, opts: &DuOptions) -> CsrDuVi<V> {
-        let du = CsrDu::from_csr(csr, opts);
         let (vals_unique, val_ind) = crate::csr_vi::build::dedup_values(csr.values());
-        let nnz = csr.nnz();
-        CsrDuVi { du: du.without_values(), vals_unique, val_ind, nnz }
+        let du = CsrDu::structure_from_csr(csr, opts);
+        CsrDuVi { du, vals_unique, val_ind: Arc::new(val_ind), nnz: csr.nnz() }
+    }
+
+    /// Assembles the combined format from a CSR-DU encoding and a CSR-VI
+    /// encoding of the same matrix instead of encoding either again: it
+    /// shares the ctl stream of one and the value ids of the other (both
+    /// are immutable) and copies the value table. Built from the same CSR
+    /// (with the same `opts` for `du`), the result equals
+    /// [`CsrDuVi::from_csr`].
+    ///
+    /// # Panics
+    /// If the two encodings differ in shape or non-zero count.
+    pub fn from_du_vi<I: SpIndex>(du: &CsrDu<V>, vi: &CsrVi<I, V>) -> CsrDuVi<V> {
+        assert!(
+            (du.nrows(), du.ncols(), du.nnz()) == (vi.nrows(), vi.ncols(), vi.nnz()),
+            "CSR-DU ({}x{}, {} nnz) and CSR-VI ({}x{}, {} nnz) encode different matrices",
+            du.nrows(),
+            du.ncols(),
+            du.nnz(),
+            vi.nrows(),
+            vi.ncols(),
+            vi.nnz()
+        );
+        CsrDuVi {
+            du: du.structure(),
+            vals_unique: vi.vals_unique().to_vec(),
+            val_ind: vi.shared_val_ind(),
+            nnz: du.nnz(),
+        }
     }
 
     /// Number of rows.
@@ -231,7 +259,7 @@ impl<V: Scalar> CsrDuVi<V> {
         if pal.len() > i32::MAX as usize {
             return None;
         }
-        Some(match &self.val_ind {
+        Some(match &*self.val_ind {
             ValInd::U8(ind) => ValSrc::Pal8(pal, ind),
             ValInd::U16(ind) => ValSrc::Pal16(pal, ind),
             ValInd::U32(ind) => ValSrc::Pal32(pal, ind),
@@ -306,7 +334,7 @@ impl<V: Scalar> CsrDuVi<V> {
         }
         let _ = isa;
         let vals = &self.vals_unique[..];
-        match &self.val_ind {
+        match &*self.val_ind {
             ValInd::U8(ind) => crate::csr_du::spmv_ctl_range(
                 self.du.ctl(),
                 #[inline(always)]
@@ -461,7 +489,7 @@ impl<V: Scalar> CsrDuVi<V> {
         }
         let _ = isa;
         let vals = &self.vals_unique[..];
-        match &self.val_ind {
+        match &*self.val_ind {
             ValInd::U8(ind) => with_row_acc!(k, acc => crate::csr_du::spmm_ctl_range(
                 self.du.ctl(),
                 #[inline(always)]

@@ -27,6 +27,7 @@ use crate::index::SpIndex;
 use crate::scalar::Scalar;
 use crate::spmv::{FormatKind, SpMv};
 use crate::stats::SizeReport;
+use std::sync::Arc;
 
 /// The paper's empirical applicability threshold for CSR-VI (§VI-E).
 pub const TTU_THRESHOLD: f64 = 5.0;
@@ -104,7 +105,10 @@ pub struct CsrVi<I: SpIndex = u32, V: Scalar = f64> {
     row_ptr: Vec<I>,
     col_ind: Vec<I>,
     vals_unique: Vec<V>,
-    val_ind: ValInd,
+    /// Shared with the CSR-DU-VI assembled from this matrix
+    /// ([`crate::csr_duvi::CsrDuVi::from_du_vi`]); never written after
+    /// the build.
+    val_ind: Arc<ValInd>,
 }
 
 impl<I: SpIndex, V: Scalar> CsrVi<I, V> {
@@ -145,7 +149,7 @@ impl<I: SpIndex, V: Scalar> CsrVi<I, V> {
             }
         }
         let (row_ptr, col_ind) = (csr.row_ptr().to_vec(), csr.col_ind().to_vec());
-        Ok(CsrVi { nrows, ncols, row_ptr, col_ind, vals_unique, val_ind })
+        Ok(CsrVi { nrows, ncols, row_ptr, col_ind, vals_unique, val_ind: Arc::new(val_ind) })
     }
 
     /// Number of rows.
@@ -181,6 +185,11 @@ impl<I: SpIndex, V: Scalar> CsrVi<I, V> {
     /// The per-element value indices.
     pub fn val_ind(&self) -> &ValInd {
         &self.val_ind
+    }
+
+    /// The value indices as shared with [`crate::csr_duvi::CsrDuVi`].
+    pub(crate) fn shared_val_ind(&self) -> Arc<ValInd> {
+        Arc::clone(&self.val_ind)
     }
 
     /// Number of unique values (`uv`).

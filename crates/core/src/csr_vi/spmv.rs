@@ -65,7 +65,7 @@ pub(super) fn spmv_rows<I: SpIndex, V: Scalar>(
         }
     }
     let _ = isa;
-    match &m.val_ind {
+    match &*m.val_ind {
         ValInd::U8(ind) => {
             kernel(&m.row_ptr, &m.col_ind, &m.vals_unique, ind, row_begin, row_end, y_base, x, y)
         }
@@ -141,7 +141,7 @@ pub(super) fn spmm_rows<I: SpIndex, V: Scalar>(
         }
     }
     let _ = isa;
-    match &m.val_ind {
+    match &*m.val_ind {
         ValInd::U8(ind) => with_row_acc!(k, acc => kernel_mm(
             &m.row_ptr, &m.col_ind, &m.vals_unique, ind, row_begin, row_end, y_base, x, k, y,
             &mut acc,

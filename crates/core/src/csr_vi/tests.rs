@@ -196,3 +196,99 @@ fn nan_spmv_still_propagates() {
     assert!(y[0].is_nan());
     assert_eq!(y[1], 3.0);
 }
+
+// ---------------------------------------------------------------------
+// Dedup on hostile and boundary inputs
+// ---------------------------------------------------------------------
+
+/// `values` deduplicated, with the reference ids every element must get:
+/// its value's first-occurrence rank (NaNs sharing one slot).
+fn dedup_with_ranks(values: &[f64]) -> (Vec<f64>, ValInd, Vec<usize>) {
+    let mut seen: std::collections::HashMap<u64, usize> = std::collections::HashMap::new();
+    let canonical = |v: f64| if v.is_nan() { f64::NAN.to_bits() } else { v.to_bits() };
+    let ranks = values
+        .iter()
+        .map(|&v| {
+            let next = seen.len();
+            *seen.entry(canonical(v)).or_insert(next)
+        })
+        .collect();
+    let (table, ind) = build::dedup_values(values);
+    (table, ind, ranks)
+}
+
+#[test]
+fn id_width_turns_at_65_536_distinct_values() {
+    for (distinct, width) in [(65_536usize, 2usize), (65_537, 4)] {
+        // Every value twice, the second pass in reverse order.
+        let values: Vec<f64> =
+            (0..distinct).chain((0..distinct).rev()).map(|i| i as f64 * 0.25 - 7.0).collect();
+        let (table, ind, ranks) = dedup_with_ranks(&values);
+        assert_eq!(table.len(), distinct);
+        assert_eq!(ind.width_bytes(), width, "{distinct} distinct values");
+        assert!((0..values.len()).all(|j| ind.get(j) == ranks[j]), "{distinct}: ids");
+    }
+}
+
+#[test]
+fn distinct_integers_dedup_in_first_occurrence_order() {
+    // Integer-valued f64s carry all their information in the high bits;
+    // a hash that does not fold them into the low bits the table indexes
+    // by turns this fraction of a second into minutes.
+    let n = 200_000u64;
+    let scrambled = |i: u64| ((i * 7_919) % n) as f64;
+    let values: Vec<f64> =
+        (0..n).map(scrambled).chain((0..n).map(|i| (n - 1 - i) as f64)).collect();
+    let (table, ind, ranks) = dedup_with_ranks(&values);
+    assert_eq!(table.len(), n as usize);
+    assert!(table.iter().enumerate().all(|(i, &v)| v == scrambled(i as u64)), "table order");
+    assert_eq!(ind.width_bytes(), 4);
+    assert!((0..values.len()).all(|j| ind.get(j) == ranks[j]), "ids");
+}
+
+#[test]
+fn keyed_fold_spreads_integer_values_over_the_low_bits() {
+    // The table indexes by the low bits of the hash: 2^16 integer-valued
+    // f64s (all-zero low mantissa bits) must land on most of the 2^16
+    // low-16-bit buckets, for any key. A uniform hash fills 1 - 1/e of
+    // them; a multiply-only hash fills one.
+    use std::hash::BuildHasher;
+    let hasher = build::KeyedFold::new();
+    let mut hit = vec![false; 1 << 16];
+    for i in 0..1u64 << 16 {
+        hit[(hasher.hash_one((i as f64).to_bits()) & 0xffff) as usize] = true;
+    }
+    let filled = hit.iter().filter(|&&h| h).count();
+    assert!(filled > 30_000, "only {filled} of 65536 low-bit buckets used");
+}
+
+#[test]
+fn nan_runs_with_different_payloads_share_one_slot() {
+    // Runs of NaNs, each element with its own payload, between runs of
+    // real values: the run skipping must not split or duplicate the slot.
+    let nan = |p: u64| f64::from_bits(0x7FF8_0000_0000_0000 | p);
+    let mut values = Vec::new();
+    for run in 0..50u64 {
+        values.extend((0..(1 + run % 9)).map(|i| nan(run * 100 + i + 1)));
+        values.extend([1.5, 1.5, -2.0]);
+        values.push(f64::from_bits(0xFFF0_0000_0000_0001 + run)); // negative signalling NaNs
+    }
+    let (table, ind, ranks) = dedup_with_ranks(&values);
+    assert_eq!(table.len(), 3, "one NaN slot and two real values");
+    assert!(table[0].is_nan());
+    assert!((0..values.len()).all(|j| ind.get(j) == ranks[j]), "ids");
+}
+
+#[test]
+fn alternating_signed_zero_runs_keep_two_slots() {
+    let mut values = Vec::new();
+    for run in 0..40usize {
+        let z = if run % 2 == 0 { -0.0 } else { 0.0 };
+        values.resize(values.len() + 1 + run % 6, z);
+    }
+    let (table, ind, ranks) = dedup_with_ranks(&values);
+    assert_eq!(table.len(), 2);
+    assert!(table[0].is_sign_negative() && table[1].is_sign_positive());
+    assert!((0..values.len()).all(|j| ind.get(j) == ranks[j]), "ids");
+    assert!((0..values.len()).all(|j| table[ind.get(j)].to_bits() == values[j].to_bits()));
+}

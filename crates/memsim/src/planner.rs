@@ -56,10 +56,10 @@
 //! the ranked candidate of the fastest format at that thread count,
 //! with that entry's predictions. The trial reuses the encodings the
 //! costing already built, so a cold plan still counts three encodes,
-//! but it holds them all until it has decided (about 95 MB on a
-//! 5.4M-nnz matrix) and adds about 0.3 s to that matrix's cold plan at
+//! but it holds them all until it has decided (about 86 MB on a
+//! 5.4M-nnz matrix) and adds about 0.2 s to that matrix's cold plan at
 //! 2 threads on a 2-vCPU host: sixteen calls of 4–10 ms, four pool
-//! spawns, and about 75 ms per CSR-DU-based executor to split its ctl
+//! spawns, and about 7 ms per CSR-DU-based executor to split its ctl
 //! stream. A model pick
 //! of CSR runs no trial: CSR has the fewest cycles per nnz in the model,
 //! so choosing it assumes nothing about bandwidth the host could refute.
@@ -69,6 +69,17 @@
 //! stored decision. [`PlannerConfig::default`] leaves the trial off, so
 //! the paper reproduction plans the modeled machine deterministically;
 //! the serving layer turns it on.
+//!
+//! ## Each format built once
+//!
+//! A cold analysis encodes CSR-DU and CSR-VI and assembles the CSR-DU-VI
+//! candidate from them ([`CsrDuVi::from_du_vi`]: it shares the CSR-DU
+//! ctl stream and the CSR-VI value ids), which counts as its encode.
+//! [`Planner::plan_kernel`] then serves the plan with the encoding the
+//! trial kept for the picked format, so a cold registration encodes no
+//! format twice. A CSR pick wraps the CSR itself; a cache hit, or an
+//! analysis with the trial off, encodes the planned format once more,
+//! uncounted in [`PlanCacheStats::encodes`].
 //!
 //! ## Interaction with overrides
 //!
@@ -96,7 +107,7 @@
 use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::path::Path;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use spmv_core::csr_du::{CsrDu, DuOptions};
@@ -104,7 +115,10 @@ use spmv_core::csr_duvi::CsrDuVi;
 use spmv_core::csr_vi::CsrVi;
 use spmv_core::io::{fingerprint_csr, Fingerprint};
 use spmv_core::{Csr, FormatKind, SparseError};
-use spmv_parallel::{ParCsr, ParCsrDu, ParCsrDuVi, ParCsrVi, ParSpMv};
+use spmv_parallel::{
+    ChunkKernel, CsrChunks, CsrDuChunks, CsrDuViChunks, CsrViChunks, ParCsr, ParCsrDu, ParCsrDuVi,
+    ParCsrVi, ParSpMv,
+};
 
 use crate::cost::{CostModel, FormatCost};
 use crate::placement::Placement;
@@ -323,6 +337,40 @@ impl Planner {
         m: &Csr<u32, f64>,
         fp: Fingerprint,
     ) -> Result<Plan, SparseError> {
+        self.plan_keeping(m, fp).map(|(plan, _)| plan)
+    }
+
+    /// Plans `m` and builds the chunk kernel that serves the plan: the
+    /// planned format's encoding in its chunk adapter, cut into
+    /// [`Plan::chunks`] chunks. A cold plan whose host trial kept the
+    /// candidate encodings hands over the one it picked, so the matrix is
+    /// encoded once per format; a cache hit, or an analysis with the
+    /// trial off, encodes the planned format here, and that encode is not
+    /// counted in [`PlanCacheStats::encodes`]. A CSR plan wraps `m`
+    /// itself. The plan's thread count informs chunking only: the
+    /// executor that runs the kernel sizes its own pool.
+    pub fn plan_kernel(
+        &self,
+        m: &Arc<Csr<u32, f64>>,
+    ) -> Result<(Plan, Arc<dyn ChunkKernel<f64>>), SparseError> {
+        let (plan, picked) = self.plan_keeping(m, fingerprint_csr(m))?;
+        let enc = match picked {
+            Some(enc) => enc,
+            None => encode_format(m, plan.format)?,
+        };
+        let kernel = enc.into_kernel(m, plan.chunks.max(1));
+        Ok((plan, kernel))
+    }
+
+    /// The cache lookup behind every `plan_*` entry point. Cache hits
+    /// return the stored decision; a miss runs the analysis and also
+    /// returns the encoding of the planned format when the analysis kept
+    /// its candidates for the host trial.
+    fn plan_keeping<'m>(
+        &self,
+        m: &'m Csr<u32, f64>,
+        fp: Fingerprint,
+    ) -> Result<(Plan, Option<Encoded<'m>>), SparseError> {
         {
             let mut inner = self.lock();
             let cached = match inner.cache.get(&fp.crc) {
@@ -337,11 +385,11 @@ impl Planner {
             };
             if let Some(plan) = cached {
                 inner.stats.hits += 1;
-                return Ok(plan);
+                return Ok((plan, None));
             }
             inner.stats.misses += 1;
         }
-        let plan = self.analyze(m, fp)?;
+        let (plan, picked) = self.analyze(m, fp)?;
         let mut inner = self.lock();
         inner.cache.insert(
             fp.crc,
@@ -357,17 +405,22 @@ impl Planner {
                 measured: None,
             },
         );
-        Ok(plan)
+        Ok((plan, picked))
     }
 
     /// Full analysis: profile, encode candidates, predict, rank, and —
     /// with the host trial on and a compressed model pick — time them.
-    fn analyze(&self, m: &Csr<u32, f64>, fp: Fingerprint) -> Result<Plan, SparseError> {
+    /// With the trial on, the planned format's encoding comes back too.
+    fn analyze<'m>(
+        &self,
+        m: &'m Csr<u32, f64>,
+        fp: Fingerprint,
+    ) -> Result<(Plan, Option<Encoded<'m>>), SparseError> {
         // Degenerate matrices (0 rows / 0 nnz) have no per-nnz cost — the
         // FormatCost constructors reject them by design. Serial CSR is
         // the only sensible plan and costs nothing to "execute".
         if m.nrows() == 0 || m.nnz() == 0 {
-            return Ok(Plan {
+            let plan = Plan {
                 fingerprint: fp,
                 format: FormatKind::Csr,
                 threads: 1,
@@ -379,7 +432,8 @@ impl Planner {
                 cache_hit: false,
                 ranking: Vec::new(),
                 measured: None,
-            });
+            };
+            return Ok((plan, None));
         }
 
         let profile = MatrixProfile::from_csr(m);
@@ -399,9 +453,9 @@ impl Planner {
         }
 
         let mut ranking: Vec<(usize, RankedChoice, usize)> = Vec::new();
-        let mut kept: Vec<(FormatKind, Encoded<'_>)> = Vec::new();
+        let mut built: Vec<(FormatKind, Encoded<'_>)> = Vec::new();
         for (order, &kind) in self.cfg.formats.iter().enumerate() {
-            let enc = self.encode(m, kind)?;
+            let enc = self.encode(m, kind, &built)?;
             let fc = enc.cost(&self.cfg.sim.cost)?;
             let bytes = fc.stream_bytes + fc.resident_bytes;
             for &t in &threads {
@@ -418,10 +472,10 @@ impl Planner {
                     bytes,
                 ));
             }
-            if self.cfg.host_trial {
-                kept.push((kind, enc));
-            }
+            built.push((kind, enc));
         }
+        // Only the trial needs the encodings once they are costed.
+        let kept = if self.cfg.host_trial { built } else { Vec::new() };
         // Total order: NaN sorts after every real time (and so never
         // wins), ties prefer fewer threads, then candidate-list order.
         ranking.sort_by(|(ao, a, _), (bo, b, _)| {
@@ -443,7 +497,8 @@ impl Planner {
             pick = trial_pick(&ranking, t, &times).unwrap_or(0);
         }
         let best = ranking[pick].clone();
-        Ok(Plan {
+        let picked = kept.into_iter().find(|(kind, _)| *kind == best.format).map(|(_, enc)| enc);
+        let plan = Plan {
             fingerprint: fp,
             format: best.format,
             threads: best.threads,
@@ -455,29 +510,31 @@ impl Planner {
             cache_hit: false,
             ranking,
             measured: None,
-        })
+        };
+        Ok((plan, picked))
     }
 
     /// Encodes one candidate format, counting the encode (CSR is free:
-    /// the input already is one).
+    /// the input already is one). CSR-DU-VI is assembled from the CSR-DU
+    /// and CSR-VI encodings when both are among the candidates `built`
+    /// so far; the assembly counts as its encode.
     fn encode<'m>(
         &self,
         m: &'m Csr<u32, f64>,
         kind: FormatKind,
+        built: &[(FormatKind, Encoded<'m>)],
     ) -> Result<Encoded<'m>, SparseError> {
-        let enc = match kind {
-            FormatKind::Csr => return Ok(Encoded::Csr(m)),
-            FormatKind::CsrDu => Encoded::Du(CsrDu::from_csr(m, &DuOptions::default())),
-            FormatKind::CsrVi => Encoded::Vi(CsrVi::from_csr(m)),
-            FormatKind::CsrDuVi => Encoded::DuVi(CsrDuVi::from_csr(m, &DuOptions::default())),
-            other => {
-                return Err(SparseError::InvalidArgument(format!(
-                    "planner does not model format {}",
-                    other.name()
-                )))
-            }
+        let du =
+            built.iter().find_map(|(_, e)| if let Encoded::Du(du) = e { Some(du) } else { None });
+        let vi =
+            built.iter().find_map(|(_, e)| if let Encoded::Vi(vi) = e { Some(vi) } else { None });
+        let enc = match (kind, du, vi) {
+            (FormatKind::CsrDuVi, Some(du), Some(vi)) => Encoded::DuVi(CsrDuVi::from_du_vi(du, vi)),
+            _ => encode_format(m, kind)?,
         };
-        self.lock().stats.encodes += 1;
+        if kind != FormatKind::Csr {
+            self.lock().stats.encodes += 1;
+        }
         Ok(enc)
     }
 
@@ -581,8 +638,25 @@ impl Planner {
     }
 }
 
+/// Encodes `m` into `kind`, one of the four formats the planner models
+/// (CSR is the input itself).
+fn encode_format(m: &Csr<u32, f64>, kind: FormatKind) -> Result<Encoded<'_>, SparseError> {
+    Ok(match kind {
+        FormatKind::Csr => Encoded::Csr(m),
+        FormatKind::CsrDu => Encoded::Du(CsrDu::from_csr(m, &DuOptions::default())),
+        FormatKind::CsrVi => Encoded::Vi(CsrVi::from_csr(m)),
+        FormatKind::CsrDuVi => Encoded::DuVi(CsrDuVi::from_csr(m, &DuOptions::default())),
+        other => {
+            return Err(SparseError::InvalidArgument(format!(
+                "planner does not model format {}",
+                other.name()
+            )))
+        }
+    })
+}
+
 /// One candidate format's matrix, encoded for costing and kept for the
-/// host trial.
+/// host trial; the planned one goes on to serve.
 enum Encoded<'m> {
     Csr(&'m Csr<u32, f64>),
     Du(CsrDu<f64>),
@@ -618,6 +692,17 @@ impl Encoded<'_> {
                 t.elapsed().as_secs_f64()
             })
             .fold(f64::INFINITY, f64::min)
+    }
+
+    /// The format's chunk adapter over this encoding, cut into `chunks`
+    /// nnz-balanced chunks; CSR wraps `m`, of which it is a borrow.
+    fn into_kernel(self, m: &Arc<Csr<u32, f64>>, chunks: usize) -> Arc<dyn ChunkKernel<f64>> {
+        match self {
+            Encoded::Csr(_) => Arc::new(CsrChunks::new(Arc::clone(m), chunks)),
+            Encoded::Du(du) => Arc::new(CsrDuChunks::new(Arc::new(du), chunks)),
+            Encoded::Vi(vi) => Arc::new(CsrViChunks::new(Arc::new(vi), chunks)),
+            Encoded::DuVi(duvi) => Arc::new(CsrDuViChunks::new(Arc::new(duvi), chunks)),
+        }
     }
 }
 
@@ -912,6 +997,29 @@ mod tests {
         );
         let s = p.stats();
         assert_eq!((s.hits, s.misses, s.encodes), (1, 1, 3));
+    }
+
+    #[test]
+    fn plan_kernel_serves_the_kept_encoding_without_encoding_again() {
+        // Cold: the kernel is the trial's own encoding, so the plan counts
+        // its three candidate encodes and nothing more. Warm: the cache
+        // hit builds the kernel uncounted. Both compute what CSR does.
+        let m = Arc::new(banded(20_000));
+        let x: Vec<f64> = (0..m.ncols()).map(|i| (i % 7) as f64 - 3.0).collect();
+        let mut want = vec![0.0; m.nrows()];
+        spmv_core::SpMv::spmv(&*m, &x, &mut want);
+        let p = Planner::new(two_thread_config(true));
+        for (round, hit) in [(0, false), (1, true)] {
+            let (plan, kernel) = p.plan_kernel(&m).expect("plannable");
+            assert_eq!(plan.cache_hit, hit, "round {round}");
+            assert_eq!(kernel.nchunks(), plan.chunks, "round {round}");
+            let mut y = vec![f64::NAN; m.nrows()];
+            spmv_parallel::assemble_chunks(&*kernel, 1, &mut y, |chunk, out| {
+                kernel.compute_block(chunk, &x, 1, out)
+            });
+            assert_eq!(y, want, "round {round}: {:?}", plan.format);
+            assert_eq!(p.stats().encodes, 3, "round {round}");
+        }
     }
 
     #[test]

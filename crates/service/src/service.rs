@@ -26,15 +26,9 @@ use crate::shard::{
     ServiceInner, ShardShared, FAR_FUTURE,
 };
 use crate::stats::{ServiceStats, StatsInner, MAX_BATCH};
-use spmv_core::csr_du::{CsrDu, DuOptions};
-use spmv_core::csr_duvi::CsrDuVi;
-use spmv_core::csr_vi::CsrVi;
-use spmv_core::{Csr, FormatKind, SparseError};
+use spmv_core::{Csr, SparseError};
 use spmv_memsim::{Plan, PlanCacheStats, Planner, PlannerConfig};
-use spmv_parallel::{
-    watchdog_deadline, watchdog_deadline_checked, ChunkKernel, CsrChunks, CsrDuChunks,
-    CsrDuViChunks, CsrViChunks, RecoveryPolicy,
-};
+use spmv_parallel::{watchdog_deadline, watchdog_deadline_checked, ChunkKernel, RecoveryPolicy};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
@@ -353,35 +347,6 @@ fn service_planner(config: &ServiceConfig) -> Arc<Planner> {
     Arc::new(Planner::new(pc))
 }
 
-/// Encodes `m` into the plan's chosen format and wraps it in the
-/// matching chunk adapter at the plan's partition granularity. The
-/// plan's thread count informs chunking only — pool sizing stays
-/// [`ServiceConfig::threads`], which the planner's candidates were
-/// already clamped to.
-fn planned_kernel(
-    plan: &Plan,
-    m: &Arc<Csr<u32, f64>>,
-) -> Result<Arc<dyn ChunkKernel<f64>>, SparseError> {
-    let chunks = plan.chunks.max(1);
-    Ok(match plan.format {
-        FormatKind::Csr => Arc::new(CsrChunks::new(Arc::clone(m), chunks)),
-        FormatKind::CsrDu => {
-            Arc::new(CsrDuChunks::new(Arc::new(CsrDu::from_csr(m, &DuOptions::default())), chunks))
-        }
-        FormatKind::CsrVi => Arc::new(CsrViChunks::new(Arc::new(CsrVi::from_csr(m)), chunks)),
-        FormatKind::CsrDuVi => Arc::new(CsrDuViChunks::new(
-            Arc::new(CsrDuVi::from_csr(m, &DuOptions::default())),
-            chunks,
-        )),
-        other => {
-            return Err(SparseError::InvalidArgument(format!(
-                "no chunk adapter for planned format {}",
-                other.name()
-            )))
-        }
-    })
-}
-
 impl ServiceBuilder {
     pub fn new(config: ServiceConfig) -> ServiceBuilder {
         let planner = service_planner(&config);
@@ -418,8 +383,7 @@ impl ServiceBuilder {
         name: impl Into<String>,
         m: Arc<Csr<u32, f64>>,
     ) -> Result<(ServiceBuilder, Plan), ServiceError> {
-        let plan = self.planner.plan_csr(&m).map_err(ServiceError::PlanningFailed)?;
-        let kernel = planned_kernel(&plan, &m).map_err(ServiceError::PlanningFailed)?;
+        let (plan, kernel) = self.planner.plan_kernel(&m).map_err(ServiceError::PlanningFailed)?;
         self = self.register_matrix(name, kernel);
         Ok((self, plan))
     }
@@ -665,8 +629,8 @@ impl SpmvService {
         if self.inner.registry.lookup(&name).is_some() {
             return Err(ServiceError::AlreadyRegistered(name));
         }
-        let plan = self.inner.planner.plan_csr(&m).map_err(ServiceError::PlanningFailed)?;
-        let kernel = planned_kernel(&plan, &m).map_err(ServiceError::PlanningFailed)?;
+        let (plan, kernel) =
+            self.inner.planner.plan_kernel(&m).map_err(ServiceError::PlanningFailed)?;
         self.register(name, kernel)?;
         Ok(plan)
     }
@@ -806,7 +770,10 @@ impl SpmvService {
         // Drain phase: wait for every queue and in-flight batch to
         // clear (the supervisor keeps recovering dying shards
         // throughout, so a mid-drain death does not strand its work).
-        let deadline = Instant::now() + drain;
+        // The budget is capped at `FAR_FUTURE`, as in `submit`, so an
+        // unbounded one cannot overflow the instant and leave the threads
+        // running.
+        let deadline = Instant::now() + drain.min(FAR_FUTURE);
         loop {
             let busy = self
                 .inner

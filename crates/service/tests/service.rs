@@ -559,3 +559,44 @@ fn unbounded_retries_serve_and_shut_down_cleanly() {
     let stats = svc.shutdown();
     assert_eq!((stats.submitted, stats.completed), (1, 1));
 }
+
+/// Serves one request on a fresh service over an irregular matrix and
+/// returns the service.
+fn serve_one(cfg: ServiceConfig) -> SpmvService {
+    let csr: Csr<u32, f64> = irregular(90, 60, 43).to_csr();
+    let svc = ServiceBuilder::new(cfg)
+        .register_matrix("m", Arc::new(CsrChunks::new(Arc::new(csr.clone()), 4)))
+        .start();
+    let x = x_for(60, 5);
+    let mut want = vec![0.0f64; 90];
+    csr.spmv(&x, &mut want);
+    assert_eq!(svc.submit(req("m", "t", x)).expect("served").y, want);
+    svc
+}
+
+fn assert_one_served(stats: &spmv_service::ServiceStats) {
+    assert_eq!((stats.submitted, stats.admitted, stats.completed), (1, 1, 1));
+    assert_eq!(stats.submitted, stats.admitted + stats.shed_overload + stats.shed_quota);
+    assert_eq!(stats.admitted, stats.completed + stats.deadline_expired + stats.failed);
+}
+
+#[test]
+fn unbounded_drain_budget_shuts_down_and_returns() {
+    // `Duration::MAX` is past any `Instant`: the drain must read it as
+    // "wait until the queues are empty", then stop the threads.
+    let stats = serve_one(calm_config()).shutdown_within(Duration::MAX);
+    assert_one_served(&stats);
+
+    let svc = Arc::new(serve_one(calm_config()));
+    svc.begin_shutdown(Duration::MAX);
+    assert_one_served(&svc.stats());
+    assert!(matches!(svc.submit(req("m", "t", x_for(60, 1))), Err(ServiceError::ShuttingDown)));
+}
+
+#[test]
+fn unbounded_drain_deadline_drops_cleanly() {
+    // The same budget from the config, reached through `Drop`.
+    let svc = serve_one(ServiceConfig { drain_deadline: Duration::MAX, ..calm_config() });
+    assert_one_served(&svc.stats());
+    drop(svc);
+}

@@ -24,6 +24,14 @@ cargo test -q
 echo "== cargo test --workspace =="
 cargo test --workspace -q
 
+echo "== proptest-seeds (format properties on two more fixed streams) =="
+# The vendored proptest stub mixes PROPTEST_SEED into each test's
+# name-derived seed, so these runs draw cases the default run never
+# does; a failing case's message names the seed that replays it.
+for seed in 1 2; do
+    PROPTEST_SEED=$seed cargo test -q --test proptest_formats
+done
+
 echo "== examples-smoke (every example runs to completion) =="
 # Clippy above only compiles the examples. Running them checks what
 # they assert: quickstart's bit-identical CSR/CSR-DU/CSR-VI and
