@@ -166,15 +166,36 @@ fn next_stream_id() -> u64 {
 
 impl<V: Scalar> CsrDu<V> {
     /// Encodes a CSR matrix into CSR-DU. The construction is `O(nnz)`: one
-    /// scan of the matrix, exactly as the paper requires (§IV).
+    /// scan of the matrix, exactly as the paper requires (§IV). From
+    /// [`crate::PARALLEL_ENCODE_MIN_NNZ`] non-zeros on, the scan and the
+    /// value copy are split into nnz-balanced row ranges, one per
+    /// available CPU; the encoding is the same bytes either way.
     pub fn from_csr<I: SpIndex>(csr: &Csr<I, V>, opts: &DuOptions) -> CsrDu<V> {
-        encode::encode_ctl(csr, opts).with_values(csr.values().to_vec())
+        Self::from_csr_in_parts(csr, opts, crate::encode_parts::for_nnz(csr.nnz()))
     }
 
-    /// The ctl stream of `csr` alone, with an empty value array: the
-    /// structure half of CSR-DU-VI, which stores its values as a table.
-    pub(crate) fn structure_from_csr<I: SpIndex>(csr: &Csr<I, V>, opts: &DuOptions) -> CsrDu<V> {
-        encode::encode_ctl(csr, opts)
+    /// [`CsrDu::from_csr`] split into exactly `parts` row ranges, whatever
+    /// the matrix size and CPU count. Every `parts` yields the same bytes;
+    /// this entry point exists so that tests can check that.
+    #[doc(hidden)]
+    pub fn from_csr_in_parts<I: SpIndex>(
+        csr: &Csr<I, V>,
+        opts: &DuOptions,
+        parts: usize,
+    ) -> CsrDu<V> {
+        encode::encode_ctl(csr, opts, parts)
+            .with_values(crate::encode_parts::copy(csr.values(), parts))
+    }
+
+    /// The ctl stream of `csr` alone, encoded in `parts` row ranges, with
+    /// an empty value array: the structure half of CSR-DU-VI, which stores
+    /// its values as a table.
+    pub(crate) fn structure_from_csr<I: SpIndex>(
+        csr: &Csr<I, V>,
+        opts: &DuOptions,
+        parts: usize,
+    ) -> CsrDu<V> {
+        encode::encode_ctl(csr, opts, parts)
     }
 
     /// This matrix's structure: its ctl stream, shared, with an empty

@@ -7,6 +7,12 @@
 //! table of CSR-VI replaces the value array. For matrices that are both
 //! structurally regular and value-redundant this compounds the working-set
 //! reduction.
+//!
+//! Construction runs the CSR-VI value dedup and the CSR-DU ctl encode, one
+//! after the other; from [`crate::PARALLEL_ENCODE_MIN_NNZ`] non-zeros on,
+//! each splits its scan across the available CPUs and still writes the
+//! bytes its one-part scan writes. [`CsrDuVi::from_du_vi`] builds nothing:
+//! it shares the ctl stream and the ids of encodings already made.
 
 use crate::csr::Csr;
 use crate::csr_du::{CsrDu, DuOptions, DuSplit};
@@ -31,10 +37,25 @@ pub struct CsrDuVi<V: Scalar = f64> {
 impl<V: Scalar> CsrDuVi<V> {
     /// Builds the combined format from CSR. `O(nnz)`. Value deduplication
     /// uses the same canonical-bit-pattern rules as CSR-VI (NaNs collapse
-    /// to one table slot; `-0.0`/`+0.0` stay distinct).
+    /// to one table slot; `-0.0`/`+0.0` stay distinct). From
+    /// [`crate::PARALLEL_ENCODE_MIN_NNZ`] non-zeros on, the dedup and the
+    /// ctl encode each run on one range per available CPU, as in
+    /// [`CsrVi::from_csr`] and [`CsrDu::from_csr`].
     pub fn from_csr<I: SpIndex>(csr: &Csr<I, V>, opts: &DuOptions) -> CsrDuVi<V> {
-        let (vals_unique, val_ind) = crate::csr_vi::build::dedup_values(csr.values());
-        let du = CsrDu::structure_from_csr(csr, opts);
+        Self::from_csr_in_parts(csr, opts, crate::encode_parts::for_nnz(csr.nnz()))
+    }
+
+    /// [`CsrDuVi::from_csr`] split into exactly `parts` ranges, whatever
+    /// the matrix size and CPU count. Every `parts` yields the same bytes;
+    /// this entry point exists so that tests can check that.
+    #[doc(hidden)]
+    pub fn from_csr_in_parts<I: SpIndex>(
+        csr: &Csr<I, V>,
+        opts: &DuOptions,
+        parts: usize,
+    ) -> CsrDuVi<V> {
+        let (vals_unique, val_ind) = crate::csr_vi::build::dedup_values(csr.values(), parts);
+        let du = CsrDu::structure_from_csr(csr, opts, parts);
         CsrDuVi { du, vals_unique, val_ind: Arc::new(val_ind), nnz: csr.nnz() }
     }
 

@@ -1,7 +1,15 @@
 //! CSR → CSR-VI construction: hash-based value deduplication.
+//!
+//! From [`PARALLEL_ENCODE_MIN_NNZ`](crate::PARALLEL_ENCODE_MIN_NNZ)
+//! non-zeros on, the dedup and the `row_ptr`/`col_ind` copies run on
+//! near-equal ranges, one per available CPU (see `crate::encode_parts`),
+//! and produce the same table, ids and id width as one range does. Only
+//! the per-range first-occurrence tables are allocated on the workers;
+//! they are dropped before the encode returns.
 
 use super::{CsrVi, ValInd};
 use crate::csr::Csr;
+use crate::encode_parts;
 use crate::index::SpIndex;
 use crate::scalar::Scalar;
 use std::collections::HashMap;
@@ -27,11 +35,62 @@ use std::hash::{BuildHasher, Hasher};
 /// `uv` and with it the id width (§V: `uv ≤ 2^8` → u8, `≤ 2^16` → u16,
 /// else u32); the second writes every id straight at that width. The
 /// table hashes with [`KeyedFold`], keyed per call.
-pub(crate) fn dedup_values<V: Scalar>(values: &[V]) -> (Vec<V>, ValInd) {
-    let canonical_nan = V::from_f64(f64::NAN);
-    let canonical = |v: V| if v.to_f64().is_nan() { canonical_nan } else { v };
-    let mut table: HashMap<V::Bits, u32, KeyedFold> = HashMap::with_hasher(KeyedFold::new());
-    let mut vals_unique: Vec<V> = Vec::new();
+///
+/// Both passes run on `parts` near-equal ranges of `values` at once. The
+/// first builds one first-occurrence table per range; merged in range
+/// order, they give the global first-occurrence order, so the first
+/// range's table extended by each later range's new values, in order, is
+/// the one-range table. The second pass writes each range's ids into its
+/// own slice of the output.
+pub(crate) fn dedup_values<V: Scalar>(values: &[V], parts: usize) -> (Vec<V>, ValInd) {
+    let hasher = KeyedFold::new();
+    let bounds = encode_parts::even_bounds(values.len(), parts);
+    let ranges: Vec<&[V]> = bounds.windows(2).map(|w| &values[w[0]..w[1]]).collect();
+    let mut firsts =
+        encode_parts::run(ranges, |range| first_occurrences(range, hasher)).into_iter();
+    let (mut table, mut vals_unique) = firsts.next().expect("at least one range");
+    for (_, range_unique) in firsts {
+        for v in range_unique {
+            let next_id = u32::try_from(vals_unique.len())
+                .expect("more than 2^32 unique values cannot be indexed");
+            table.entry(v.to_bits()).or_insert_with(|| {
+                vals_unique.push(v);
+                next_id
+            });
+        }
+    }
+
+    // Every id is < uv, so the narrowing casts are lossless by the branch
+    // condition.
+    let uv = vals_unique.len();
+    let val_ind = if uv <= (1 << 8) {
+        ValInd::U8(ids(values, &bounds, &table, |id| id as u8))
+    } else if uv <= (1 << 16) {
+        ValInd::U16(ids(values, &bounds, &table, |id| id as u16))
+    } else {
+        ValInd::U32(ids(values, &bounds, &table, |id| id))
+    };
+    (vals_unique, val_ind)
+}
+
+/// `v`, or the one canonical NaN if `v` is a NaN of any payload.
+fn canonical<V: Scalar>(v: V) -> V {
+    if v.to_f64().is_nan() {
+        V::from_f64(f64::NAN)
+    } else {
+        v
+    }
+}
+
+/// The first-occurrence table of `values` (canonical bit pattern → id,
+/// ids in order of first occurrence) and its canonical values in that
+/// order, probing the table once per run of equal canonical values.
+fn first_occurrences<V: Scalar>(
+    values: &[V],
+    hasher: KeyedFold,
+) -> (HashMap<V::Bits, u32, KeyedFold>, Vec<V>) {
+    let mut table: HashMap<V::Bits, u32, KeyedFold> = HashMap::with_hasher(hasher);
+    let mut unique: Vec<V> = Vec::new();
     let mut prev = None;
     for &v in values {
         let v = canonical(v);
@@ -42,50 +101,58 @@ pub(crate) fn dedup_values<V: Scalar>(values: &[V]) -> (Vec<V>, ValInd) {
         prev = Some(bits);
         // Matrices with more than 2^32 distinct values are not supported
         // (they could not profit from CSR-VI anyway).
-        let next_id = u32::try_from(vals_unique.len())
-            .expect("more than 2^32 unique values cannot be indexed");
+        let next_id =
+            u32::try_from(unique.len()).expect("more than 2^32 unique values cannot be indexed");
         table.entry(bits).or_insert_with(|| {
-            vals_unique.push(v);
+            unique.push(v);
             next_id
         });
     }
-
-    // Every id is < uv, so the narrowing casts are lossless by the branch
-    // condition.
-    let uv = vals_unique.len();
-    let val_ind = if uv <= (1 << 8) {
-        ValInd::U8(ids(values, &table, canonical, |id| id as u8))
-    } else if uv <= (1 << 16) {
-        ValInd::U16(ids(values, &table, canonical, |id| id as u16))
-    } else {
-        ValInd::U32(ids(values, &table, canonical, |id| id))
-    };
-    (vals_unique, val_ind)
+    (table, unique)
 }
 
-/// The id of every element of `values`, looked up once per run of equal
-/// canonical values and stored through `narrow`.
-fn ids<V: Scalar, T: Copy>(
+/// The id of every element of `values`, stored through `narrow`. One
+/// range (`bounds` of length 2) is collected on the calling thread; more
+/// each write their ids into their own slice of an output the calling
+/// thread allocated.
+fn ids<V: Scalar, T: Copy + Default + Send>(
     values: &[V],
+    bounds: &[usize],
     table: &HashMap<V::Bits, u32, KeyedFold>,
-    canonical: impl Fn(V) -> V,
-    narrow: impl Fn(u32) -> T,
+    narrow: impl Fn(u32) -> T + Sync,
 ) -> Vec<T> {
-    let mut out = Vec::with_capacity(values.len());
+    if bounds.len() <= 2 {
+        return range_ids(values, table, &narrow).collect();
+    }
+    let mut out = vec![T::default(); values.len()];
+    let items: Vec<_> =
+        encode_parts::split_mut(&mut out, bounds).into_iter().zip(bounds.windows(2)).collect();
+    encode_parts::run(items, |(dst, w)| {
+        for (slot, id) in dst.iter_mut().zip(range_ids(&values[w[0]..w[1]], table, &narrow)) {
+            *slot = id;
+        }
+    });
+    out
+}
+
+/// The ids of `values`, looked up once per run of equal canonical values.
+fn range_ids<'a, V: Scalar, T: Copy + 'a>(
+    values: &'a [V],
+    table: &'a HashMap<V::Bits, u32, KeyedFold>,
+    narrow: &'a impl Fn(u32) -> T,
+) -> impl Iterator<Item = T> + 'a {
     let mut prev: Option<(V::Bits, T)> = None;
-    for &v in values {
+    values.iter().map(move |&v| {
         let bits = canonical(v).to_bits();
-        let id = match prev {
+        match prev {
             Some((b, id)) if b == bits => id,
             _ => {
                 let id = narrow(table[&bits]);
                 prev = Some((bits, id));
                 id
             }
-        };
-        out.push(id);
-    }
-    out
+        }
+    })
 }
 
 /// Hash builder for the dedup table: a keyed folded multiply, seeded per
@@ -163,13 +230,14 @@ impl Hasher for FoldHasher {
     }
 }
 
-pub(super) fn build<I: SpIndex, V: Scalar>(csr: &Csr<I, V>) -> CsrVi<I, V> {
-    let (vals_unique, val_ind) = dedup_values(csr.values());
+/// CSR-VI of `csr`, deduplicated and copied in `parts` ranges.
+pub(super) fn build<I: SpIndex, V: Scalar>(csr: &Csr<I, V>, parts: usize) -> CsrVi<I, V> {
+    let (vals_unique, val_ind) = dedup_values(csr.values(), parts);
     CsrVi {
         nrows: csr.nrows(),
         ncols: csr.ncols(),
-        row_ptr: csr.row_ptr().to_vec(),
-        col_ind: csr.col_ind().to_vec(),
+        row_ptr: encode_parts::copy(csr.row_ptr(), parts),
+        col_ind: encode_parts::copy(csr.col_ind(), parts),
         vals_unique,
         val_ind: std::sync::Arc::new(val_ind),
     }

@@ -113,9 +113,20 @@ pub struct CsrVi<I: SpIndex = u32, V: Scalar = f64> {
 
 impl<I: SpIndex, V: Scalar> CsrVi<I, V> {
     /// Builds CSR-VI from CSR. `O(nnz)` using a hash table over value bit
-    /// patterns, as in the paper (§V).
+    /// patterns, as in the paper (§V). From
+    /// [`crate::PARALLEL_ENCODE_MIN_NNZ`] non-zeros on, the dedup and the
+    /// copies run on one range per available CPU; the result is the same
+    /// either way.
     pub fn from_csr(csr: &Csr<I, V>) -> CsrVi<I, V> {
-        build::build(csr)
+        Self::from_csr_in_parts(csr, crate::encode_parts::for_nnz(csr.nnz()))
+    }
+
+    /// [`CsrVi::from_csr`] split into exactly `parts` ranges, whatever the
+    /// matrix size and CPU count. Every `parts` yields the same table, ids
+    /// and id width; this entry point exists so that tests can check that.
+    #[doc(hidden)]
+    pub fn from_csr_in_parts(csr: &Csr<I, V>, parts: usize) -> CsrVi<I, V> {
+        build::build(csr, parts)
     }
 
     /// Rebuilds CSR-VI from untrusted parts (e.g. a deserialized

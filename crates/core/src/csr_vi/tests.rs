@@ -213,7 +213,7 @@ fn dedup_with_ranks(values: &[f64]) -> (Vec<f64>, ValInd, Vec<usize>) {
             *seen.entry(canonical(v)).or_insert(next)
         })
         .collect();
-    let (table, ind) = build::dedup_values(values);
+    let (table, ind) = build::dedup_values(values, 1);
     (table, ind, ranks)
 }
 

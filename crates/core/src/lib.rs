@@ -68,6 +68,7 @@ pub mod dcsr;
 pub mod dense;
 pub mod dia;
 pub mod ell;
+mod encode_parts;
 pub mod error;
 pub mod examples;
 pub mod hyb;
@@ -89,6 +90,7 @@ pub use coo::Coo;
 pub use csc::Csc;
 pub use csr::Csr;
 pub use dense::Dense;
+pub use encode_parts::PARALLEL_ENCODE_MIN_NNZ;
 pub use error::SparseError;
 pub use index::SpIndex;
 pub use io::{fingerprint_csr, read_fingerprint, Fingerprint, LoadLimits};

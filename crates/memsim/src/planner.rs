@@ -103,27 +103,23 @@
 //! A cold analysis encodes CSR-DU and CSR-VI and assembles the CSR-DU-VI
 //! candidate from them ([`CsrDuVi::from_du_vi`]: it shares the CSR-DU
 //! ctl stream and the CSR-VI value ids), which counts as its encode.
-//! [`Planner::plan_kernel`] then serves the plan with the encoding the
-//! trial kept for the picked format, so a cold registration encodes no
-//! format twice. A CSR plan wraps the CSR itself; a cache hit, or an
-//! analysis with the trial off, encodes the planned format once more,
-//! uncounted in [`PlanCacheStats::encodes`].
-//!
-//! From about a million non-zeros (`CONCURRENT_ENCODE_MIN_NNZ`, 2^20)
-//! the two encodes run at once: CSR-DU and the [`MatrixProfile`] on a
-//! scoped thread, CSR-VI on the calling thread. Rankings, plans and
-//! counters are the same as with one thread. Below the threshold
-//! everything runs on the calling thread, as small matrices gain a few
-//! milliseconds at most and a second thread's glibc arena would raise
-//! their resident memory.
+//! Once the candidates are ranked (and, with the trial on, timed), the
+//! analysis keeps the picked format's encoding and drops the others, and
+//! [`Planner::plan_kernel`] serves the plan with that encoding, so a cold
+//! registration encodes no format twice, whatever the trial setting. A
+//! CSR plan wraps the CSR itself; only a cache hit encodes the planned
+//! format once more, uncounted in [`PlanCacheStats::encodes`].
 //!
 //! ## Cold registration timeline
 //!
-//! A cold [`Planner::plan_kernel`] runs every step on the calling thread
-//! (fingerprint, CSR-VI, CSR-DU-VI assembly, costing, ranking, chunk
-//! kernel) except two: above the threshold the profile and CSR-DU encode
-//! run on the scoped thread, and the host trial's calls run on each
-//! executor's pool. EXPERIMENTS.md *Cold registration* times each step.
+//! A cold [`Planner::plan_kernel`] runs its steps one after the other on
+//! the calling thread: fingerprint, profile, the CSR-DU and CSR-VI
+//! encodes in candidate order, CSR-DU-VI assembly, costing, ranking, the
+//! host trial and the chunk kernel. The planner owns no thread of its
+//! own. From [`spmv_core::PARALLEL_ENCODE_MIN_NNZ`] non-zeros on, each
+//! encoder splits its own scan across the available CPUs, and the host
+//! trial's calls run on each executor's pool. EXPERIMENTS.md *Cold
+//! registration* and *Construction on every core* time the steps.
 //!
 //! ## Interaction with overrides
 //!
@@ -386,13 +382,12 @@ impl Planner {
 
     /// Plans `m` and builds the chunk kernel that serves the plan: the
     /// planned format's encoding in its chunk adapter, cut into
-    /// [`Plan::chunks`] chunks. A cold plan whose host trial kept the
-    /// candidate encodings hands over the one it picked, so the matrix is
-    /// encoded once per format; a cache hit, or an analysis with the
-    /// trial off, encodes the planned format here, and that encode is not
-    /// counted in [`PlanCacheStats::encodes`]. A CSR plan wraps `m`
-    /// itself. The plan's thread count informs chunking only: the
-    /// executor that runs the kernel sizes its own pool.
+    /// [`Plan::chunks`] chunks. A cold plan hands over the encoding its
+    /// analysis built for the picked format, so the matrix is encoded once
+    /// per format; a cache hit encodes the planned format here, and that
+    /// encode is not counted in [`PlanCacheStats::encodes`]. A CSR plan
+    /// wraps `m` itself. The plan's thread count informs chunking only:
+    /// the executor that runs the kernel sizes its own pool.
     pub fn plan_kernel(
         &self,
         m: &Arc<Csr<u32, f64>>,
@@ -408,8 +403,7 @@ impl Planner {
 
     /// The cache lookup behind every `plan_*` entry point. Cache hits
     /// return the stored decision; a miss runs the analysis and also
-    /// returns the encoding of the planned format when the analysis kept
-    /// its candidates for the host trial.
+    /// returns the encoding of the planned format.
     fn plan_keeping<'m>(
         &self,
         m: &'m Csr<u32, f64>,
@@ -454,7 +448,8 @@ impl Planner {
 
     /// Full analysis: profile, encode candidates, predict, rank, and —
     /// with the host trial on and a compressed model pick — time them.
-    /// With the trial on, the planned format's encoding comes back too.
+    /// The planned format's encoding comes back too (none for the trivial
+    /// plan of a matrix without non-zeros).
     fn analyze<'m>(
         &self,
         m: &'m Csr<u32, f64>,
@@ -480,7 +475,7 @@ impl Planner {
             return Ok((plan, None));
         }
 
-        let (profile, mut pre) = self.profile_and_prebuild(m);
+        let profile = MatrixProfile::from_csr(m);
         let machine = &self.cfg.sim.machine;
         let threads: Vec<usize> = self
             .cfg
@@ -499,7 +494,7 @@ impl Planner {
         let mut ranking: Vec<(usize, RankedChoice, usize)> = Vec::new();
         let mut built: Vec<(FormatKind, Encoded<'_>)> = Vec::new();
         for (order, &kind) in self.cfg.formats.iter().enumerate() {
-            let enc = self.encode(m, kind, &built, &mut pre)?;
+            let enc = self.encode(m, kind, &built)?;
             let fc = enc.cost(&self.cfg.sim.cost)?;
             let bytes = fc.stream_bytes + fc.resident_bytes;
             for &t in &threads {
@@ -518,8 +513,6 @@ impl Planner {
             }
             built.push((kind, enc));
         }
-        // Only the trial needs the encodings once they are costed.
-        let kept = if self.cfg.host_trial { built } else { Vec::new() };
         // Total order: NaN sorts after every real time (and so never
         // wins), ties prefer fewer threads, then candidate-list order.
         ranking.sort_by(|(ao, a, _), (bo, b, _)| {
@@ -534,10 +527,12 @@ impl Planner {
         let mut pick = 0;
         if self.cfg.host_trial && ranking[0].format != FormatKind::Csr {
             let t = *threads.iter().max().expect("thread candidates checked non-empty");
-            pick = host_trial(m, &ranking, t, &kept).unwrap_or(0);
+            pick = host_trial(m, &ranking, t, &built).unwrap_or(0);
         }
         let best = ranking[pick].clone();
-        let picked = kept.into_iter().find(|(kind, _)| *kind == best.format).map(|(_, enc)| enc);
+        // The pick's encoding goes on to serve; the other candidates are
+        // dropped here.
+        let picked = built.into_iter().find(|(kind, _)| *kind == best.format).map(|(_, enc)| enc);
         let plan = Plan {
             fingerprint: fp,
             format: best.format,
@@ -554,54 +549,22 @@ impl Planner {
         Ok((plan, picked))
     }
 
-    /// Profiles `m`, and from [`CONCURRENT_ENCODE_MIN_NNZ`] non-zeros on
-    /// also encodes its CSR-DU and CSR-VI candidates, two at a time:
-    /// CSR-DU and the profile on a scoped thread, CSR-VI on this one.
-    /// Below the threshold nothing is encoded ahead.
-    fn profile_and_prebuild(&self, m: &Csr<u32, f64>) -> (MatrixProfile, Prebuilt) {
-        if m.nnz() < CONCURRENT_ENCODE_MIN_NNZ {
-            return (MatrixProfile::from_csr(m), Prebuilt::default());
-        }
-        let wants = |kind| self.cfg.formats.contains(&kind);
-        std::thread::scope(|s| {
-            let side = s.spawn(|| {
-                let du =
-                    wants(FormatKind::CsrDu).then(|| CsrDu::from_csr(m, &DuOptions::default()));
-                (MatrixProfile::from_csr(m), du)
-            });
-            let vi = wants(FormatKind::CsrVi).then(|| CsrVi::from_csr(m));
-            let (profile, du) =
-                side.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic));
-            (profile, Prebuilt { du, vi })
-        })
-    }
-
     /// Encodes one candidate format, counting the encode (CSR is free:
-    /// the input already is one). A CSR-DU or CSR-VI encoding built
-    /// ahead in `pre` is taken rather than built again. CSR-DU-VI is
-    /// assembled from the CSR-DU and CSR-VI encodings when both are among
-    /// the candidates `built` so far; the assembly counts as its encode.
+    /// the input already is one). CSR-DU-VI is assembled from the CSR-DU
+    /// and CSR-VI encodings when both are among the candidates `built` so
+    /// far; the assembly counts as its encode.
     fn encode<'m>(
         &self,
         m: &'m Csr<u32, f64>,
         kind: FormatKind,
         built: &[(FormatKind, Encoded<'m>)],
-        pre: &mut Prebuilt,
     ) -> Result<Encoded<'m>, SparseError> {
         let du =
             built.iter().find_map(|(_, e)| if let Encoded::Du(du) = e { Some(du) } else { None });
         let vi =
             built.iter().find_map(|(_, e)| if let Encoded::Vi(vi) = e { Some(vi) } else { None });
-        let prebuilt = match kind {
-            FormatKind::CsrDu => pre.du.take().map(Encoded::Du),
-            FormatKind::CsrVi => pre.vi.take().map(Encoded::Vi),
-            _ => None,
-        };
-        let enc = match (prebuilt, kind, du, vi) {
-            (Some(enc), ..) => enc,
-            (None, FormatKind::CsrDuVi, Some(du), Some(vi)) => {
-                Encoded::DuVi(CsrDuVi::from_du_vi(du, vi))
-            }
+        let enc = match (kind, du, vi) {
+            (FormatKind::CsrDuVi, Some(du), Some(vi)) => Encoded::DuVi(CsrDuVi::from_du_vi(du, vi)),
             _ => encode_format(m, kind)?,
         };
         if kind != FormatKind::Csr {
@@ -744,25 +707,7 @@ fn encode_format(m: &Csr<u32, f64>, kind: FormatKind) -> Result<Encoded<'_>, Spa
     })
 }
 
-/// Non-zeros from which a cold analysis builds its CSR-DU and CSR-VI
-/// candidates concurrently ([`Planner::profile_and_prebuild`]). It lies
-/// between cache-resident matrices (tens of thousands of non-zeros),
-/// whose encodes take a few milliseconds, and the multi-million-nnz
-/// matrices whose encodes dominate a cold plan. Below it the second
-/// thread would save little and cost memory: its allocations open a
-/// second glibc arena, which raised a small-matrix service's resident
-/// memory by about a quarter.
-const CONCURRENT_ENCODE_MIN_NNZ: usize = 1 << 20;
-
-/// CSR-DU and CSR-VI encodings built ahead of the candidate loop;
-/// [`Planner::encode`] takes each at its turn in the candidate list.
-#[derive(Default)]
-struct Prebuilt {
-    du: Option<CsrDu<f64>>,
-    vi: Option<CsrVi<u32, f64>>,
-}
-
-/// One candidate format's matrix, encoded for costing and kept for the
+/// One candidate format's matrix, encoded for costing and timed by the
 /// host trial; the planned one goes on to serve.
 enum Encoded<'m> {
     Csr(&'m Csr<u32, f64>),
@@ -1244,6 +1189,43 @@ mod tests {
         }
     }
 
+    #[test]
+    fn trial_off_plan_kernel_serves_the_encoding_the_analysis_built() {
+        // With the trial off the model's pick is planned, and the
+        // encoding the costing built for it serves: a cold plan_kernel
+        // encodes nothing beyond the three counted candidates.
+        let m = Arc::new(banded(20_000));
+        let x: Vec<f64> = (0..m.ncols()).map(|i| (i % 7) as f64 - 3.0).collect();
+        let mut want = vec![0.0; m.nrows()];
+        spmv_core::SpMv::spmv(&*m, &x, &mut want);
+        let p = Planner::new(two_thread_config(false));
+        let (plan, kernel) = p.plan_kernel(&m).expect("plannable");
+        assert!(!plan.cache_hit);
+        assert_ne!(plan.format, FormatKind::Csr, "the model must pick compressed here");
+        let mut y = vec![f64::NAN; m.nrows()];
+        spmv_parallel::assemble_chunks(&*kernel, 1, &mut y, |chunk, out| {
+            kernel.compute_block(chunk, &x, 1, out)
+        });
+        assert_eq!(y, want, "{:?}", plan.format);
+        let s = p.stats();
+        assert_eq!((s.hits, s.misses, s.encodes), (0, 1, 3));
+
+        // The analysis hands over the planned format's encoding; only a
+        // cache hit comes back without one.
+        let q = Planner::new(two_thread_config(false));
+        let fp = fingerprint_csr(&m);
+        let (cold, enc) = q.plan_keeping(&m, fp).expect("plannable");
+        let kind = match enc.expect("a cold plan hands its encoding over") {
+            Encoded::Csr(_) => FormatKind::Csr,
+            Encoded::Du(_) => FormatKind::CsrDu,
+            Encoded::Vi(_) => FormatKind::CsrVi,
+            Encoded::DuVi(_) => FormatKind::CsrDuVi,
+        };
+        assert_eq!(kind, cold.format);
+        let (warm, enc) = q.plan_keeping(&m, fp).expect("plannable");
+        assert!(warm.cache_hit && enc.is_none());
+    }
+
     fn choice(format: FormatKind, threads: usize, predicted_time_s: f64) -> RankedChoice {
         RankedChoice {
             format,
@@ -1478,7 +1460,7 @@ mod tests {
         let mut m = spmv_matgen::gen::banded(90_000, 6, 1.0, 1).to_csr();
         let vals = spmv_matgen::values::ValueModel::Quantized { levels: 300 }.assign(m.nnz(), 7);
         m.values_mut().copy_from_slice(&vals);
-        assert!(m.nnz() >= CONCURRENT_ENCODE_MIN_NNZ, "{} nnz", m.nnz());
+        assert!(m.nnz() >= spmv_core::PARALLEL_ENCODE_MIN_NNZ, "{} nnz", m.nnz());
         let p = Planner::new(PlannerConfig::default());
         let plan = p.plan_csr(&m).expect("plannable");
         assert_eq!(

@@ -24,6 +24,12 @@ cargo test -q
 echo "== cargo test --workspace =="
 cargo test --workspace -q
 
+echo "== construction-one-cpu (the one-part encode path) =="
+# From PARALLEL_ENCODE_MIN_NNZ non-zeros on, the encoders split their scan
+# across the available CPUs, so the runs above took the split path. On
+# one CPU the same pinned digests must come out of the one-part scan.
+taskset -c 0 cargo test -q --release --test construction_identity
+
 echo "== proptest-seeds (format properties on two more fixed streams) =="
 # The vendored proptest stub mixes PROPTEST_SEED into each test's
 # name-derived seed, so these runs draw cases the default run never
