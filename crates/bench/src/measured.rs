@@ -19,7 +19,7 @@
 use serde::Serialize;
 use spmv_core::checked::{CheckOptions, CheckedSpMv};
 use spmv_core::{Csr, DenseBlock, DenseBlockMut, Scalar, SpIndex, SpMm, SpMv, SparseError};
-use spmv_parallel::{IterationDriver, ParSpMm, ParSpMv};
+use spmv_parallel::{ParSpMm, ParSpMv};
 use std::time::Instant;
 
 /// Default iteration count, as in the paper.
@@ -438,13 +438,6 @@ pub fn validate_parallel<I: SpIndex, V: Scalar>(
     CheckedSpMv::with_options(m, baseline, opts)?.verify_against(&x, &y_par)
 }
 
-/// Runs the driver-based barrier protocol once, as a smoke check that the
-/// spawn-once path works (used by tests; heavy measurement uses
-/// [`measure_parallel`]).
-pub fn barrier_smoke(iters: usize, nthreads: usize) {
-    IterationDriver::new(nthreads, iters).run(|_, _| {});
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -644,10 +637,5 @@ mod tests {
         let mut calls = 0usize;
         let n = adaptive_warmup(&opts, || calls += 1);
         assert!(n <= 7 && calls == n, "warmup must terminate within the cap ({n}, {calls})");
-    }
-
-    #[test]
-    fn barrier_smoke_runs() {
-        barrier_smoke(4, 3);
     }
 }

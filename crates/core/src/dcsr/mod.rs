@@ -245,216 +245,6 @@ impl<V: Scalar> Dcsr<V> {
     }
 }
 
-/// One thread's share of a DCSR stream (mirror of CSR-DU's `DuSplit`).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DcsrSplit {
-    /// Byte range within the command stream.
-    pub stream_range: std::ops::Range<usize>,
-    /// Offset of the split's first value within `values`.
-    pub val_start: usize,
-    /// First row owned (inclusive); `y[row_start..row_end]` belongs to
-    /// this split.
-    pub row_start: usize,
-    /// Last row owned (exclusive).
-    pub row_end: usize,
-    /// Wrapping row baseline (see CSR-DU's split documentation).
-    pub row_wrap_base: usize,
-    /// Non-zeros in this split.
-    pub nnz: usize,
-}
-
-impl<V: Scalar> Dcsr<V> {
-    /// Computes up to `nparts` nnz-balanced splits, cutting only at
-    /// row-command boundaries. O(stream length).
-    pub fn splits(&self, nparts: usize) -> Vec<DcsrSplit> {
-        assert!(nparts >= 1, "need at least one part");
-        let total = self.nnz();
-        if total == 0 {
-            return vec![DcsrSplit {
-                stream_range: 0..0,
-                val_start: 0,
-                row_start: 0,
-                row_end: self.nrows,
-                row_wrap_base: usize::MAX,
-                nnz: 0,
-            }];
-        }
-        // Scan the stream recording (pos, row, row_jmp, nnz_before) at
-        // every row command.
-        struct RowCmd {
-            pos: usize,
-            row: usize,
-            extra: usize,
-            nnz_before: usize,
-        }
-        let mut row_cmds: Vec<RowCmd> = Vec::new();
-        let mut pos = 0usize;
-        let mut row = usize::MAX;
-        let mut nnz_seen = 0usize;
-        while pos < self.stream.len() {
-            let cmd = self.stream[pos];
-            match cmd {
-                CMD_NEW_ROW => {
-                    row = row.wrapping_add(1);
-                    row_cmds.push(RowCmd { pos, row, extra: 0, nnz_before: nnz_seen });
-                    pos += 1;
-                }
-                CMD_ROW_JMP => {
-                    let mut p = pos + 1;
-                    let extra = read_varint(&self.stream, &mut p) as usize;
-                    row = row.wrapping_add(1 + extra);
-                    row_cmds.push(RowCmd { pos, row, extra, nnz_before: nnz_seen });
-                    pos = p;
-                }
-                CMD_RUN => {
-                    let count = self.stream[pos + 1] as usize;
-                    nnz_seen += count;
-                    pos += 2 + count;
-                }
-                CMD_DELTA16 => {
-                    nnz_seen += 1;
-                    pos += 3;
-                }
-                CMD_DELTA32 => {
-                    nnz_seen += 1;
-                    pos += 5;
-                }
-                CMD_DELTA64 => {
-                    nnz_seen += 1;
-                    pos += 9;
-                }
-                _ => {
-                    nnz_seen += 1;
-                    pos += 1;
-                }
-            }
-        }
-        let stream_end = pos;
-
-        // Choose cut rows: for part k, the first row command whose
-        // nnz_before reaches k*total/nparts.
-        let mut out: Vec<DcsrSplit> = Vec::with_capacity(nparts);
-        let mut start_idx = 0usize; // index into row_cmds
-        for k in 0..nparts {
-            if start_idx >= row_cmds.len() {
-                break;
-            }
-            let target = (k + 1) * total / nparts;
-            let mut end_idx = start_idx + 1;
-            if k + 1 < nparts {
-                while end_idx < row_cmds.len() && row_cmds[end_idx].nnz_before < target {
-                    end_idx += 1;
-                }
-            } else {
-                end_idx = row_cmds.len();
-            }
-            let sc = &row_cmds[start_idx];
-            let (stream_hi, row_end, nnz_hi) = if end_idx < row_cmds.len() {
-                let nc = &row_cmds[end_idx];
-                (nc.pos, nc.row, nc.nnz_before)
-            } else {
-                (stream_end, self.nrows, total)
-            };
-            out.push(DcsrSplit {
-                stream_range: sc.pos..stream_hi,
-                val_start: sc.nnz_before,
-                row_start: sc.row,
-                row_end,
-                row_wrap_base: sc.row.wrapping_sub(1 + sc.extra),
-                nnz: nnz_hi - sc.nnz_before,
-            });
-            start_idx = end_idx;
-        }
-        // First split must own leading empty rows too.
-        if let Some(first) = out.first_mut() {
-            first.row_start = 0;
-        }
-        out
-    }
-
-    /// SpMV over one split, writing the local slice covering the split's
-    /// rows (`y_local.len() == row_end - row_start`).
-    pub fn spmv_split_local(&self, split: &DcsrSplit, x: &[V], y_local: &mut [V]) {
-        debug_assert_eq!(y_local.len(), split.row_end - split.row_start);
-        for v in y_local.iter_mut() {
-            *v = V::zero();
-        }
-        let stream = &self.stream[..];
-        let values = &self.values[..];
-        let y_base = split.row_start;
-        let mut pos = split.stream_range.start;
-        let end = split.stream_range.end;
-        let mut row = split.row_wrap_base;
-        let mut col = 0usize;
-        let mut val = split.val_start;
-        let mut acc = V::zero();
-        let mut have_row = false;
-        while pos < end {
-            let cmd = stream[pos];
-            pos += 1;
-            match cmd {
-                CMD_NEW_ROW => {
-                    if have_row {
-                        y_local[row - y_base] = acc;
-                    }
-                    row = row.wrapping_add(1);
-                    col = 0;
-                    acc = V::zero();
-                    have_row = true;
-                }
-                CMD_ROW_JMP => {
-                    if have_row {
-                        y_local[row - y_base] = acc;
-                    }
-                    let extra = read_varint(stream, &mut pos) as usize;
-                    row = row.wrapping_add(1 + extra);
-                    col = 0;
-                    acc = V::zero();
-                    have_row = true;
-                }
-                CMD_RUN => {
-                    let count = stream[pos] as usize;
-                    pos += 1;
-                    for _ in 0..count {
-                        col += stream[pos] as usize;
-                        pos += 1;
-                        acc += values[val] * x[col];
-                        val += 1;
-                    }
-                }
-                CMD_DELTA16 => {
-                    col += u16::from_le_bytes([stream[pos], stream[pos + 1]]) as usize;
-                    pos += 2;
-                    acc += values[val] * x[col];
-                    val += 1;
-                }
-                CMD_DELTA32 => {
-                    col += u32::from_le_bytes(stream[pos..pos + 4].try_into().expect("4 bytes"))
-                        as usize;
-                    pos += 4;
-                    acc += values[val] * x[col];
-                    val += 1;
-                }
-                CMD_DELTA64 => {
-                    col += u64::from_le_bytes(stream[pos..pos + 8].try_into().expect("8 bytes"))
-                        as usize;
-                    pos += 8;
-                    acc += values[val] * x[col];
-                    val += 1;
-                }
-                literal => {
-                    col += literal as usize;
-                    acc += values[val] * x[col];
-                    val += 1;
-                }
-            }
-        }
-        if have_row {
-            y_local[row - y_base] = acc;
-        }
-    }
-}
-
 impl<V: Scalar> SpMv<V> for Dcsr<V> {
     fn nrows(&self) -> usize {
         self.nrows
@@ -776,66 +566,5 @@ mod tests {
         let mut y = vec![1.0; 3];
         d.spmv(&[1.0; 3], &mut y);
         assert_eq!(y, vec![0.0; 3]);
-    }
-
-    #[test]
-    fn splits_cover_rows_and_nnz_exactly() {
-        let mut t: Vec<(usize, usize, f64)> = Vec::new();
-        for r in 0..60usize {
-            if r % 9 == 4 {
-                continue;
-            }
-            for j in 0..(1 + r % 6) {
-                t.push((r, (r * 7 + j * 13) % 80, (r + j) as f64 * 0.5 + 1.0));
-            }
-        }
-        let mut coo = Coo::from_triplets(60, 80, t).unwrap();
-        coo.canonicalize();
-        let d = Dcsr::from_csr(&coo.to_csr(), &DcsrOptions::default());
-        for nparts in [1usize, 2, 3, 5, 8] {
-            let splits = d.splits(nparts);
-            assert!(!splits.is_empty() && splits.len() <= nparts);
-            assert_eq!(splits[0].row_start, 0);
-            assert_eq!(splits.last().unwrap().row_end, 60);
-            for w in splits.windows(2) {
-                assert_eq!(w[0].row_end, w[1].row_start);
-                assert_eq!(w[0].stream_range.end, w[1].stream_range.start);
-            }
-            assert_eq!(splits.iter().map(|s| s.nnz).sum::<usize>(), d.nnz());
-        }
-    }
-
-    #[test]
-    fn spmv_via_splits_matches_serial() {
-        let mut t: Vec<(usize, usize, f64)> = Vec::new();
-        for r in 0..50usize {
-            if r % 11 == 3 {
-                continue;
-            }
-            for j in 0..(1 + (r * 3) % 8) {
-                t.push((r, (r + j * 17) % 300, (j as f64) - 2.0));
-            }
-        }
-        // Wide deltas to exercise DELTA16 in splits.
-        t.push((20, 290, 5.0));
-        let mut coo = Coo::from_triplets(50, 300, t).unwrap();
-        coo.canonicalize();
-        let d = Dcsr::from_csr(&coo.to_csr(), &DcsrOptions::default());
-        let x: Vec<f64> = (0..300).map(|i| ((i % 13) as f64) * 0.25 - 1.0).collect();
-        let mut y_full = vec![0.0; 50];
-        d.spmv(&x, &mut y_full);
-        for nparts in [1usize, 2, 4, 7] {
-            let splits = d.splits(nparts);
-            let mut y = vec![9.0f64; 50];
-            let mut rest: &mut [f64] = &mut y;
-            let mut prev = 0usize;
-            for split in &splits {
-                let (head, tail) = rest.split_at_mut(split.row_end - prev);
-                d.spmv_split_local(split, &x, head);
-                rest = tail;
-                prev = split.row_end;
-            }
-            assert_eq!(y, y_full, "nparts={nparts}");
-        }
     }
 }

@@ -44,8 +44,8 @@ pub(crate) fn even_bounds(len: usize, parts: usize) -> Vec<usize> {
 }
 
 /// `buf` cut into the ranges between consecutive `bounds`, which run from
-/// 0 to `buf.len()`.
-pub(crate) fn split_mut<'a, T>(mut buf: &'a mut [T], bounds: &[usize]) -> Vec<&'a mut [T]> {
+/// 0 to `buf.len()`. Panics if the bounds descend or pass the end.
+pub fn split_mut<'a, T>(mut buf: &'a mut [T], bounds: &[usize]) -> Vec<&'a mut [T]> {
     let mut parts = Vec::with_capacity(bounds.len().saturating_sub(1));
     for w in bounds.windows(2) {
         let (part, rest) = std::mem::take(&mut buf).split_at_mut(w[1] - w[0]);

@@ -90,7 +90,7 @@ pub use coo::Coo;
 pub use csc::Csc;
 pub use csr::Csr;
 pub use dense::Dense;
-pub use encode_parts::PARALLEL_ENCODE_MIN_NNZ;
+pub use encode_parts::{split_mut, PARALLEL_ENCODE_MIN_NNZ};
 pub use error::SparseError;
 pub use index::SpIndex;
 pub use io::{fingerprint_csr, read_fingerprint, Fingerprint, LoadLimits};

@@ -135,14 +135,6 @@
 //! planner's `thread_candidates`, so the plan never promises parallelism
 //! the pool cannot deliver and the trial runs at the width the executor
 //! will use.
-//!
-//! ## Online refinement
-//!
-//! [`Planner::refine_from_telemetry`] folds measured pool imbalance
-//! (`PoolTelemetry::imbalance()`) back into a cached plan: persistent
-//! imbalance above the configured threshold doubles the plan's chunk
-//! count (finer work units smooth static partition skew), bounded so
-//! chunking never degenerates into per-row scheduling.
 
 use std::collections::HashMap;
 use std::io::{Read, Write};
@@ -179,9 +171,6 @@ pub struct PlannerConfig {
     /// Work chunks per planned thread (finer chunks smooth imbalance at
     /// slightly higher scheduling cost).
     pub chunks_per_thread: usize,
-    /// Measured-imbalance threshold above which
-    /// [`Planner::refine_from_telemetry`] doubles a cached plan's chunks.
-    pub refine_imbalance_threshold: f64,
     /// When the model ranks a compressed format first, time every
     /// candidate format on this host before committing and plan the
     /// fastest (see the [module docs](self#host-trial)). Off by default.
@@ -200,7 +189,6 @@ impl Default for PlannerConfig {
             ],
             thread_candidates: vec![1, 2, 4, 8],
             chunks_per_thread: 2,
-            refine_imbalance_threshold: 1.25,
             host_trial: false,
         }
     }
@@ -278,8 +266,6 @@ pub struct PlanCacheStats {
     /// Cache entries discarded because the CRC matched but the recorded
     /// shape did not (poisoned/stale entries; each also counts a miss).
     pub shape_rejects: u64,
-    /// Cached plans adjusted by [`Planner::refine_from_telemetry`].
-    pub refinements: u64,
 }
 
 #[derive(Debug, Clone)]
@@ -579,29 +565,6 @@ impl Planner {
         if let Some(e) = self.lock().cache.get_mut(&crc) {
             e.measured = Some(measured);
         }
-    }
-
-    /// Online refinement from pool telemetry: if the measured per-batch
-    /// imbalance of a cached plan exceeds the configured threshold, its
-    /// chunk count doubles (bounded at 8 chunks per thread) so the
-    /// static nnz-balanced partition gets finer work units to smooth.
-    /// Returns the plan's new chunk count, or `None` if the plan is
-    /// unknown or needed no change.
-    pub fn refine_from_telemetry(&self, crc: u32, imbalance: f64) -> Option<usize> {
-        // NaN imbalance (empty telemetry) must not trigger refinement.
-        if imbalance.is_nan() || imbalance <= self.cfg.refine_imbalance_threshold {
-            return None;
-        }
-        let mut inner = self.lock();
-        let e = inner.cache.get_mut(&crc)?;
-        let cap = e.threads.max(1) * 8;
-        if e.chunks >= cap {
-            return None;
-        }
-        e.chunks = (e.chunks * 2).min(cap);
-        let chunks = e.chunks;
-        inner.stats.refinements += 1;
-        Some(chunks)
     }
 
     /// Persists the cache as a versioned text file (one entry per line),
@@ -1081,27 +1044,6 @@ mod tests {
         std::fs::write(&bpath, format!("{CACHE_HEADER}\ncrc=1 nrows=oops\n")).unwrap();
         assert!(matches!(p.load(&bpath), Err(SparseError::Parse(_))));
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn refinement_doubles_chunks_under_measured_imbalance() {
-        let p = Planner::new(PlannerConfig::default());
-        let m = banded(20_000);
-        let plan = p.plan_csr(&m).expect("plannable");
-        let crc = plan.fingerprint.crc;
-        // Balanced pools leave the plan alone.
-        assert_eq!(p.refine_from_telemetry(crc, 1.02), None);
-        // Persistent imbalance doubles chunking, bounded at 8/thread.
-        let refined = p.refine_from_telemetry(crc, 1.8).expect("refined");
-        assert_eq!(refined, plan.chunks * 2);
-        let mut last = refined;
-        for _ in 0..10 {
-            if let Some(c) = p.refine_from_telemetry(crc, 1.8) {
-                last = c;
-            }
-        }
-        assert_eq!(last, plan.threads * 8, "refinement is bounded");
-        assert!(p.stats().refinements >= 2);
     }
 
     #[test]

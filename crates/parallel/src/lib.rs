@@ -17,15 +17,13 @@
 //!   plan time: `nthreads - 1` OS workers parked on a condvar, woken per
 //!   `par_spmv` call via an epoch/condvar handshake, with the calling
 //!   thread participating as thread 0 (the paper's main pthread);
-//! * all per-call scratch (the private `y` vectors of column and
-//!   symmetric partitioning, the tile partials of 2-D blocking) is
-//!   pre-allocated in the plan, so a steady-state `par_spmv` call performs
-//!   **zero** heap allocations and **zero** thread spawns;
+//! * all per-call scratch (the private `y` vectors of column
+//!   partitioning, the tile partials of 2-D blocking) is pre-allocated in
+//!   the plan, so a steady-state `par_spmv` call performs **zero** heap
+//!   allocations and **zero** thread spawns;
 //! * cross-thread reductions run as a second chunked dispatch on the same
 //!   pool (each thread sums a disjoint output chunk across all private
 //!   vectors in fixed order, keeping results deterministic);
-//! * [`pool::IterationDriver`] layers the 128-iteration barrier loop on
-//!   top of one pool dispatch, with no barrier after the final round;
 //! * dispatch takes `&mut self` (one in-flight job per pool, enforced by
 //!   the borrow checker) and is panic-robust: `run` always drains every
 //!   worker before returning or unwinding, and a panic on any thread is
@@ -35,10 +33,9 @@
 //!
 //! * [`partition`] — row/column/block partitioning with nnz balancing
 //!   (boundaries rounded to the nearest nnz prefix);
-//! * [`pool`] — the persistent [`pool::WorkerPool`], the
-//!   [`pool::IterationDriver`] measurement loop, and a spawn-per-call
-//!   baseline ([`pool::run_on_threads`]) kept for quantifying dispatch
-//!   overhead;
+//! * [`pool`] — the persistent [`pool::WorkerPool`] and the checked
+//!   buffer split its executors write through ([`pool::Parts`],
+//!   [`pool::WorkerPool::run_split`]);
 //! * [`supervised`] — the one parallel kernel of each paper format, a
 //!   [`supervised::ChunkKernel`] ([`supervised::CsrChunks`],
 //!   [`supervised::CsrDuChunks`], [`supervised::CsrViChunks`],
@@ -49,16 +46,19 @@
 //!   runs any chunk kernel with one thread per chunk, and the paper
 //!   formats' [`par::ParCsr`], [`par::ParCsrDu`], [`par::ParCsrVi`] and
 //!   [`par::ParCsrDuVi`] are that driver over a borrowed matrix;
-//!   [`par::ParCscColumns`], [`par::ParCsrBlock2d`], [`par::ParDcsr`] and
-//!   [`par::ParSymCsr`] keep their own partitioning.
+//!   [`par::ParCscColumns`] and [`par::ParCsrBlock2d`] keep their own
+//!   partitioning;
+//! * [`spmspv`] — sparse-times-sparse products on the pool: the bucket
+//!   plan over CSC and the masked-CSR fallback.
 //!
-//! Output and scratch buffers are handed to pool threads through
-//! [`pool::DisjointSlices`], a small `unsafe` cell whose single invariant
-//! — ranges claimed during one dispatch are pairwise disjoint — is
-//! discharged at every call site by partition blocks that are disjoint:
-//! by construction, or, for the chunks of a [`supervised::ChunkKernel`],
-//! checked once when [`par::ParChunks`] plans them (one call site serves
-//! all four paper formats). Everything else is safe Rust.
+//! Output and scratch buffers reach the pool threads through
+//! [`pool::WorkerPool::run_split`]: a plan builds a [`pool::Parts`] (one
+//! row range per thread, checked pairwise disjoint once, when the plan is
+//! made — for a [`supervised::ChunkKernel`], its chunks' rows), and each
+//! dispatch hands thread `t` range `t` of the buffer as a plain `&mut`
+//! slice. The SpMSpV phases that hand out several buffers at once cut
+//! them with `split_at_mut` before dispatch instead. The pool's job
+//! handoff and `run_split` are the crate's only raw-pointer code.
 //!
 //! The paper binds threads to specific cores with `sched_setaffinity` to
 //! control cache sharing; placement here is a *logical* concept consumed
@@ -105,6 +105,8 @@
 //! feature off the types still compile (so signatures never change) but
 //! every recording site is compiled out and the queries return `None`.
 
+#![deny(clippy::undocumented_unsafe_blocks)]
+
 #[cfg(feature = "fault-injection")]
 pub mod faults;
 pub mod par;
@@ -115,11 +117,11 @@ pub mod supervised;
 pub mod telemetry;
 
 pub use par::{
-    ParChunks, ParCscColumns, ParCsr, ParCsrBlock2d, ParCsrDu, ParCsrDuVi, ParCsrVi, ParDcsr,
-    ParSpMm, ParSpMv, ParSymCsr,
+    ParChunks, ParCscColumns, ParCsr, ParCsrBlock2d, ParCsrDu, ParCsrDuVi, ParCsrVi, ParSpMm,
+    ParSpMv,
 };
 pub use partition::{ColPartition, Grid2d, RowPartition};
-pub use pool::{run_on_threads, DisjointSlices, IterationDriver, WorkerPool};
+pub use pool::{Parts, WorkerPool};
 pub use spmspv::{ParMaskedSpMSpV, ParSpMSpV};
 pub use supervised::{
     assemble_chunks, parse_watchdog_ms, watchdog_deadline, watchdog_deadline_checked, ChunkKernel,

@@ -13,28 +13,23 @@
 //! thread `t` computing chunk `t` straight into its rows of `y`;
 //! [`ParCsr`], [`ParCsrDu`], [`ParCsrVi`] and [`ParCsrDuVi`] are that
 //! driver over a borrowed matrix. The supervised executor and the service
-//! run the same kernels over an `Arc`'d matrix. Column, 2-D block,
-//! symmetric and DCSR partitioning keep executors of their own: the first
-//! three reduce across threads, and DCSR has no SpMM kernel.
+//! run the same kernels over an `Arc`'d matrix. Column and 2-D block
+//! partitioning keep executors of their own, because they reduce across
+//! threads.
 //!
-//! Output safety: `y` (and any plan-owned scratch) is handed to threads
-//! through [`DisjointSlices`], with ranges taken from partitions whose
-//! blocks are disjoint — by construction, or, for a chunk kernel, checked
-//! when the plan is made — so every kernel call writes only memory it
-//! owns.
+//! Every buffer the threads write — `y` and the plan-owned scratch — is
+//! cut by [`WorkerPool::run_split`] along a [`Parts`] built with the
+//! plan, so each thread gets a plain `&mut` slice of its own rows.
 
 use crate::partition::{ColPartition, Grid2d, RowPartition};
-use crate::pool::{chunk, DisjointSlices, WorkerPool};
+use crate::pool::{chunk, Parts, WorkerPool};
 use crate::supervised::{zero_uncovered, ChunkKernel};
 use crate::supervised::{CsrChunks, CsrDuChunks, CsrDuViChunks, CsrViChunks};
 use crate::telemetry::PoolTelemetry;
 use spmv_core::csr_du::CsrDu;
 use spmv_core::csr_duvi::CsrDuVi;
 use spmv_core::csr_vi::CsrVi;
-use spmv_core::dcsr::{Dcsr, DcsrSplit};
-use spmv_core::sym::SymCsr;
 use spmv_core::{Csc, Csr, Isa, Scalar, SpIndex};
-use std::ops::Range;
 
 /// Common interface of the parallel executors (mirrors [`spmv_core::SpMv`]
 /// with a fixed thread count chosen at plan time).
@@ -89,9 +84,8 @@ pub(crate) fn split_row_bounds(row_ends: impl Iterator<Item = usize>) -> Vec<usi
 /// with `k = 1`.
 pub struct ParChunks<K> {
     kernel: K,
-    /// `kernel.chunk_rows(t)` for every chunk, checked pairwise disjoint
-    /// when the plan is made.
-    rows: Vec<Range<usize>>,
+    /// `kernel.chunk_rows(t)` for every chunk.
+    rows: Parts,
     pool: WorkerPool,
 }
 
@@ -102,12 +96,8 @@ impl<K> ParChunks<K> {
     where
         K: ChunkKernel<V>,
     {
-        let rows: Vec<_> = (0..kernel.nchunks()).map(|chunk| kernel.chunk_rows(chunk)).collect();
-        // Each thread gets its chunk's rows of `y` through
-        // `DisjointSlices`, so overlapping chunks are refused here.
-        let mut live: Vec<_> = rows.iter().filter(|r| !r.is_empty()).collect();
-        live.sort_by_key(|r| r.start);
-        assert!(live.windows(2).all(|w| w[0].end <= w[1].start), "chunk row ranges overlap");
+        let rows =
+            Parts::new((0..kernel.nchunks()).map(|chunk| kernel.chunk_rows(chunk)).collect());
         let pool = WorkerPool::new(rows.len().max(1));
         ParChunks { kernel, rows, pool }
     }
@@ -137,19 +127,12 @@ impl<V: Scalar, K: ChunkKernel<V>> ParSpMm<V> for ParChunks<K> {
         assert!(k >= 1, "need at least one right-hand side");
         assert_eq!(x.len(), self.kernel.ncols() * k, "x must be ncols x k row-major");
         assert_eq!(y.len(), self.kernel.nrows() * k, "y must be nrows x k row-major");
-        zero_uncovered(self.rows.iter().cloned(), k, y);
+        zero_uncovered(self.rows.ranges().iter().cloned(), k, y);
         if self.rows.is_empty() {
             return;
         }
-        let slices = DisjointSlices::new(y);
-        let (kernel, rows) = (&self.kernel, &self.rows);
-        self.pool.run(|tid| {
-            let r = &rows[tid];
-            // SAFETY: chunk row ranges were checked pairwise disjoint at
-            // plan time; one tid per chunk.
-            let out = unsafe { slices.range(r.start * k..r.end * k) };
-            kernel.compute_block(tid, x, k, out);
-        });
+        let kernel = &self.kernel;
+        self.pool.run_split(y, &self.rows, k, |tid, out| kernel.compute_block(tid, x, k, out));
     }
 }
 
@@ -239,15 +222,22 @@ pub struct ParCscColumns<'m, I: SpIndex = u32, V: Scalar = f64> {
     pool: WorkerPool,
     /// `nparts` private y vectors, stored flat (`nparts * nrows`).
     privates: Vec<V>,
+    /// Thread `t`'s private vector: row `t` of `privates` at scale `nrows`.
+    stripes: Parts,
+    /// The uniform row chunks of `y` the threads reduce.
+    chunks: Parts,
 }
 
 impl<'m, I: SpIndex, V: Scalar> ParCscColumns<'m, I, V> {
     /// Plans an nnz-balanced column partition over `nthreads` threads.
     pub fn new(matrix: &'m Csc<I, V>, nthreads: usize) -> Self {
         let partition = ColPartition::by_nnz(matrix.col_ptr(), nthreads);
-        let pool = WorkerPool::new(partition.nparts());
-        let privates = vec![V::zero(); partition.nparts() * matrix.nrows()];
-        ParCscColumns { partition, matrix, pool, privates }
+        let nparts = partition.nparts();
+        let pool = WorkerPool::new(nparts);
+        let privates = vec![V::zero(); nparts * matrix.nrows()];
+        let stripes = Parts::uniform(nparts, nparts);
+        let chunks = Parts::uniform(matrix.nrows(), nparts);
+        ParCscColumns { partition, matrix, pool, privates, stripes, chunks }
     }
 }
 
@@ -269,31 +259,22 @@ impl<I: SpIndex, V: Scalar> ParSpMv<V> for ParCscColumns<'_, I, V> {
         let m = self.matrix;
         // Dispatch 1: each thread zeroes its private y and accumulates its
         // column block into it.
-        let priv_cell = DisjointSlices::new(&mut self.privates);
-        self.pool.run(|tid| {
-            // SAFETY: per-thread stripes of the flat buffer are disjoint.
-            let y_private = unsafe { priv_cell.range(tid * nrows..(tid + 1) * nrows) };
-            for v in y_private.iter_mut() {
-                *v = V::zero();
-            }
+        self.pool.run_split(&mut self.privates, &self.stripes, nrows, |tid, y_private| {
+            y_private.fill(V::zero());
             let range = partition.part(tid);
             m.spmv_cols_acc(range.start, range.end, x, y_private);
         });
         // Dispatch 2: chunked parallel reduction. Each thread sums its row
         // chunk across all privates in fixed part order, so the result is
         // bit-identical to the serial reduction.
-        let privates = &self.privates;
-        let y_cell = DisjointSlices::new(y);
-        self.pool.run(|tid| {
-            let rows = chunk(nrows, nparts, tid);
-            // SAFETY: uniform chunks are disjoint; one tid per chunk.
-            let y_chunk = unsafe { y_cell.range(rows.clone()) };
-            for (li, i) in rows.enumerate() {
+        let (privates, chunks) = (&self.privates, &self.chunks);
+        self.pool.run_split(y, chunks, 1, |tid, y_chunk| {
+            for (y_i, i) in y_chunk.iter_mut().zip(chunks.ranges()[tid].clone()) {
                 let mut acc = V::zero();
                 for k in 0..nparts {
                     acc += privates[k * nrows + i];
                 }
-                y_chunk[li] = acc;
+                *y_i = acc;
             }
         });
     }
@@ -316,11 +297,13 @@ pub struct ParCsrBlock2d<'m, I: SpIndex = u32, V: Scalar = f64> {
     rows: RowPartition,
     col_bounds: Vec<usize>,
     pool: WorkerPool,
-    /// Per-tile partial y blocks, stored flat; tile `t` owns
-    /// `partials[partial_off[t]..partial_off[t + 1]]` (its row block's
-    /// length).
+    /// Per-tile partial y blocks, stored flat; tile `t` owns range `t` of
+    /// `tiles` (its row block's length).
     partials: Vec<V>,
-    partial_off: Vec<usize>,
+    tiles: Parts,
+    /// The rows of `y` tile `(pr, pc)` reduces: the `pc`-th uniform chunk
+    /// of row block `pr`.
+    y_parts: Parts,
 }
 
 impl<'m, I: SpIndex, V: Scalar> ParCsrBlock2d<'m, I, V> {
@@ -330,15 +313,21 @@ impl<'m, I: SpIndex, V: Scalar> ParCsrBlock2d<'m, I, V> {
         let grid = Grid2d::squarest(nthreads);
         let rows = RowPartition::for_csr(matrix, grid.pr);
         let col_bounds: Vec<usize> = (0..=grid.pc).map(|k| k * matrix.ncols() / grid.pc).collect();
-        let mut partial_off = Vec::with_capacity(grid.len() + 1);
-        partial_off.push(0);
+        let mut tiles = Vec::with_capacity(grid.len());
+        let mut y_parts = Vec::with_capacity(grid.len());
+        let mut off = 0;
         for t in 0..grid.len() {
-            let (pr, _) = grid.coords(t);
-            partial_off.push(partial_off[t] + rows.part(pr).len());
+            let (pr, pc) = grid.coords(t);
+            let block = rows.part(pr);
+            tiles.push(off..off + block.len());
+            off += block.len();
+            let local = chunk(block.len(), grid.pc, pc);
+            y_parts.push(block.start + local.start..block.start + local.end);
         }
-        let partials = vec![V::zero(); *partial_off.last().expect("nonempty offsets")];
+        let partials = vec![V::zero(); off];
         let pool = WorkerPool::new(grid.len());
-        ParCsrBlock2d { matrix, grid, rows, col_bounds, pool, partials, partial_off }
+        let (tiles, y_parts) = (Parts::new(tiles), Parts::new(y_parts));
+        ParCsrBlock2d { matrix, grid, rows, col_bounds, pool, partials, tiles, y_parts }
     }
 
     /// The thread grid.
@@ -376,18 +365,14 @@ impl<I: SpIndex, V: Scalar> ParSpMv<V> for ParCsrBlock2d<'_, I, V> {
         let grid = self.grid;
         let rows = &self.rows;
         let col_bounds = &self.col_bounds;
-        let offs = &self.partial_off;
         let col_ind = m.col_ind();
         let values = m.values();
         // Dispatch 1: each tile computes its partial y block, visiting
         // only entries inside its column range (binary search per row).
-        let part_cell = DisjointSlices::new(&mut self.partials);
-        self.pool.run(|t| {
+        self.pool.run_split(&mut self.partials, &self.tiles, 1, |t, partial| {
             let (pr, pc) = grid.coords(t);
             let row_block = rows.part(pr);
             let (c_lo, c_hi) = (col_bounds[pc], col_bounds[pc + 1]);
-            // SAFETY: per-tile stripes of the flat buffer are disjoint.
-            let partial = unsafe { part_cell.range(offs[t]..offs[t + 1]) };
             for (li, i) in row_block.enumerate() {
                 let rr = m.row_range(i);
                 let cind = &col_ind[rr.clone()];
@@ -404,160 +389,17 @@ impl<I: SpIndex, V: Scalar> ParSpMv<V> for ParCsrBlock2d<'_, I, V> {
         // the pc-th uniform chunk of row block pr, so all grid.len()
         // threads reduce concurrently into disjoint y ranges, summing
         // tiles in fixed pc order (deterministic).
-        let partials = &self.partials;
-        let y_cell = DisjointSlices::new(y);
-        self.pool.run(|t| {
-            let (pr, pc) = grid.coords(t);
-            let row_block = rows.part(pr);
-            let local = chunk(row_block.len(), grid.pc, pc);
-            let out = row_block.start + local.start..row_block.start + local.end;
-            // SAFETY: chunks of distinct row blocks never overlap, and
-            // uniform chunks within one block are disjoint.
-            let y_chunk = unsafe { y_cell.range(out) };
-            for (ci, li) in local.enumerate() {
+        let (partials, tiles, y_parts) = (&self.partials, self.tiles.ranges(), &self.y_parts);
+        self.pool.run_split(y, y_parts, 1, |t, y_chunk| {
+            let (pr, _) = grid.coords(t);
+            let block_start = rows.part(pr).start;
+            for (y_i, i) in y_chunk.iter_mut().zip(y_parts.ranges()[t].clone()) {
+                let li = i - block_start;
                 let mut acc = V::zero();
                 for pcj in 0..grid.pc {
-                    acc += partials[offs[pr * grid.pc + pcj] + li];
+                    acc += partials[tiles[pr * grid.pc + pcj].start + li];
                 }
-                y_chunk[ci] = acc;
-            }
-        });
-    }
-}
-
-// ---------------------------------------------------------------------
-// DCSR — command-stream splits
-// ---------------------------------------------------------------------
-
-/// Row-partitioned parallel DCSR SpMV, mirroring [`ParCsrDu`] over the
-/// command stream. Provided for completeness of the related-work
-/// comparison (the paper only compares serial DCSR).
-pub struct ParDcsr<'m, V: Scalar = f64> {
-    matrix: &'m Dcsr<V>,
-    splits: Vec<DcsrSplit>,
-    row_bounds: Vec<usize>,
-    pool: WorkerPool,
-}
-
-impl<'m, V: Scalar> ParDcsr<'m, V> {
-    /// Plans nnz-balanced command-stream splits over `nthreads` threads.
-    pub fn new(matrix: &'m Dcsr<V>, nthreads: usize) -> Self {
-        let splits = matrix.splits(nthreads);
-        let row_bounds = split_row_bounds(splits.iter().map(|s| s.row_end));
-        let pool = WorkerPool::new(splits.len().max(1));
-        ParDcsr { splits, row_bounds, matrix, pool }
-    }
-}
-
-impl<V: Scalar> ParSpMv<V> for ParDcsr<'_, V> {
-    fn nthreads(&self) -> usize {
-        self.splits.len()
-    }
-
-    fn take_telemetry(&mut self) -> Option<PoolTelemetry> {
-        self.pool.take_telemetry()
-    }
-
-    fn par_spmv(&mut self, x: &[V], y: &mut [V]) {
-        assert_eq!(x.len(), self.matrix.ncols(), "x length must equal ncols");
-        assert_eq!(y.len(), self.matrix.nrows(), "y length must equal nrows");
-        let covered = *self.row_bounds.last().expect("nonempty bounds");
-        for v in y[covered..].iter_mut() {
-            *v = V::zero();
-        }
-        if self.splits.is_empty() {
-            return;
-        }
-        let slices = DisjointSlices::new(y);
-        let splits = &self.splits;
-        let bounds = &self.row_bounds;
-        let m = self.matrix;
-        self.pool.run(|tid| {
-            // SAFETY: split row ranges are disjoint; one tid per split.
-            let y_local = unsafe { slices.range(bounds[tid]..bounds[tid + 1]) };
-            m.spmv_split_local(&splits[tid], x, y_local);
-        });
-    }
-}
-
-// ---------------------------------------------------------------------
-// Symmetric CSR — row partitioning with private-y mirror accumulation
-// ---------------------------------------------------------------------
-
-/// Parallel symmetric-CSR SpMV. The lower-triangle rows are partitioned
-/// by stored nnz, but each stored off-diagonal entry also contributes to
-/// a *foreign* row of `y` (the mirrored upper-triangle term), so every
-/// thread accumulates into a private full-length `y` — pre-allocated at
-/// plan time — that a chunked second dispatch reduces, the same structure
-/// column partitioning needs (§II-C).
-pub struct ParSymCsr<'m, I: SpIndex = u32, V: Scalar = f64> {
-    matrix: &'m SymCsr<I, V>,
-    partition: RowPartition,
-    pool: WorkerPool,
-    /// `nparts` private y vectors, stored flat (`nparts * n`).
-    privates: Vec<V>,
-}
-
-impl<'m, I: SpIndex, V: Scalar> ParSymCsr<'m, I, V> {
-    /// Plans an nnz-balanced row partition over the stored triangle.
-    pub fn new(matrix: &'m SymCsr<I, V>, nthreads: usize) -> Self {
-        let partition = RowPartition::for_csr(matrix.lower(), nthreads);
-        let pool = WorkerPool::new(partition.nparts());
-        let privates = vec![V::zero(); partition.nparts() * matrix.n()];
-        ParSymCsr { partition, matrix, pool, privates }
-    }
-}
-
-impl<I: SpIndex, V: Scalar> ParSpMv<V> for ParSymCsr<'_, I, V> {
-    fn nthreads(&self) -> usize {
-        self.partition.nparts()
-    }
-
-    fn take_telemetry(&mut self) -> Option<PoolTelemetry> {
-        self.pool.take_telemetry()
-    }
-
-    fn par_spmv(&mut self, x: &[V], y: &mut [V]) {
-        let n = self.matrix.n();
-        assert_eq!(x.len(), n, "x length must equal n");
-        assert_eq!(y.len(), n, "y length must equal n");
-        let lower = self.matrix.lower();
-        let nparts = self.partition.nparts();
-        let partition = &self.partition;
-        // Dispatch 1: each thread zeroes its private y, then accumulates
-        // its row block plus the mirrored upper-triangle contributions.
-        let priv_cell = DisjointSlices::new(&mut self.privates);
-        self.pool.run(|tid| {
-            // SAFETY: per-thread stripes of the flat buffer are disjoint.
-            let y_private = unsafe { priv_cell.range(tid * n..(tid + 1) * n) };
-            for v in y_private.iter_mut() {
-                *v = V::zero();
-            }
-            for i in partition.part(tid) {
-                let mut acc = V::zero();
-                for (j, a) in lower.row_iter(i) {
-                    acc += a * x[j];
-                    if j != i {
-                        y_private[j] += a * x[i];
-                    }
-                }
-                y_private[i] += acc;
-            }
-        });
-        // Dispatch 2: chunked parallel reduction in fixed part order
-        // (bit-identical to the serial reduction).
-        let privates = &self.privates;
-        let y_cell = DisjointSlices::new(y);
-        self.pool.run(|tid| {
-            let rows = chunk(n, nparts, tid);
-            // SAFETY: uniform chunks are disjoint; one tid per chunk.
-            let y_chunk = unsafe { y_cell.range(rows.clone()) };
-            for (li, i) in rows.enumerate() {
-                let mut acc = V::zero();
-                for k in 0..nparts {
-                    acc += privates[k * n + i];
-                }
-                y_chunk[li] = acc;
+                *y_i = acc;
             }
         });
     }

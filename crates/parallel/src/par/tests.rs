@@ -290,76 +290,3 @@ fn pool_reuse_interleaved_plans() {
         }
     }
 }
-
-#[test]
-fn repeated_iterations_with_driver() {
-    // The paper's measurement loop: plan once, then many iterations over
-    // the same partition through the spawn-once driver.
-    use crate::pool::IterationDriver;
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    let coo = irregular(64, 64, 8);
-    let csr = coo.to_csr();
-    let part = RowPartition::for_csr(&csr, 4);
-    let x = x_for(64);
-    let mut y = vec![0.0; 64];
-    let mut y_serial = vec![0.0; 64];
-    csr.spmv(&x, &mut y_serial);
-
-    // Each driver thread owns one partition block across all rounds, as
-    // the paper's pthreads do.
-    let cell = crate::pool::DisjointSlices::new(&mut y);
-    let rounds = AtomicUsize::new(0);
-    let mut driver = IterationDriver::new(4, 16);
-    driver.run(|tid, _iter| {
-        let range = part.part(tid);
-        // SAFETY: partition blocks are disjoint; one tid per block.
-        let y_local = unsafe { cell.range(range.clone()) };
-        csr.spmv_rows_local(range.start, range.end, &x, y_local);
-        rounds.fetch_add(1, Ordering::Relaxed);
-    });
-    assert_eq!(rounds.load(Ordering::Relaxed), 4 * 16);
-    assert_eq!(y, y_serial);
-}
-
-#[test]
-fn par_sym_csr_matches_reference_numerically() {
-    // Symmetrize an irregular matrix.
-    let base = irregular(90, 90, 11);
-    let mut sym = Coo::new(90, 90);
-    for &(r, c, v) in base.entries() {
-        sym.push(r, c, v).unwrap();
-        if r != c {
-            sym.push(c, r, v).unwrap();
-        }
-    }
-    sym.canonicalize();
-    let full = sym.to_csr();
-    let s = spmv_core::sym::SymCsr::from_csr(&full).unwrap();
-    let x = x_for(90);
-    let mut y_ref = vec![0.0; 90];
-    sym.spmv_reference(&x, &mut y_ref);
-    for nthreads in [1, 2, 3, 5] {
-        let mut par = ParSymCsr::new(&s, nthreads);
-        let mut y = vec![4.0; 90];
-        par.par_spmv(&x, &mut y);
-        for (i, (a, b)) in y.iter().zip(&y_ref).enumerate() {
-            assert!((a - b).abs() < 1e-9, "nthreads={nthreads} row={i}");
-        }
-    }
-}
-
-#[test]
-fn par_dcsr_matches_serial_bit_exact() {
-    let coo = irregular(180, 250, 12);
-    let csr = coo.to_csr();
-    let d = spmv_core::dcsr::Dcsr::from_csr(&csr, &Default::default());
-    let x = x_for(250);
-    let mut y_serial = vec![0.0; 180];
-    d.spmv(&x, &mut y_serial);
-    for nthreads in [1, 2, 3, 6] {
-        let mut par = ParDcsr::new(&d, nthreads);
-        let mut y = vec![5.0; 180];
-        par.par_spmv(&x, &mut y);
-        assert_eq!(y, y_serial, "nthreads={nthreads}");
-    }
-}

@@ -21,17 +21,20 @@
 //! or lost workers is [`crate::supervised::SupervisedSpMv`]'s job, whose
 //! workers own everything they touch.
 //!
-//! [`IterationDriver`] layers the paper's repeated-iteration protocol on
-//! top: one pool dispatch runs all rounds, with a [`Barrier`] between
-//! consecutive rounds (and none after the last — the pool's own completion
-//! handshake already joins it).
+//! The paper's kernels give each thread one disjoint block of `y` (§IV:
+//! "an offset in the ctl, values and y arrays"; §V: "the first and the
+//! last row"). [`WorkerPool::run_split`] is that hand-out: a [`Parts`]
+//! holds one row range per thread, checked pairwise disjoint once, when
+//! the plan is built, and each dispatch gives thread `t` its range of one
+//! buffer as a plain `&mut` slice. Every executor of the crate that
+//! writes a shared buffer from the pool goes through it, so the
+//! disjointness argument is made once, here.
 
 use crate::telemetry::PoolTelemetry;
 use std::any::Any;
-use std::marker::PhantomData;
 use std::ops::Range;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::{Arc, Barrier, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 
 // ---------------------------------------------------------------------
@@ -47,8 +50,9 @@ use std::thread::JoinHandle;
 #[derive(Clone, Copy)]
 struct Job(*const (dyn Fn(usize) + Sync));
 
-// The pointee is `Sync` (shared by all workers) and outlives the dispatch;
-// the pointer itself is only ever dereferenced during that dispatch.
+// SAFETY: the pointee is `Sync`, so workers may call it concurrently
+// through shared references, and it outlives the dispatch (see above);
+// the pointer is dereferenced only during that dispatch.
 unsafe impl Send for Job {}
 
 struct State {
@@ -216,7 +220,9 @@ impl WorkerPool {
         #[cfg(feature = "telemetry")]
         self.shared.telemetry.record_dispatch();
         let f_ref: &(dyn Fn(usize) + Sync) = &f;
-        // Erase the borrow's lifetime; see `Job` for why this is sound.
+        // SAFETY: only the borrow's lifetime is erased. `f` outlives every
+        // use of the pointer: the drain guard below waits for all workers
+        // on both the return and the unwind path before `f` is dropped.
         let job = Job(unsafe {
             std::mem::transmute::<&(dyn Fn(usize) + Sync), *const (dyn Fn(usize) + Sync)>(f_ref)
         });
@@ -235,6 +241,63 @@ impl WorkerPool {
         let guard = DrainGuard { shared: &self.shared };
         record_busy(&self.shared, 0, || f(0));
         drop(guard);
+    }
+
+    /// Runs `f(t, piece)` once per thread, like [`WorkerPool::run`], where
+    /// `piece` is `buf[r.start * scale..r.end * scale]` for thread `t`'s
+    /// range `r` in `parts`: each thread writes its own share of one
+    /// buffer (`scale` elements per row, e.g. the `k` columns of a
+    /// row-major panel).
+    ///
+    /// Panics before any thread runs unless `parts` holds one range per
+    /// thread and every range, empty or not, times `scale` lies inside
+    /// `buf`.
+    pub fn run_split<T, F>(&mut self, buf: &mut [T], parts: &Parts, scale: usize, f: F)
+    where
+        T: Send,
+        F: Fn(usize, &mut [T]) + Sync,
+    {
+        assert_eq!(parts.len(), self.nthreads, "need one range per pool thread");
+        for r in parts.ranges() {
+            let end = r.end.checked_mul(scale).expect("range end times scale overflows usize");
+            assert!(
+                end <= buf.len(),
+                "range {r:?} x {scale} lies past the buffer end {}",
+                buf.len()
+            );
+        }
+        let base = SharedMut(buf.as_mut_ptr());
+        self.run(|tid| {
+            let r = &parts.ranges()[tid];
+            // SAFETY: `r.start <= r.end` (a `Parts` invariant) and
+            // `r.end * scale <= buf.len()` (checked above), so the piece
+            // lies inside `buf`, which stays mutably borrowed until `run`
+            // has drained every thread. The non-empty ranges of `parts`
+            // are pairwise disjoint (checked by `Parts::new`), and `run`
+            // calls each `tid` exactly once per dispatch, so no element
+            // is reachable through two live pieces.
+            let piece = unsafe {
+                std::slice::from_raw_parts_mut(base.get().add(r.start * scale), r.len() * scale)
+            };
+            f(tid, piece);
+        });
+    }
+}
+
+/// The base pointer of the buffer [`WorkerPool::run_split`] cuts up,
+/// shared by the pool threads.
+struct SharedMut<T>(*mut T);
+
+// SAFETY: threads use the pointer only to build the disjoint pieces
+// `run_split` hands out, one per thread; sending a `&mut [T]` to another
+// thread needs `T: Send`.
+unsafe impl<T: Send> Sync for SharedMut<T> {}
+
+impl<T> SharedMut<T> {
+    /// The pointer. A method, so that closures capture the `Sync` wrapper
+    /// rather than its raw-pointer field.
+    fn get(&self) -> *mut T {
+        self.0
     }
 }
 
@@ -276,13 +339,16 @@ fn worker_loop(shared: &Shared, tid: usize) {
                 st = shared.work_cv.wait(st).unwrap_or_else(PoisonError::into_inner);
             }
         };
-        // SAFETY: `run` keeps the closure alive until `active` drains to
-        // zero, which happens only after this call returns. A panic in the
-        // job must not unwind past the decrement below — it would strand
-        // `active` and deadlock the caller forever — so it is caught here
-        // and re-raised by `run` on the caller's stack instead.
+        // A panic in the job must not unwind past the decrement below — it
+        // would strand `active` and deadlock the caller forever — so it is
+        // caught here and re-raised by `run` on the caller's stack instead.
         let outcome = record_busy(shared, tid, || {
-            panic::catch_unwind(AssertUnwindSafe(|| unsafe { (*job.0)(tid) }))
+            panic::catch_unwind(AssertUnwindSafe(|| {
+                // SAFETY: `run` keeps the closure alive until `active`
+                // drains to zero, which happens only after this call
+                // returns.
+                unsafe { (*job.0)(tid) }
+            }))
         });
         let mut st = lock_state(shared);
         if let Err(payload) = outcome {
@@ -301,56 +367,55 @@ fn worker_loop(shared: &Shared, tid: usize) {
 }
 
 // ---------------------------------------------------------------------
-// DisjointSlices
+// Parts
 // ---------------------------------------------------------------------
 
-/// Hands disjoint `&mut` sub-slices of one buffer to pool threads.
+/// One row range per pool thread: the shares of a buffer that
+/// [`WorkerPool::run_split`] hands out, range `t` to thread `t`.
 ///
-/// [`WorkerPool::run`] shares a single `Fn` closure between threads, so
-/// the closure cannot capture per-thread `&mut` slices directly; this cell
-/// erases the buffer's uniqueness and re-asserts it per sub-range.
-///
-/// # Invariant
-///
-/// Ranges claimed via [`DisjointSlices::range`] during one dispatch must
-/// be pairwise disjoint. Every use in this crate derives the ranges from a
-/// partition whose blocks are disjoint by construction.
-pub struct DisjointSlices<'a, T> {
-    ptr: *mut T,
-    len: usize,
-    _marker: PhantomData<&'a mut [T]>,
+/// The ranges may come in any order and leave gaps, and any of them may
+/// be empty. The non-empty ones are pairwise disjoint: [`Parts::new`]
+/// checks that once, when a plan is built, so a dispatch needs no check
+/// of its own.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Parts {
+    ranges: Vec<Range<usize>>,
 }
 
-// Threads only ever touch disjoint elements (the invariant above), which
-// is exactly the access pattern `&mut [T]: Send` permits when chunked.
-unsafe impl<T: Send> Sync for DisjointSlices<'_, T> {}
-
-impl<'a, T> DisjointSlices<'a, T> {
-    /// Wraps `buf`, taking its unique borrow for `'a`.
-    pub fn new(buf: &'a mut [T]) -> DisjointSlices<'a, T> {
-        DisjointSlices { ptr: buf.as_mut_ptr(), len: buf.len(), _marker: PhantomData }
+impl Parts {
+    /// Wraps `ranges`, range `t` for thread `t`. Panics if a range is
+    /// reversed or two non-empty ranges share a row.
+    pub fn new(ranges: Vec<Range<usize>>) -> Parts {
+        for r in &ranges {
+            assert!(r.start <= r.end, "chunk row range {r:?} is reversed");
+        }
+        let mut live: Vec<_> = ranges.iter().filter(|r| !r.is_empty()).collect();
+        live.sort_by_key(|r| r.start);
+        for w in live.windows(2) {
+            assert!(w[0].end <= w[1].start, "chunk row ranges overlap: {:?} and {:?}", w[0], w[1]);
+        }
+        Parts { ranges }
     }
 
-    /// Length of the wrapped buffer.
+    /// `parts` near-equal ranges tiling `0..n` in order: range `t` is
+    /// [`chunk`]`(n, parts, t)`.
+    pub fn uniform(n: usize, parts: usize) -> Parts {
+        Parts::new((0..parts).map(|t| chunk(n, parts, t)).collect())
+    }
+
+    /// The ranges, range `t` for thread `t`.
+    pub fn ranges(&self) -> &[Range<usize>] {
+        &self.ranges
+    }
+
+    /// Number of ranges.
     pub fn len(&self) -> usize {
-        self.len
+        self.ranges.len()
     }
 
-    /// `true` if the wrapped buffer is empty.
+    /// `true` if there are no ranges.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Reclaims `buf[r]` as a mutable slice.
-    ///
-    /// # Safety
-    ///
-    /// `r` must not overlap any other range claimed from this cell during
-    /// the same dispatch.
-    #[allow(clippy::mut_from_ref)] // the whole point of the cell
-    pub unsafe fn range(&self, r: Range<usize>) -> &mut [T] {
-        assert!(r.start <= r.end && r.end <= self.len, "range {r:?} out of bounds");
-        std::slice::from_raw_parts_mut(self.ptr.add(r.start), r.end - r.start)
+        self.ranges.is_empty()
     }
 }
 
@@ -358,91 +423,6 @@ impl<'a, T> DisjointSlices<'a, T> {
 /// chunked parallel reductions).
 pub fn chunk(n: usize, nchunks: usize, k: usize) -> Range<usize> {
     k * n / nchunks..(k + 1) * n / nchunks
-}
-
-// ---------------------------------------------------------------------
-// Spawn-per-call baseline
-// ---------------------------------------------------------------------
-
-/// Runs `f(tid)` on `nthreads` scoped threads and waits for all of them.
-///
-/// This is the *spawn-per-call* baseline the persistent [`WorkerPool`]
-/// replaces in the hot paths; it survives as the comparison arm of the
-/// dispatch-overhead benchmark.
-pub fn run_on_threads<F>(nthreads: usize, f: F)
-where
-    F: Fn(usize) + Sync,
-{
-    assert!(nthreads >= 1, "need at least one thread");
-    if nthreads == 1 {
-        // Fast path: no spawn for the serial case.
-        f(0);
-        return;
-    }
-    std::thread::scope(|s| {
-        for tid in 0..nthreads {
-            let f = &f;
-            s.spawn(move || f(tid));
-        }
-    });
-}
-
-// ---------------------------------------------------------------------
-// IterationDriver
-// ---------------------------------------------------------------------
-
-/// Drives `iters` rounds of a per-thread body on a persistent pool with a
-/// barrier between rounds — the paper's repeated-iteration measurement
-/// loop (§VI-A). Threads are spawned once at construction; `run` costs one
-/// pool dispatch regardless of the round count, and no barrier is paid
-/// after the final round (the pool's completion handshake already joins
-/// all threads).
-pub struct IterationDriver {
-    pool: WorkerPool,
-    barrier: Barrier,
-    iters: usize,
-}
-
-impl IterationDriver {
-    /// Creates a driver for `nthreads` threads x `iters` rounds.
-    pub fn new(nthreads: usize, iters: usize) -> IterationDriver {
-        assert!(nthreads >= 1 && iters >= 1);
-        IterationDriver { pool: WorkerPool::new(nthreads), barrier: Barrier::new(nthreads), iters }
-    }
-
-    /// Number of threads per round.
-    pub fn nthreads(&self) -> usize {
-        self.pool.nthreads()
-    }
-
-    /// Rounds per `run`.
-    pub fn iters(&self) -> usize {
-        self.iters
-    }
-
-    /// Runs `body(tid, iter)` for every thread and round. Rounds are
-    /// globally ordered: all threads finish round `i` before any starts
-    /// round `i + 1`.
-    ///
-    /// A panic in `body` propagates like [`WorkerPool::run`]'s — but if
-    /// other threads are already blocked in an inter-round barrier wait
-    /// they will never be released, so `body` should not panic except to
-    /// abort the process (measurement bodies here never do).
-    pub fn run<F>(&mut self, body: F)
-    where
-        F: Fn(usize, usize) + Sync,
-    {
-        let iters = self.iters;
-        let barrier = &self.barrier;
-        self.pool.run(|tid| {
-            for iter in 0..iters {
-                body(tid, iter);
-                if iter + 1 < iters {
-                    barrier.wait();
-                }
-            }
-        });
-    }
 }
 
 #[cfg(test)]
@@ -490,12 +470,7 @@ mod tests {
     fn pool_borrows_caller_stack() {
         let mut pool = WorkerPool::new(4);
         let mut out = vec![0usize; 4];
-        let cell = DisjointSlices::new(&mut out);
-        pool.run(|tid| {
-            // SAFETY: each tid claims its own element.
-            let slot = unsafe { cell.range(tid..tid + 1) };
-            slot[0] = tid * 10;
-        });
+        pool.run_split(&mut out, &Parts::uniform(4, 4), 1, |tid, slot| slot[0] = tid * 10);
         assert_eq!(out, vec![0, 10, 20, 30]);
     }
 
@@ -609,61 +584,102 @@ mod tests {
         assert_eq!(t.chunks, vec![1]);
     }
 
-    #[test]
-    fn run_on_threads_executes_each_tid_once() {
-        let hits = Mutex::new(vec![0usize; 4]);
-        run_on_threads(4, |tid| {
-            hits.lock().unwrap()[tid] += 1;
-        });
-        assert_eq!(*hits.lock().unwrap(), vec![1, 1, 1, 1]);
+    fn panic_message(payload: &(dyn Any + Send)) -> &str {
+        let owned = payload.downcast_ref::<String>().map(String::as_str);
+        owned.or_else(|| payload.downcast_ref::<&str>().copied()).unwrap_or_default()
     }
 
-    #[test]
-    fn run_on_threads_serial_fast_path() {
-        let count = AtomicUsize::new(0);
-        run_on_threads(1, |tid| {
-            assert_eq!(tid, 0);
-            count.fetch_add(1, Ordering::Relaxed);
-        });
-        assert_eq!(count.load(Ordering::Relaxed), 1);
-    }
-
-    #[test]
-    fn iteration_driver_orders_rounds() {
-        // With the barrier, no thread can be a full round ahead: track the
-        // max round spread ever observed.
-        let current = AtomicUsize::new(0);
-        let violations = AtomicUsize::new(0);
-        let mut driver = IterationDriver::new(4, 16);
-        driver.run(|_tid, iter| {
-            let seen = current.load(Ordering::SeqCst);
-            if iter > seen + 1 {
-                violations.fetch_add(1, Ordering::SeqCst);
-            }
-            current.fetch_max(iter, Ordering::SeqCst);
-        });
-        assert_eq!(violations.load(Ordering::SeqCst), 0);
-    }
-
-    #[test]
-    fn iteration_driver_total_invocations() {
-        let count = AtomicUsize::new(0);
-        IterationDriver::new(3, 10).run(|_, _| {
-            count.fetch_add(1, Ordering::Relaxed);
-        });
-        assert_eq!(count.load(Ordering::Relaxed), 30);
-    }
-
-    #[test]
-    fn iteration_driver_is_reusable() {
-        let mut driver = IterationDriver::new(2, 5);
-        let count = AtomicUsize::new(0);
-        for _ in 0..20 {
-            driver.run(|_, _| {
-                count.fetch_add(1, Ordering::Relaxed);
+    /// Builds `parts()` and splits a `len`-byte buffer by it at `scale`;
+    /// checks that this panics with `expected` before any thread calls
+    /// the body, and that the pool then serves a valid split.
+    fn assert_refused(
+        pool: &mut WorkerPool,
+        expected: &str,
+        parts: impl FnOnce() -> Parts,
+        len: usize,
+        scale: usize,
+    ) {
+        let calls = AtomicUsize::new(0);
+        let mut buf = vec![0u8; len];
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            pool.run_split(&mut buf, &parts(), scale, |_, _| {
+                calls.fetch_add(1, Ordering::SeqCst);
             });
+        }));
+        let payload = caught.expect_err(expected);
+        assert!(panic_message(&*payload).contains(expected), "{}", panic_message(&*payload));
+        assert_eq!(calls.load(Ordering::SeqCst), 0, "{expected}: a thread ran");
+        let n = pool.nthreads();
+        let mut out = vec![0usize; n];
+        pool.run_split(&mut out, &Parts::uniform(n, n), 1, |tid, slot| slot[0] = tid + 1);
+        assert_eq!(out, (1..=n).collect::<Vec<_>>(), "{expected}: pool unusable afterwards");
+    }
+
+    #[test]
+    fn split_refuses_bad_parts_before_any_thread_runs() {
+        let mut pool = WorkerPool::new(3);
+        let overlap = || Parts::new(vec![0..4, 6..8, 3..5]);
+        assert_refused(&mut pool, "chunk row ranges overlap", overlap, 8, 1);
+        let reversed = || Parts::new(vec![0..1, Range { start: 5, end: 2 }, 6..8]);
+        assert_refused(&mut pool, "is reversed", reversed, 8, 1);
+        for count in [2, 4] {
+            let wrong_count = || Parts::uniform(8, count);
+            assert_refused(&mut pool, "one range per pool thread", wrong_count, 8, 1);
         }
-        assert_eq!(count.load(Ordering::Relaxed), 200);
+        let past_end = || Parts::new(vec![0..2, 2..4, 4..9]);
+        assert_refused(&mut pool, "past the buffer end", past_end, 8, 1);
+        let empty_past_end = || Parts::new(vec![0..2, 9..9, 2..4]);
+        assert_refused(&mut pool, "past the buffer end", empty_past_end, 8, 1);
+        assert_refused(&mut pool, "past the buffer end", || Parts::uniform(8, 3), 8, 2);
+        let huge = || Parts::new(vec![0..1, 1..2, 2..usize::MAX / 2]);
+        assert_refused(&mut pool, "overflows", huge, 8, 3);
+        let empty_huge = || Parts::new(vec![0..1, usize::MAX..usize::MAX, 1..2]);
+        assert_refused(&mut pool, "overflows", empty_huge, 8, 2);
+    }
+
+    #[test]
+    fn split_pieces_hold_exactly_each_threads_rows() {
+        for nthreads in [1, 2, 3, 5, 7] {
+            let mut pool = WorkerPool::new(nthreads);
+            // Descending order, a one-row gap before every range, and
+            // every third range empty.
+            let ranges: Vec<_> = (0..nthreads)
+                .map(|t| {
+                    let start = 3 * (nthreads - 1 - t) + 1;
+                    start..start + if t % 3 == 1 { 0 } else { 2 }
+                })
+                .collect();
+            let parts = Parts::new(ranges.clone());
+            for scale in [1, 3] {
+                let mut buf = vec![usize::MAX; (3 * nthreads + 1) * scale];
+                pool.run_split(&mut buf, &parts, scale, |tid, piece| {
+                    assert_eq!(piece.len(), ranges[tid].len() * scale);
+                    piece.fill(tid);
+                });
+                for (i, &v) in buf.iter().enumerate() {
+                    let owner = ranges.iter().position(|r| r.contains(&(i / scale)));
+                    let ctx = format!("nthreads={nthreads} scale={scale} element {i}");
+                    assert_eq!(v, owner.unwrap_or(usize::MAX), "{ctx}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn split_worker_panic_propagates_and_pool_stays_usable() {
+        let mut pool = WorkerPool::new(3);
+        let parts = Parts::uniform(6, 3);
+        let mut buf = vec![0u32; 6];
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            pool.run_split(&mut buf, &parts, 1, |tid, piece| {
+                assert_ne!(tid, 2, "worker two fails");
+                piece.fill(1);
+            });
+        }));
+        let payload = caught.expect_err("a worker panic propagates");
+        assert!(panic_message(&*payload).contains("worker two fails"));
+        pool.run_split(&mut buf, &parts, 1, |tid, piece| piece.fill(tid as u32 + 1));
+        assert_eq!(buf, [1, 1, 2, 2, 3, 3]);
     }
 
     #[test]

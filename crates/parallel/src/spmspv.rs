@@ -12,8 +12,9 @@
 //!    its column slice contributes (`counts[t][b]`);
 //! 2. a serial exclusive prefix sum lays the pair array out bucket-major,
 //!    thread-slices in thread order within each bucket (`offs[b][t]`);
-//! 3. **scatter** — each thread writes its `(row, a_ij·x_j)` pairs into
-//!    its disjoint ranges, no synchronization ([`DisjointSlices`]);
+//! 3. **scatter** — the pair array is cut at that prefix table into one
+//!    piece per (bucket, thread), and each thread writes its
+//!    `(row, a_ij·x_j)` pairs into its own pieces, no synchronization;
 //! 4. **accumulate** — buckets are split across threads; each bucket's
 //!    pairs are folded into a dense accumulator over its row range, then
 //!    a serial prefix over per-bucket support counts and a final
@@ -32,11 +33,25 @@
 //! accumulation. Each row is computed by exactly one thread in ascending
 //! column order, so it matches the bucket plan bit-for-bit (structural
 //! support included).
+//!
+//! ## What a call allocates
+//!
+//! The plans keep their counts, prefix tables, accumulators and (for the
+//! bucket plan) pair arrays across calls; the pair arrays grow to the
+//! largest pair count seen. A call allocates its output and bookkeeping
+//! of `O(nthreads × nbuckets)` words: the phases that write several
+//! buffers at once cut them with `split_at_mut` before dispatch
+//! ([`spmv_core::split_mut`]) and hand each thread its pieces through
+//! take-once slots, and each scatter thread keeps one cursor per bucket.
+//!
+//! [`SpMSpV`]: spmv_core::SpMSpV
 
-use crate::pool::{chunk, DisjointSlices, WorkerPool};
+use crate::partition::RowPartition;
+use crate::pool::{chunk, Parts, WorkerPool};
 use spmv_core::error::{Result, SparseError};
 use spmv_core::spmspv::{choose_path, DENSE_CROSSOVER_DENSITY};
-use spmv_core::{Csc, Csr, Scalar, SpIndex, SpMSpVPath, SparseVec};
+use spmv_core::{split_mut, Csc, Csr, Scalar, SpIndex, SpMSpVPath, SparseVec};
+use std::sync::{Mutex, PoisonError};
 
 fn check_x_dim(ncols: usize, x_dim: usize) -> Result<()> {
     if x_dim != ncols {
@@ -47,12 +62,60 @@ fn check_x_dim(ncols: usize, x_dim: usize) -> Result<()> {
     Ok(())
 }
 
+/// Take-once slots, one per thread: thread `t` takes item `t`.
+struct Handout<T>(Vec<Mutex<Option<T>>>);
+
+impl<T> Handout<T> {
+    fn new(items: impl IntoIterator<Item = T>) -> Self {
+        Handout(items.into_iter().map(|item| Mutex::new(Some(item))).collect())
+    }
+
+    fn take(&self, tid: usize) -> T {
+        // A slot is only ever emptied whole, so a poisoned one is intact.
+        let item = self.0[tid].lock().unwrap_or_else(PoisonError::into_inner).take();
+        item.expect("each thread takes its pieces once")
+    }
+}
+
+/// Copies the support of `acc` (the rows `hit` marks) into the sorted
+/// output: thread `t` gathers rows `row_bounds[t]..row_bounds[t + 1]`
+/// into output slots `out_bounds[t]..out_bounds[t + 1]`, which hold
+/// exactly that many marked rows.
+fn gather<V: Scalar>(
+    pool: &mut WorkerPool,
+    acc: &[V],
+    hit: &[u8],
+    row_bounds: &[usize],
+    out_bounds: &[usize],
+) -> Result<SparseVec<V>> {
+    let out_nnz = *out_bounds.last().expect("a bound past the last thread");
+    let mut out_ind = vec![0u32; out_nnz];
+    let mut out_val = vec![V::zero(); out_nnz];
+    {
+        let ind = split_mut(&mut out_ind, out_bounds);
+        let val = split_mut(&mut out_val, out_bounds);
+        let pieces = Handout::new(ind.into_iter().zip(val));
+        pool.run(|tid| {
+            let (oind, oval) = pieces.take(tid);
+            let mut w = 0usize;
+            for r in row_bounds[tid]..row_bounds[tid + 1] {
+                if hit[r] != 0 {
+                    oind[w] = r as u32;
+                    oval[w] = acc[r];
+                    w += 1;
+                }
+            }
+        });
+    }
+    SparseVec::new(acc.len(), out_ind, out_val)
+}
+
 /// Parallel two-phase bucket SpMSpV over a borrowed CSC matrix.
 ///
 /// Owns a [`WorkerPool`] and per-call scratch, reused across calls. A
-/// call still allocates its output and, in the scatter phase, two
-/// `nbuckets`-long vectors per thread. See the [module docs](self) for
-/// the algorithm and determinism contracts.
+/// call still allocates its output and `O(nthreads × nbuckets)` words of
+/// bookkeeping (see the [module docs](self#what-a-call-allocates), which
+/// also give the algorithm and determinism contracts).
 pub struct ParSpMSpV<'m, I: SpIndex = u32, V: Scalar = f64> {
     m: &'m Csc<I, V>,
     pool: WorkerPool,
@@ -60,9 +123,15 @@ pub struct ParSpMSpV<'m, I: SpIndex = u32, V: Scalar = f64> {
     nbuckets: usize,
     bucket_rows: usize,
     crossover: f64,
-    counts: Vec<usize>,  // [t * nbuckets + b]
-    offs: Vec<usize>,    // [b * nthreads + t]
-    bstart: Vec<usize>,  // [b] .. nbuckets + 1
+    counts: Vec<usize>, // [t * nbuckets + b]
+    /// Thread `t`'s row of `counts` (scale `nbuckets`).
+    count_rows: Parts,
+    offs: Vec<usize>,   // [b * nthreads + t] .. nbuckets * nthreads + 1
+    bstart: Vec<usize>, // [b] .. nbuckets + 1
+    /// Thread `t` accumulates buckets `bucket_bounds[t]..bucket_bounds[t + 1]`,
+    /// which cover rows `row_bounds[t]..row_bounds[t + 1]`.
+    bucket_bounds: Vec<usize>, // [t] .. nthreads + 1
+    row_bounds: Vec<usize>, // [t] .. nthreads + 1
     touched: Vec<usize>, // [b]
     out_off: Vec<usize>, // [b] .. nbuckets + 1
     pair_rows: Vec<u32>, // bucket-major (row, value) pair array
@@ -86,6 +155,10 @@ impl<'m, I: SpIndex, V: Scalar> ParSpMSpV<'m, I, V> {
         let nthreads = nthreads.max(1);
         let nbuckets = nbuckets.clamp(1, m.nrows().max(1));
         let bucket_rows = m.nrows().div_ceil(nbuckets).max(1);
+        let bucket_bounds = RowPartition::uniform(nbuckets, nthreads).bounds;
+        // Trailing buckets can sit entirely past the last row when
+        // `nbuckets * bucket_rows` over-covers; clamp.
+        let row_bounds = bucket_bounds.iter().map(|&b| (b * bucket_rows).min(m.nrows())).collect();
         ParSpMSpV {
             m,
             pool: WorkerPool::new(nthreads),
@@ -94,8 +167,11 @@ impl<'m, I: SpIndex, V: Scalar> ParSpMSpV<'m, I, V> {
             bucket_rows,
             crossover: DENSE_CROSSOVER_DENSITY,
             counts: vec![0; nthreads * nbuckets],
-            offs: vec![0; nbuckets * nthreads],
+            count_rows: Parts::uniform(nthreads, nthreads),
+            offs: vec![0; nbuckets * nthreads + 1],
             bstart: vec![0; nbuckets + 1],
+            bucket_bounds,
+            row_bounds,
             touched: vec![0; nbuckets],
             out_off: vec![0; nbuckets + 1],
             pair_rows: Vec::new(),
@@ -140,21 +216,17 @@ impl<'m, I: SpIndex, V: Scalar> ParSpMSpV<'m, I, V> {
         let (col_ptr, row_ind, values) = (self.m.col_ptr(), self.m.row_ind(), self.m.values());
         let (x_ind, x_val) = (x.indices(), x.values());
 
-        // Phase 1: per-(thread, bucket) pair counts. Each slice zeroes
-        // its own range first: the counts persist from the last call.
-        {
-            let ds_counts = DisjointSlices::new(&mut self.counts);
-            self.pool.run(|tid| {
-                let my = unsafe { ds_counts.range(tid * nb..(tid + 1) * nb) };
-                my.fill(0);
-                for i in chunk(x_ind.len(), nt, tid) {
-                    let c = x_ind[i] as usize;
-                    for j in col_ptr[c].index()..col_ptr[c + 1].index() {
-                        my[row_ind[j].index() / brows] += 1;
-                    }
+        // Phase 1: per-(thread, bucket) pair counts. Each thread zeroes
+        // its own row first: the counts persist from the last call.
+        self.pool.run_split(&mut self.counts, &self.count_rows, nb, |tid, my| {
+            my.fill(0);
+            for i in chunk(x_ind.len(), nt, tid) {
+                let c = x_ind[i] as usize;
+                for j in col_ptr[c].index()..col_ptr[c + 1].index() {
+                    my[row_ind[j].index() / brows] += 1;
                 }
-            });
-        }
+            }
+        });
 
         // Serial prefix sum: bucket-major, thread order within a bucket.
         let mut run = 0usize;
@@ -166,24 +238,23 @@ impl<'m, I: SpIndex, V: Scalar> ParSpMSpV<'m, I, V> {
             }
         }
         self.bstart[nb] = run;
-        let total = run;
-        self.pair_rows.resize(total, 0);
-        self.pair_vals.resize(total, V::zero());
+        self.offs[nb * nt] = run;
+        self.pair_rows.resize(run, 0);
+        self.pair_vals.resize(run, V::zero());
 
-        // Phase 2: synchronization-free scatter into the disjoint ranges
-        // the prefix table laid out.
+        // Phase 2: synchronization-free scatter. The pair arrays are cut
+        // at the prefix table into one piece per (bucket, thread), and
+        // thread `t` takes its piece of every bucket.
         {
-            let ds_rows = DisjointSlices::new(&mut self.pair_rows);
-            let ds_vals = DisjointSlices::new(&mut self.pair_vals);
-            let (offs, counts) = (&self.offs, &self.counts);
+            let rows = split_mut(&mut self.pair_rows, &self.offs);
+            let vals = split_mut(&mut self.pair_vals, &self.offs);
+            let mut mine: Vec<Vec<_>> = (0..nt).map(|_| Vec::with_capacity(nb)).collect();
+            for (i, piece) in rows.into_iter().zip(vals).enumerate() {
+                mine[i % nt].push(piece);
+            }
+            let pieces = Handout::new(mine);
             self.pool.run(|tid| {
-                let mut slots: Vec<(&mut [u32], &mut [V])> = (0..nb)
-                    .map(|b| {
-                        let lo = offs[b * nt + tid];
-                        let hi = lo + counts[tid * nb + b];
-                        unsafe { (ds_rows.range(lo..hi), ds_vals.range(lo..hi)) }
-                    })
-                    .collect();
+                let mut slots = pieces.take(tid);
                 let mut cur = vec![0usize; nb];
                 for i in chunk(x_ind.len(), nt, tid) {
                     let (c, xv) = (x_ind[i] as usize, x_val[i]);
@@ -199,29 +270,22 @@ impl<'m, I: SpIndex, V: Scalar> ParSpMSpV<'m, I, V> {
             });
         }
 
-        // Phase 3: per-bucket accumulation. Thread `t` owns buckets
-        // chunk(nb, nt, t); it zeroes their accumulator rows before
-        // folding, then counts each bucket's support.
+        // Phase 3: per-bucket accumulation. Each thread zeroes its
+        // accumulator rows before folding, then counts each bucket's
+        // support.
         {
-            let ds_acc = DisjointSlices::new(&mut self.acc);
-            let ds_hit = DisjointSlices::new(&mut self.hit);
-            let ds_touched = DisjointSlices::new(&mut self.touched);
+            let acc = split_mut(&mut self.acc, &self.row_bounds);
+            let hit = split_mut(&mut self.hit, &self.row_bounds);
+            let touched = split_mut(&mut self.touched, &self.bucket_bounds);
+            let pieces = Handout::new(acc.into_iter().zip(hit).zip(touched));
             let (bstart, pair_rows, pair_vals) = (&self.bstart, &self.pair_rows, &self.pair_vals);
+            let (bucket_bounds, row_bounds) = (&self.bucket_bounds, &self.row_bounds);
             self.pool.run(|tid| {
-                let bs = chunk(nb, nt, tid);
-                if bs.is_empty() {
-                    return;
-                }
-                // Trailing buckets can sit entirely past the last row
-                // when `nbuckets * bucket_rows` over-covers; clamp.
-                let r0 = (bs.start * brows).min(nrows);
-                let r1 = (bs.end * brows).min(nrows);
-                let acc = unsafe { ds_acc.range(r0..r1) };
-                let hit = unsafe { ds_hit.range(r0..r1) };
-                let tch = unsafe { ds_touched.range(bs.clone()) };
+                let ((acc, hit), touched) = pieces.take(tid);
+                let r0 = row_bounds[tid];
                 acc.fill(V::zero());
                 hit.fill(0);
-                for b in bs.clone() {
+                for (b, tch) in (bucket_bounds[tid]..bucket_bounds[tid + 1]).zip(touched) {
                     for p in bstart[b]..bstart[b + 1] {
                         let r = pair_rows[p] as usize - r0;
                         acc[r] += pair_vals[p];
@@ -229,7 +293,7 @@ impl<'m, I: SpIndex, V: Scalar> ParSpMSpV<'m, I, V> {
                     }
                     let blo = (b * brows).min(nrows) - r0;
                     let bhi = ((b + 1) * brows).min(nrows) - r0;
-                    tch[b - bs.start] = hit[blo..bhi].iter().filter(|&&h| h != 0).count();
+                    *tch = hit[blo..bhi].iter().filter(|&&h| h != 0).count();
                 }
             });
         }
@@ -239,36 +303,10 @@ impl<'m, I: SpIndex, V: Scalar> ParSpMSpV<'m, I, V> {
         for b in 0..nb {
             self.out_off[b + 1] = self.out_off[b] + self.touched[b];
         }
-        let out_nnz = self.out_off[nb];
-        let mut out_ind = vec![0u32; out_nnz];
-        let mut out_val = vec![V::zero(); out_nnz];
 
-        // Phase 4: gather each bucket's support into the sorted output.
-        {
-            let ds_oind = DisjointSlices::new(&mut out_ind);
-            let ds_oval = DisjointSlices::new(&mut out_val);
-            let (acc, hit, out_off) = (&self.acc, &self.hit, &self.out_off);
-            self.pool.run(|tid| {
-                let bs = chunk(nb, nt, tid);
-                if bs.is_empty() {
-                    return;
-                }
-                let lo = out_off[bs.start];
-                let hi = out_off[bs.end];
-                let oind = unsafe { ds_oind.range(lo..hi) };
-                let oval = unsafe { ds_oval.range(lo..hi) };
-                let mut w = 0usize;
-                for r in (bs.start * brows).min(nrows)..(bs.end * brows).min(nrows) {
-                    if hit[r] != 0 {
-                        oind[w] = r as u32;
-                        oval[w] = acc[r];
-                        w += 1;
-                    }
-                }
-            });
-        }
-
-        SparseVec::new(nrows, out_ind, out_val)
+        // Phase 4: gather each thread's buckets into the sorted output.
+        let out_bounds: Vec<usize> = self.bucket_bounds.iter().map(|&b| self.out_off[b]).collect();
+        gather(&mut self.pool, &self.acc, &self.hit, &self.row_bounds, &out_bounds)
     }
 }
 
@@ -279,10 +317,12 @@ pub struct ParMaskedSpMSpV<'m, I: SpIndex = u32, V: Scalar = f64> {
     m: &'m Csr<I, V>,
     pool: WorkerPool,
     nthreads: usize,
-    xd: Vec<V>,          // ncols
-    active: Vec<u8>,     // ncols
-    acc: Vec<V>,         // nrows
-    hit: Vec<u8>,        // nrows
+    xd: Vec<V>,      // ncols
+    active: Vec<u8>, // ncols
+    acc: Vec<V>,     // nrows
+    hit: Vec<u8>,    // nrows
+    /// Thread `t` owns rows `row_bounds[t]..row_bounds[t + 1]`.
+    row_bounds: Vec<usize>, // [t] .. nthreads + 1
     touched: Vec<usize>, // [t]
     out_off: Vec<usize>, // [t] .. nthreads + 1
 }
@@ -299,6 +339,7 @@ impl<'m, I: SpIndex, V: Scalar> ParMaskedSpMSpV<'m, I, V> {
             active: vec![0; m.ncols()],
             acc: vec![V::zero(); m.nrows()],
             hit: vec![0; m.nrows()],
+            row_bounds: RowPartition::uniform(m.nrows(), nthreads).bounds,
             touched: vec![0; nthreads],
             out_off: vec![0; nthreads + 1],
         }
@@ -329,17 +370,14 @@ impl<'m, I: SpIndex, V: Scalar> ParMaskedSpMSpV<'m, I, V> {
         // unconditionally so no stale state from a previous call can leak
         // through.
         {
-            let ds_acc = DisjointSlices::new(&mut self.acc);
-            let ds_hit = DisjointSlices::new(&mut self.hit);
-            let ds_touched = DisjointSlices::new(&mut self.touched);
-            let (m, xd, active) = (self.m, &self.xd, &self.active);
+            let acc = split_mut(&mut self.acc, &self.row_bounds);
+            let hit = split_mut(&mut self.hit, &self.row_bounds);
+            let pieces = Handout::new(acc.into_iter().zip(hit).zip(self.touched.iter_mut()));
+            let (m, xd, active, row_bounds) = (self.m, &self.xd, &self.active, &self.row_bounds);
             self.pool.run(|tid| {
-                let rs = chunk(nrows, nt, tid);
-                let acc = unsafe { ds_acc.range(rs.clone()) };
-                let hit = unsafe { ds_hit.range(rs.clone()) };
-                let tch = unsafe { ds_touched.range(tid..tid + 1) };
+                let ((acc, hit), tch) = pieces.take(tid);
                 let mut count = 0usize;
-                for (w, r) in rs.clone().enumerate() {
+                for (w, r) in (row_bounds[tid]..row_bounds[tid + 1]).enumerate() {
                     let mut sum = V::zero();
                     let mut touched = false;
                     for (c, v) in m.row_iter(r) {
@@ -352,7 +390,7 @@ impl<'m, I: SpIndex, V: Scalar> ParMaskedSpMSpV<'m, I, V> {
                     hit[w] = touched as u8;
                     count += touched as usize;
                 }
-                tch[0] = count;
+                *tch = count;
             });
         }
 
@@ -361,31 +399,7 @@ impl<'m, I: SpIndex, V: Scalar> ParMaskedSpMSpV<'m, I, V> {
         for t in 0..nt {
             self.out_off[t + 1] = self.out_off[t] + self.touched[t];
         }
-        let out_nnz = self.out_off[nt];
-        let mut out_ind = vec![0u32; out_nnz];
-        let mut out_val = vec![V::zero(); out_nnz];
-        {
-            let ds_oind = DisjointSlices::new(&mut out_ind);
-            let ds_oval = DisjointSlices::new(&mut out_val);
-            let (acc, hit, out_off) = (&self.acc, &self.hit, &self.out_off);
-            self.pool.run(|tid| {
-                let rs = chunk(nrows, nt, tid);
-                let lo = out_off[tid];
-                let hi = out_off[tid + 1];
-                let oind = unsafe { ds_oind.range(lo..hi) };
-                let oval = unsafe { ds_oval.range(lo..hi) };
-                let mut w = 0usize;
-                for r in rs.clone() {
-                    if hit[r] != 0 {
-                        oind[w] = r as u32;
-                        oval[w] = acc[r];
-                        w += 1;
-                    }
-                }
-            });
-        }
-
-        SparseVec::new(nrows, out_ind, out_val)
+        gather(&mut self.pool, &self.acc, &self.hit, &self.row_bounds, &self.out_off)
     }
 }
 

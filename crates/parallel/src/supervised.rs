@@ -1337,7 +1337,8 @@ mod tests {
     #[should_panic(expected = "chunk row ranges overlap")]
     fn pool_driver_refuses_overlapping_chunks() {
         // Each pool thread writes its chunk's rows of `y` through
-        // `DisjointSlices`, so a plan with shared rows must not exist.
+        // `WorkerPool::run_split`, so a plan with shared rows must not
+        // exist.
         ParChunks::from_kernel(OverlapChunks);
     }
 
