@@ -57,8 +57,11 @@
 //! made — for a [`supervised::ChunkKernel`], its chunks' rows), and each
 //! dispatch hands thread `t` range `t` of the buffer as a plain `&mut`
 //! slice. The SpMSpV phases that hand out several buffers at once cut
-//! them with `split_at_mut` before dispatch instead. The pool's job
-//! handoff and `run_split` are the crate's only raw-pointer code.
+//! them with `split_at_mut` before dispatch instead. The supervised
+//! executor cuts each call's owned output along the same kind of
+//! [`pool::Parts`], checked when the executor is built, and lends chunk
+//! `c`'s rows to the one thread that claims `c`. The pool's job handoff,
+//! `run_split` and that output are the crate's only raw-pointer code.
 //!
 //! The paper binds threads to specific cores with `sched_setaffinity` to
 //! control cache sharing; placement here is a *logical* concept consumed

@@ -35,26 +35,37 @@
 //! the identical partition, so output is bit-identical to a serial run —
 //! plus a [`HealthReport`] saying what happened. Under
 //! [`RecoveryPolicy::FailFast`] the first fault aborts the call with a
-//! typed [`PoolError`] instead (the output buffer is left untouched); the
+//! typed [`PoolError`] instead (a caller's `y` is left untouched); the
 //! executor itself stays usable either way.
 //!
 //! Workers must never hold a borrow of caller memory, so the input is
-//! *shared* rather than borrowed: [`SupervisedSpMv::spmm_shared`] takes
-//! the panel as an `Arc<Vec<V>>` that workers read in place (the slice
-//! entry points [`SupervisedSpMv::spmv`] and [`SupervisedSpMv::spmm`]
-//! make the one copy that needs). Each chunk's output is staged in a
-//! fresh buffer of its own, which a straggler keeps if it is abandoned,
-//! and assembly copies the chunks into `y`, writing each row once.
-//! (Buffers kept by the executor between calls measured no faster on
-//! the served benchmarks and held one more vector per matrix.) A
-//! successful call releases its call state, and with it the shared
-//! input, when it returns, unless an abandoned straggler still holds it.
-//! The plain `Par*` executors run the same chunk kernels without
-//! supervision, straight into `y`; use them when raw throughput matters
-//! more than fault isolation.
+//! *shared* and the output is *owned by the call*:
+//! [`SupervisedSpMv::spmm_owned`] takes the panel `x` as an `Arc<Vec<V>>`
+//! that workers read in place, allocates one zeroed `nrows x k` output,
+//! and the thread that claims chunk `c` computes straight into that
+//! chunk's rows. The executor reads the kernel's shape and chunk row
+//! ranges once, when it is built, and checks then that the ranges are
+//! pairwise disjoint and end at or before `nrows`; a chunk's rows go to
+//! its one claimant and to nobody else. A healthy call hands the output
+//! back whole, so the result is its only vector-sized allocation.
+//!
+//! On any fault the output stays with the call state, because an
+//! abandoned straggler may still write its chunk's rows into it.
+//! Recovered and self-checked chunks are computed into buffers of their
+//! own, and the call returns a fresh output built from the rows the
+//! claimants published plus those buffers, so whatever a straggler
+//! writes later lands where no caller looks. A call releases its state,
+//! and with it the shared input, when it returns, unless an abandoned
+//! straggler still holds it. The slice entry points
+//! [`SupervisedSpMv::spmv`], [`SupervisedSpMv::spmm`] and
+//! [`SupervisedSpMv::spmm_shared`] wrap the owned call with the copies
+//! they need. The plain `Par*` executors run the same chunk kernels
+//! without supervision, straight into `y`; use them when raw throughput
+//! matters more than fault isolation.
 
 use crate::par::split_row_bounds;
 use crate::partition::RowPartition;
+use crate::pool::Parts;
 use crate::telemetry::PoolTelemetry;
 use spmv_core::csr_du::{CsrDu, DuSplit};
 use spmv_core::csr_duvi::CsrDuVi;
@@ -91,9 +102,13 @@ pub trait ChunkKernel<V: Scalar>: Send + Sync {
     /// Columns of the matrix (length of `x`).
     fn ncols(&self) -> usize;
     /// Number of chunks. Chunk row ranges are pairwise disjoint; rows not
-    /// covered by any chunk are zeroed at assembly.
+    /// covered by any chunk come out zero. [`SupervisedSpMv`] and
+    /// [`crate::par::ParChunks`] read the count and the ranges once, when
+    /// they are built, and refuse overlapping ranges then.
     fn nchunks(&self) -> usize;
-    /// Row range `chunk` covers.
+    /// Row range `chunk` covers; read once, at construction, like
+    /// [`ChunkKernel::nchunks`]. A range ending past
+    /// [`ChunkKernel::nrows`] is refused there too.
     fn chunk_rows(&self, chunk: usize) -> Range<usize>;
     /// Computes `out = (A·x)[chunk_rows(chunk)]` for the `ncols x k`
     /// row-major panel `x`, overwriting every element of the
@@ -309,9 +324,8 @@ pub(crate) fn zero_uncovered<V: Scalar>(
 /// Writes the row-major `nrows x k` panel `y` chunk by chunk:
 /// `write(chunk, rows)` fills the rows of `y` that `chunk` covers, and
 /// the rows no chunk covers are zeroed. When chunks ascend, as in every
-/// kernel of this module, each row is written exactly once. The
-/// supervised executor copies its staged chunk buffers with it; a serial
-/// caller can compute each chunk straight into its rows.
+/// kernel of this module, each row is written exactly once. A serial
+/// caller computes each chunk straight into its rows with it.
 pub fn assemble_chunks<V: Scalar>(
     kernel: &dyn ChunkKernel<V>,
     k: usize,
@@ -512,11 +526,166 @@ impl HealthReport {
 }
 
 // ---------------------------------------------------------------------
+// The call's output
+// ---------------------------------------------------------------------
+
+/// What [`SupervisedSpMv::with_opts`] reads from its kernel, once: the
+/// matrix shape and each chunk's row range. The ranges are pairwise
+/// disjoint and end at or before `nrows` (checked by [`Layout::of`]), so
+/// each of them times `k` lies inside an `nrows x k` panel.
+struct Layout {
+    nrows: usize,
+    ncols: usize,
+    rows: Parts,
+}
+
+impl Layout {
+    /// Reads `kernel`'s shape and chunk ranges. Panics if two chunks
+    /// share a row or a chunk ends past the last row.
+    fn of<V: Scalar>(kernel: &dyn ChunkKernel<V>) -> Layout {
+        let nrows = kernel.nrows();
+        let rows = Parts::new((0..kernel.nchunks()).map(|c| kernel.chunk_rows(c)).collect());
+        for r in rows.ranges() {
+            assert!(r.end <= nrows, "chunk row range {r:?} ends past the last row ({nrows} rows)");
+        }
+        Layout { nrows, ncols: kernel.ncols(), rows }
+    }
+
+    fn nchunks(&self) -> usize {
+        self.rows.len()
+    }
+
+    /// Row range of `chunk`.
+    fn chunk(&self, chunk: usize) -> Range<usize> {
+        self.rows.ranges()[chunk].clone()
+    }
+}
+
+/// One call's zeroed `nrows x k` output panel. [`OwnedPanel::claim`]
+/// draws each chunk once, and the thread that draws chunk `c` gets its
+/// rows as a [`Piece`]; nobody else reaches them while the piece lives.
+/// The panel is read only through [`OwnedPanel::read_finished`], the rows
+/// of a chunk whose piece was dropped, and given away whole by
+/// [`OwnedPanel::take`] once every piece was dropped. Until then it stays
+/// here, so an abandoned straggler that still holds a piece writes into
+/// memory the call state keeps alive for it.
+struct OwnedPanel<V> {
+    /// Base of `buf`'s heap block. Pieces are cut from it, never through
+    /// `buf`, so no reference to the whole block exists while they live.
+    base: *mut V,
+    /// Owns the block; `None` once taken.
+    buf: Mutex<Option<Vec<V>>>,
+    layout: Arc<Layout>,
+    k: usize,
+    /// Next chunk to draw.
+    next: AtomicUsize,
+    /// `finished[c]`: chunk `c`'s piece was dropped. Set with `Release`
+    /// after the piece's last write and read with `Acquire` before the
+    /// rows are read, so the reader sees every write.
+    finished: Vec<AtomicBool>,
+}
+
+// SAFETY: `base` points into the block `buf` owns, so sending the panel
+// sends its `V`s and their ownership, which needs `V: Send`; `layout`,
+// `k`, `next` and `finished` are `Send` on their own.
+unsafe impl<V: Send> Send for OwnedPanel<V> {}
+// SAFETY: through `&OwnedPanel`, `base` reaches the block only as the
+// pieces `claim` lends, disjoint rows with one thread each, and as the
+// finished rows `read_finished` reads under the `buf` lock, so no element
+// is reachable from two threads at once; a piece writes `V`s on the
+// thread that drew it, which needs `V: Send`. `buf` is a `Mutex`, and
+// `layout`, `k`, `next` and `finished` are `Sync` on their own.
+unsafe impl<V: Send> Sync for OwnedPanel<V> {}
+
+impl<V: Scalar> OwnedPanel<V> {
+    /// A zeroed `nrows x k` panel cut along `layout`'s chunks.
+    fn new(layout: Arc<Layout>, k: usize) -> OwnedPanel<V> {
+        let len = layout.nrows.checked_mul(k).expect("nrows x k overflows usize");
+        let mut buf = vec![V::zero(); len];
+        let base = buf.as_mut_ptr();
+        let finished = (0..layout.nchunks()).map(|_| AtomicBool::new(false)).collect();
+        let next = AtomicUsize::new(0);
+        OwnedPanel { base, buf: Mutex::new(Some(buf)), layout, k, next, finished }
+    }
+
+    /// Draws the next chunk and its rows, or `None` once every chunk has
+    /// been drawn.
+    fn claim(&self) -> Option<(usize, Piece<'_, V>)> {
+        let c = self.next.fetch_add(1, Ordering::AcqRel);
+        let r = self.layout.rows.ranges().get(c)?;
+        // SAFETY: `r.start <= r.end <= nrows` (`Parts::new`, `Layout::of`),
+        // so the rows times `k` lie inside the `nrows * k` block, which
+        // `buf` keeps allocated while `self` lives and `take` gives away
+        // only once every piece was dropped. The fetch-add draws `c` for
+        // this caller alone, non-empty ranges are pairwise disjoint
+        // (`Parts::new`), and `read_finished` reads only rows whose piece
+        // was dropped, so nothing else reaches these rows while the piece
+        // lives.
+        let rows = unsafe {
+            std::slice::from_raw_parts_mut(self.base.add(r.start * self.k), r.len() * self.k)
+        };
+        Some((c, Piece { rows, finished: &self.finished[c] }))
+    }
+
+    /// Runs `f` on chunk `c`'s rows if its piece was dropped and the panel
+    /// was not taken; `None` otherwise.
+    fn read_finished<R>(&self, c: usize, f: impl FnOnce(&[V]) -> R) -> Option<R> {
+        let buf = lock(&self.buf);
+        if buf.is_none() || !self.finished[c].load(Ordering::Acquire) {
+            return None;
+        }
+        let r = self.layout.chunk(c);
+        // SAFETY: the rows lie inside the block as in `claim`, and `buf`
+        // still owns it: it is checked above, and `take` waits for the lock
+        // held here. Chunk `c`'s one piece was dropped and `claim` never
+        // draws `c` again, so nothing writes these rows while `f` reads.
+        let rows = unsafe {
+            std::slice::from_raw_parts(self.base.add(r.start * self.k), r.len() * self.k)
+        };
+        Some(f(rows))
+    }
+
+    /// The whole panel, once every chunk's piece was dropped; `None`
+    /// before that, and once taken.
+    fn take(&self) -> Option<Vec<V>> {
+        let mut buf = lock(&self.buf);
+        if self.finished.iter().all(|f| f.load(Ordering::Acquire)) {
+            buf.take()
+        } else {
+            None
+        }
+    }
+}
+
+/// The rows of one chunk, lent by [`OwnedPanel::claim`] to the thread
+/// that drew it. Dropping it marks the chunk finished.
+struct Piece<'a, V> {
+    rows: &'a mut [V],
+    finished: &'a AtomicBool,
+}
+
+impl<V> Drop for Piece<'_, V> {
+    fn drop(&mut self) {
+        self.finished.store(true, Ordering::Release);
+    }
+}
+
+// ---------------------------------------------------------------------
 // Per-call shared state
 // ---------------------------------------------------------------------
 
 /// Claim marker: chunk not yet claimed by any thread.
 const UNCLAIMED: usize = usize::MAX;
+
+/// Where a chunk's published result lives. The first publish wins; later
+/// ones (an abandoned straggler finishing after recovery) are discarded.
+enum Slot<V> {
+    Pending,
+    /// In the call's panel, written by the chunk's claimant.
+    InPlace,
+    /// In a buffer of its own: a serial recovery or self-check.
+    Own(Vec<V>),
+}
 
 struct Progress {
     /// Chunks with a published result.
@@ -531,22 +700,20 @@ struct Progress {
 struct CallState<V: Scalar> {
     /// The input panel, shared with the caller rather than borrowed.
     x: Arc<Vec<V>>,
-    /// Panel width: `x` is `ncols * k`, chunk outputs are `rows * k`
+    /// Panel width: `x` is `ncols * k`, the output `nrows * k`, both
     /// row-major. `1` for plain SpMV.
     k: usize,
     nchunks: usize,
-    /// Next unclaimed chunk.
-    next: AtomicUsize,
-    /// `claims[k]`: tid that claimed chunk `k`, or [`UNCLAIMED`].
+    /// The output; its claims hand out the chunks.
+    out: OwnedPanel<V>,
+    /// `claims[c]`: tid that claimed chunk `c`, or [`UNCLAIMED`].
     claims: Vec<AtomicUsize>,
-    /// First published result per chunk wins; later publishes (an
-    /// abandoned straggler finishing after recovery) are discarded.
-    results: Vec<Mutex<Option<Vec<V>>>>,
+    results: Vec<Mutex<Slot<V>>>,
     progress: Mutex<Progress>,
     done_cv: Condvar,
     /// Per-thread heartbeats (index = tid), bumped at chunk claim and
     /// completion. Diagnostic only; exposed through
-    /// [`SupervisedSpMv::heartbeats`].
+    /// [`HealthReport::heartbeats`].
     hb: Vec<AtomicU64>,
     /// Per-thread busy nanoseconds (index = tid); each thread adds only
     /// to its own counter, relaxed ordering (diagnostics, not
@@ -580,15 +747,15 @@ fn timed<V: Scalar, R>(state: &CallState<V>, tid: usize, f: impl FnOnce() -> R) 
 }
 
 impl<V: Scalar> CallState<V> {
-    /// Publishes `out` for chunk `k` unless someone already did; returns
-    /// whether this publish won.
-    fn publish(&self, k: usize, out: Vec<V>) -> bool {
+    /// Publishes `result` for chunk `c` unless someone already did;
+    /// returns whether this publish won.
+    fn publish(&self, c: usize, result: Slot<V>) -> bool {
         {
-            let mut slot = lock(&self.results[k]);
-            if slot.is_some() {
+            let mut slot = lock(&self.results[c]);
+            if !matches!(*slot, Slot::Pending) {
                 return false;
             }
-            *slot = Some(out);
+            *slot = result;
         }
         let mut p = lock(&self.progress);
         p.done += 1;
@@ -598,10 +765,14 @@ impl<V: Scalar> CallState<V> {
         true
     }
 
-    /// Records a worker panic on chunk `k` and wakes the supervisor.
-    fn mark_failed(&self, k: usize, tid: usize) {
+    fn is_pending(&self, c: usize) -> bool {
+        matches!(*lock(&self.results[c]), Slot::Pending)
+    }
+
+    /// Records a worker panic on chunk `c` and wakes the supervisor.
+    fn mark_failed(&self, c: usize, tid: usize) {
         let mut p = lock(&self.progress);
-        p.failed.push((k, tid));
+        p.failed.push((c, tid));
         self.done_cv.notify_all();
     }
 
@@ -626,49 +797,52 @@ struct SupShared<V: Scalar> {
 }
 
 /// Outcome of one worker chunk attempt.
-enum ChunkRun<V> {
-    Done(Vec<V>),
+enum ChunkRun {
+    Done,
     #[cfg(feature = "fault-injection")]
     Exit,
 }
 
-/// Runs chunk `k` on a worker; returns `true` if the thread must exit
-/// (injected death). Panics — injected or real — are caught and recorded
-/// so the supervisor can recover without waiting for the deadline.
+/// Runs chunk `c` into `piece` on a worker; returns `true` if the thread
+/// must exit (injected death). Panics — injected or real — are caught
+/// and recorded so the supervisor can recover without waiting for the
+/// deadline.
 fn worker_chunk<V: Scalar>(
     job: &CallState<V>,
     kernel: &dyn ChunkKernel<V>,
-    k: usize,
+    c: usize,
+    piece: Piece<'_, V>,
     tid: usize,
 ) -> bool {
     let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
         #[cfg(feature = "fault-injection")]
-        let injected = job.fault.before_compute(k);
+        let injected = job.fault.before_compute(c);
         #[cfg(feature = "fault-injection")]
         if injected == Some(crate::faults::FaultAction::ExitThread) {
-            // Simulated thread death: the claimed chunk stays unfinished.
+            // Simulated thread death: the claimed chunk stays unpublished.
             return ChunkRun::Exit;
         }
-        let rows = kernel.chunk_rows(k);
-        let mut out = vec![V::zero(); rows.len() * job.k];
-        kernel.compute_block(k, &job.x, job.k, &mut out);
+        kernel.compute_block(c, &job.x, job.k, &mut *piece.rows);
         #[cfg(feature = "fault-injection")]
         if injected == Some(crate::faults::FaultAction::CorruptChunk) {
-            if let Some(v0) = out.first_mut() {
+            if let Some(v0) = piece.rows.first_mut() {
                 *v0 = -*v0; // silent corruption only the self-check sees
             }
         }
-        ChunkRun::Done(out)
+        ChunkRun::Done
     }));
+    // The chunk is finished, even after a panic, before anything is
+    // published.
+    drop(piece);
     match outcome {
-        Ok(ChunkRun::Done(out)) => {
-            job.publish(k, out);
+        Ok(ChunkRun::Done) => {
+            job.publish(c, Slot::InPlace);
             false
         }
         #[cfg(feature = "fault-injection")]
         Ok(ChunkRun::Exit) => true,
         Err(_) => {
-            job.mark_failed(k, tid);
+            job.mark_failed(c, tid);
             false
         }
     }
@@ -705,13 +879,12 @@ fn sup_worker_loop<V: Scalar>(
                 // dangles).
                 return;
             }
-            let k = job.next.fetch_add(1, Ordering::AcqRel);
-            if k >= job.nchunks {
+            let Some((c, piece)) = job.out.claim() else {
                 break;
-            }
-            job.claims[k].store(tid, Ordering::Release);
+            };
+            job.claims[c].store(tid, Ordering::Release);
             job.hb[tid].fetch_add(1, Ordering::AcqRel);
-            if timed(&job, tid, || worker_chunk(&job, &*kernel, k, tid)) {
+            if timed(&job, tid, || worker_chunk(&job, &*kernel, c, piece, tid)) {
                 return;
             }
             job.hb[tid].fetch_add(1, Ordering::AcqRel);
@@ -730,13 +903,15 @@ struct WorkerSlot {
 
 /// Fault-tolerant parallel SpMV executor over a [`ChunkKernel`].
 ///
-/// Construction spawns `nthreads - 1` persistent workers (the caller
-/// participates as thread 0). Each [`SupervisedSpMv::spmm_shared`] call
-/// fans the kernel's chunks out over the threads with dynamic claiming,
-/// supervises them against the watchdog deadline, recovers per the
-/// policy, and assembles `y`. See the module docs for the fault model.
+/// Construction reads the kernel's shape and chunk ranges once and
+/// spawns `nthreads - 1` persistent workers (the caller participates as
+/// thread 0). Each [`SupervisedSpMv::spmm_owned`] call fans the chunks out
+/// over the threads with dynamic claiming, each claimant computing into
+/// the call's output, supervises them against the watchdog deadline, and
+/// recovers per the policy. See the module docs for the fault model.
 pub struct SupervisedSpMv<V: Scalar> {
     kernel: Arc<dyn ChunkKernel<V>>,
+    layout: Arc<Layout>,
     shared: Arc<SupShared<V>>,
     workers: Vec<WorkerSlot>,
     nthreads: usize,
@@ -744,20 +919,23 @@ pub struct SupervisedSpMv<V: Scalar> {
 }
 
 impl<V: Scalar> SupervisedSpMv<V> {
-    /// Spawns the worker roster for `kernel` with `nthreads` total
-    /// threads and the given watchdog options.
+    /// Reads `kernel`'s shape and chunk ranges and spawns the worker
+    /// roster with `nthreads` total threads and the given watchdog
+    /// options. Panics, before any worker starts, if two chunks share a
+    /// row or a chunk ends past the last row.
     pub fn with_opts(
         kernel: Arc<dyn ChunkKernel<V>>,
         nthreads: usize,
         opts: WatchdogOpts,
     ) -> SupervisedSpMv<V> {
         assert!(nthreads >= 1, "need at least one thread");
+        let layout = Arc::new(Layout::of(&*kernel));
         let shared = Arc::new(SupShared {
             state: Mutex::new(SupState { epoch: 0, job: None, shutdown: false }),
             work_cv: Condvar::new(),
         });
         let workers = (1..nthreads).map(|tid| spawn_sup_worker(&shared, &kernel, tid, 0)).collect();
-        SupervisedSpMv { kernel, shared, workers, nthreads, opts }
+        SupervisedSpMv { kernel, layout, shared, workers, nthreads, opts }
     }
 
     /// [`SupervisedSpMv::with_opts`] with [`WatchdogOpts::default`].
@@ -793,8 +971,8 @@ impl<V: Scalar> SupervisedSpMv<V> {
     /// parallel run). Under [`RecoveryPolicy::FailFast`] the first fault
     /// aborts with a [`PoolError`] and `y` is left untouched.
     pub fn spmv(&mut self, x: &[V], y: &mut [V]) -> Result<HealthReport, PoolError> {
-        assert_eq!(x.len(), self.kernel.ncols(), "x length must equal ncols");
-        assert_eq!(y.len(), self.kernel.nrows(), "y length must equal nrows");
+        assert_eq!(x.len(), self.layout.ncols, "x length must equal ncols");
+        assert_eq!(y.len(), self.layout.nrows, "y length must equal nrows");
         self.spmm_shared(Arc::new(x.to_vec()), 1, y)
     }
 
@@ -803,16 +981,9 @@ impl<V: Scalar> SupervisedSpMv<V> {
         self.spmm_shared(Arc::new(x.to_vec()), k, y)
     }
 
-    /// Computes the row-major panel `y[nrows x k] = A · x[ncols x k]`
-    /// under supervision, reading `x` in place: workers share the panel
-    /// instead of borrowing it, so no copy is made. Chunks are claimed
-    /// dynamically; panics/stalls/deaths are recovered by re-executing
-    /// the chunk's *panel* serially on the caller
-    /// ([`RecoveryPolicy::Degrade`], bit-identical to a serial SpMM), or
-    /// the first fault aborts with `y` untouched
-    /// ([`RecoveryPolicy::FailFast`]). The `verify_every` self-check
-    /// compares full chunk panels bit-for-bit. `k = 1` is bit-identical
-    /// to [`SupervisedSpMv::spmv`].
+    /// [`SupervisedSpMv::spmm_owned`], copying the result into the
+    /// row-major `nrows x k` panel `y`. On an error `y` is left
+    /// untouched.
     pub fn spmm_shared(
         &mut self,
         x: Arc<Vec<V>>,
@@ -820,21 +991,45 @@ impl<V: Scalar> SupervisedSpMv<V> {
         y: &mut [V],
     ) -> Result<HealthReport, PoolError> {
         assert!(k >= 1, "need at least one right-hand side");
-        assert_eq!(x.len(), self.kernel.ncols() * k, "x must be an ncols x k row-major panel");
-        assert_eq!(y.len(), self.kernel.nrows() * k, "y must be an nrows x k row-major panel");
+        assert_eq!(y.len(), self.layout.nrows * k, "y must be an nrows x k row-major panel");
+        let (out, report) = self.spmm_owned(x, k)?;
+        y.copy_from_slice(&out);
+        Ok(report)
+    }
+
+    /// Computes and returns the row-major panel `y[nrows x k] = A ·
+    /// x[ncols x k]` under supervision, reading `x` in place: workers
+    /// share the panel instead of borrowing it, so no copy is made. The
+    /// output is allocated once, zeroed, and each chunk's claimant
+    /// computes straight into its rows, so a healthy call returns that
+    /// allocation. Chunks are claimed dynamically; panics, stalls and
+    /// deaths are recovered by re-executing the chunk's *panel* serially
+    /// on the caller into a buffer of its own
+    /// ([`RecoveryPolicy::Degrade`], bit-identical to a serial SpMM),
+    /// and the call then returns a fresh output assembled from the
+    /// finished chunks; or the first fault aborts the call
+    /// ([`RecoveryPolicy::FailFast`]). The `verify_every` self-check
+    /// compares full chunk panels bit-for-bit. `k = 1` is bit-identical
+    /// to [`SupervisedSpMv::spmv`].
+    pub fn spmm_owned(
+        &mut self,
+        x: Arc<Vec<V>>,
+        k: usize,
+    ) -> Result<(Vec<V>, HealthReport), PoolError> {
+        assert!(k >= 1, "need at least one right-hand side");
+        assert_eq!(x.len(), self.layout.ncols * k, "x must be an ncols x k row-major panel");
         let mut report = HealthReport::default();
-        let nchunks = self.kernel.nchunks();
+        let nchunks = self.layout.nchunks();
         if nchunks == 0 {
-            y.fill(V::zero());
-            return Ok(report);
+            return Ok((vec![V::zero(); self.layout.nrows * k], report));
         }
         let state = Arc::new(CallState {
             x,
             k,
             nchunks,
-            next: AtomicUsize::new(0),
+            out: OwnedPanel::new(Arc::clone(&self.layout), k),
             claims: (0..nchunks).map(|_| AtomicUsize::new(UNCLAIMED)).collect(),
-            results: (0..nchunks).map(|_| Mutex::new(None)).collect(),
+            results: (0..nchunks).map(|_| Mutex::new(Slot::Pending)).collect(),
             progress: Mutex::new(Progress { done: 0, failed: Vec::new() }),
             done_cv: Condvar::new(),
             hb: (0..self.nthreads).map(|_| AtomicU64::new(0)).collect(),
@@ -854,17 +1049,12 @@ impl<V: Scalar> SupervisedSpMv<V> {
         // scripted fault on the supervisor would be a fault in the test
         // harness, not in the system under test).
         if self.opts.caller_participates {
-            loop {
-                let k = state.next.fetch_add(1, Ordering::AcqRel);
-                if k >= nchunks {
-                    break;
-                }
-                state.claims[k].store(0, Ordering::Release);
+            while let Some((c, piece)) = state.out.claim() {
+                state.claims[c].store(0, Ordering::Release);
                 state.hb[0].fetch_add(1, Ordering::AcqRel);
-                let rows = self.kernel.chunk_rows(k);
-                let mut out = vec![V::zero(); rows.len() * state.k];
-                timed(&state, 0, || self.kernel.compute_block(k, &state.x, state.k, &mut out));
-                state.publish(k, out);
+                timed(&state, 0, || self.kernel.compute_block(c, &state.x, k, &mut *piece.rows));
+                drop(piece);
+                state.publish(c, Slot::InPlace);
                 state.hb[0].fetch_add(1, Ordering::AcqRel);
             }
         }
@@ -898,11 +1088,35 @@ impl<V: Scalar> SupervisedSpMv<V> {
             // small-request load).
             lock(&self.shared.state).job = None;
         }
-        assemble_chunks(&*self.kernel, k, y, |c, rows| {
-            let slot = lock(&state.results[c]);
-            rows.copy_from_slice(slot.as_ref().expect("all chunks resolved before assembly"));
-        });
-        Ok(report)
+        Ok((self.output(&state), report))
+    }
+
+    /// The call's result: the panel itself when every chunk's claimant
+    /// published in place, else a fresh panel assembled from the rows the
+    /// claimants published and the chunks computed into buffers of their
+    /// own. The old panel then stays with the call state, out of reach of
+    /// the caller, for any straggler still writing into it.
+    fn output(&self, state: &CallState<V>) -> Vec<V> {
+        if state.results.iter().all(|s| matches!(*lock(s), Slot::InPlace)) {
+            if let Some(y) = state.out.take() {
+                return y;
+            }
+        }
+        let k = state.k;
+        let mut y = vec![V::zero(); self.layout.nrows * k];
+        for c in 0..state.nchunks {
+            let r = self.layout.chunk(c);
+            let rows = &mut y[r.start * k..r.end * k];
+            match &*lock(&state.results[c]) {
+                Slot::Own(own) => rows.copy_from_slice(own),
+                Slot::InPlace => state
+                    .out
+                    .read_finished(c, |done| rows.copy_from_slice(done))
+                    .expect("a claimant publishes only after its piece is finished"),
+                Slot::Pending => unreachable!("every chunk is resolved before the output"),
+            }
+        }
+        y
     }
 
     /// Waits for all chunks, recovering panics immediately and triaging
@@ -951,7 +1165,7 @@ impl<V: Scalar> SupervisedSpMv<V> {
         waited: Duration,
     ) -> Result<(), PoolError> {
         for chunk in 0..state.nchunks {
-            if lock(&state.results[chunk]).is_some() {
+            if !state.is_pending(chunk) {
                 continue;
             }
             let tid = state.claims[chunk].load(Ordering::Acquire);
@@ -993,15 +1207,20 @@ impl<V: Scalar> SupervisedSpMv<V> {
         Ok(())
     }
 
+    /// Computes `chunk` serially on the caller into a buffer of its own.
+    fn compute_own(&self, state: &CallState<V>, chunk: usize) -> Vec<V> {
+        let mut out = vec![V::zero(); self.layout.chunk(chunk).len() * state.k];
+        self.kernel.compute_block(chunk, &state.x, state.k, &mut out);
+        out
+    }
+
     /// Re-executes `chunk` serially on the caller and publishes the
     /// result (first publish wins; a late straggler's result is
     /// discarded).
     fn recover_chunk(&self, state: &Arc<CallState<V>>, chunk: usize, report: &mut HealthReport) {
-        let rows = self.kernel.chunk_rows(chunk);
-        let mut out = vec![V::zero(); rows.len() * state.k];
         // Recovery runs on the caller: credit its busy time to tid 0.
-        timed(state, 0, || self.kernel.compute_block(chunk, &state.x, state.k, &mut out));
-        state.publish(chunk, out);
+        let out = timed(state, 0, || self.compute_own(state, chunk));
+        state.publish(chunk, Slot::Own(out));
         report.recovered_chunks += 1;
     }
 
@@ -1050,13 +1269,17 @@ impl<V: Scalar> SupervisedSpMv<V> {
         report: &mut HealthReport,
     ) -> Result<(), PoolError> {
         for chunk in (0..state.nchunks).step_by(self.opts.verify_every) {
-            let rows = self.kernel.chunk_rows(chunk);
-            let mut expect = vec![V::zero(); rows.len() * state.k];
-            self.kernel.compute_block(chunk, &state.x, state.k, &mut expect);
+            let expect = self.compute_own(state, chunk);
+            let same = |got: &[V]| {
+                got.len() == expect.len()
+                    && got.iter().zip(&expect).all(|(a, b)| a.to_bits() == b.to_bits())
+            };
             let mut slot = lock(&state.results[chunk]);
-            let got = slot.as_ref().expect("all chunks resolved before self-check");
-            let clean = got.len() == expect.len()
-                && got.iter().zip(&expect).all(|(a, b)| a.to_bits() == b.to_bits());
+            let clean = match &*slot {
+                Slot::InPlace => state.out.read_finished(chunk, same) == Some(true),
+                Slot::Own(got) => same(got),
+                Slot::Pending => unreachable!("every chunk is resolved before the self-check"),
+            };
             if clean {
                 continue;
             }
@@ -1064,7 +1287,7 @@ impl<V: Scalar> SupervisedSpMv<V> {
             if self.opts.policy == RecoveryPolicy::FailFast {
                 return Err(PoolError::ChunkCorrupted { chunk });
             }
-            *slot = Some(expect); // the serial result is authoritative
+            *slot = Slot::Own(expect); // the serial result is authoritative
             report.recovered_chunks += 1;
         }
         Ok(())
@@ -1340,6 +1563,123 @@ mod tests {
         // `WorkerPool::run_split`, so a plan with shared rows must not
         // exist.
         ParChunks::from_kernel(OverlapChunks);
+    }
+
+    #[test]
+    #[should_panic(expected = "chunk row ranges overlap")]
+    fn supervised_refuses_overlapping_chunks() {
+        // Each claimant writes its chunk's rows of the call's output, so
+        // an executor over shared rows must not exist.
+        SupervisedSpMv::with_opts(Arc::new(OverlapChunks), 2, calm());
+    }
+
+    /// Two chunks of a 12-row matrix, the second claiming rows 8..13.
+    struct PastEndChunks;
+
+    impl ChunkKernel<f64> for PastEndChunks {
+        fn nrows(&self) -> usize {
+            12
+        }
+        fn ncols(&self) -> usize {
+            4
+        }
+        fn nchunks(&self) -> usize {
+            2
+        }
+        fn chunk_rows(&self, chunk: usize) -> Range<usize> {
+            [0..8, 8..13][chunk].clone()
+        }
+        fn compute_block(&self, _chunk: usize, _x: &[f64], _k: usize, out: &mut [f64]) {
+            out.fill(0.0);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "ends past the last row")]
+    fn supervised_refuses_chunks_past_the_last_row() {
+        SupervisedSpMv::with_opts(Arc::new(PastEndChunks), 2, calm());
+    }
+
+    /// CSR chunks that count the calls asking for the shape or a chunk
+    /// range, and on request panic once on chunk 1 or corrupt the next
+    /// non-empty chunk they compute.
+    struct CountingChunks {
+        inner: CsrChunks<u32, f64>,
+        shape_calls: AtomicUsize,
+        panic_once: AtomicBool,
+        corrupt_once: AtomicBool,
+    }
+
+    impl CountingChunks {
+        fn count(&self) {
+            self.shape_calls.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+
+    impl ChunkKernel<f64> for CountingChunks {
+        fn nrows(&self) -> usize {
+            self.count();
+            ChunkKernel::<f64>::nrows(&self.inner)
+        }
+        fn ncols(&self) -> usize {
+            self.count();
+            ChunkKernel::<f64>::ncols(&self.inner)
+        }
+        fn nchunks(&self) -> usize {
+            self.count();
+            ChunkKernel::<f64>::nchunks(&self.inner)
+        }
+        fn chunk_rows(&self, chunk: usize) -> Range<usize> {
+            self.count();
+            self.inner.chunk_rows(chunk)
+        }
+        fn compute_block(&self, chunk: usize, x: &[f64], k: usize, out: &mut [f64]) {
+            if chunk == 1 && self.panic_once.swap(false, Ordering::AcqRel) {
+                panic!("scripted chunk panic");
+            }
+            self.inner.compute_block(chunk, x, k, out);
+            if !out.is_empty() && self.corrupt_once.swap(false, Ordering::AcqRel) {
+                out[0] += 1.0;
+            }
+        }
+    }
+
+    #[test]
+    fn kernel_shape_is_read_only_at_construction() {
+        let csr: Csr<u32, f64> = irregular(120, 100, 21).to_csr();
+        let x = x_for(100);
+        let mut y_serial = vec![0.0; 120];
+        csr.spmv(&x, &mut y_serial);
+        let kernel = Arc::new(CountingChunks {
+            inner: CsrChunks::new(Arc::new(csr), 6),
+            shape_calls: AtomicUsize::new(0),
+            panic_once: AtomicBool::new(false),
+            corrupt_once: AtomicBool::new(false),
+        });
+        // Workers take every chunk, so the scripted panic is caught and
+        // recovered; every chunk is self-checked.
+        let opts = WatchdogOpts { caller_participates: false, verify_every: 1, ..calm() };
+        let mut sup = SupervisedSpMv::with_opts(Arc::clone(&kernel) as _, 3, opts);
+        let built = kernel.shape_calls.load(Ordering::SeqCst);
+        assert!(built > 0, "construction reads the shape");
+        let shared = Arc::new(x.clone());
+        for (what, panic, corrupt) in
+            [("healthy", false, false), ("recovered", true, false), ("corrected", false, true)]
+        {
+            kernel.panic_once.store(panic, Ordering::SeqCst);
+            kernel.corrupt_once.store(corrupt, Ordering::SeqCst);
+            let (y, report) = sup.spmm_owned(Arc::clone(&shared), 1).expect(what);
+            assert_eq!(y, y_serial, "{what}");
+            assert_eq!(report.degraded(), panic || corrupt, "{what}: {:?}", report.events);
+            let mut y = vec![f64::NAN; 120];
+            sup.spmv(&x, &mut y).expect(what);
+            assert_eq!(y, y_serial, "{what} through the slice entry point");
+        }
+        assert_eq!(
+            kernel.shape_calls.load(Ordering::SeqCst),
+            built,
+            "a call asked the kernel for its shape or a chunk range"
+        );
     }
 
     #[test]

@@ -24,8 +24,8 @@ use spmv_parallel::supervised::{
     ChunkKernel, CsrChunks, CsrDuChunks, FaultEvent, PoolError, RecoveryPolicy, SupervisedSpMv,
     WatchdogOpts,
 };
-use std::sync::atomic::Ordering;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::Duration;
 
 const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 7];
@@ -383,7 +383,7 @@ fn supervised_spmm_failfast_corruption_error() {
 struct StallMidChunk {
     inner: CsrChunks<u32, f64>,
     stall: Duration,
-    armed: std::sync::atomic::AtomicBool,
+    armed: AtomicBool,
 }
 
 impl ChunkKernel<f64> for StallMidChunk {
@@ -465,9 +465,114 @@ fn abandoned_straggler_never_reaches_a_later_call() {
         let kernel: Arc<dyn ChunkKernel<f64>> = Arc::new(StallMidChunk {
             inner: CsrChunks::new(Arc::new(csr.clone()), 6),
             stall,
-            armed: std::sync::atomic::AtomicBool::new(true),
+            armed: AtomicBool::new(true),
         });
         let mut sup = SupervisedSpMv::with_opts(kernel, 3, injection_opts(RecoveryPolicy::Degrade));
         calls_stay_serial_past_the_straggler(&mut sup, &csr, k, stall, "mid-chunk stall");
+    }
+}
+
+// ---------------------------------------------------------------------
+// Late writes of an abandoned straggler
+// ---------------------------------------------------------------------
+
+/// Written by a released straggler over its whole piece.
+const MARKER: f64 = -1.0e300;
+
+/// Parks the first computation of chunk 0 until the test sends on `go`,
+/// then fills the whole piece with [`MARKER`], reports on `scribbled`,
+/// parks again until a second `go`, and only then computes.
+struct ParkedChunk {
+    inner: CsrChunks<u32, f64>,
+    armed: AtomicBool,
+    go: Mutex<mpsc::Receiver<()>>,
+    scribbled: Mutex<mpsc::Sender<()>>,
+}
+
+impl ChunkKernel<f64> for ParkedChunk {
+    fn nrows(&self) -> usize {
+        ChunkKernel::<f64>::nrows(&self.inner)
+    }
+    fn ncols(&self) -> usize {
+        ChunkKernel::<f64>::ncols(&self.inner)
+    }
+    fn nchunks(&self) -> usize {
+        ChunkKernel::<f64>::nchunks(&self.inner)
+    }
+    fn chunk_rows(&self, chunk: usize) -> std::ops::Range<usize> {
+        self.inner.chunk_rows(chunk)
+    }
+    fn compute_block(&self, chunk: usize, x: &[f64], k: usize, out: &mut [f64]) {
+        if chunk == 0 && self.armed.swap(false, Ordering::AcqRel) {
+            // A failed test drops the senders, which releases the wait.
+            let go = self.go.lock().unwrap();
+            let _ = go.recv();
+            out.fill(MARKER);
+            let _ = self.scribbled.lock().unwrap().send(());
+            let _ = go.recv();
+        }
+        self.inner.compute_block(chunk, x, k, out);
+    }
+}
+
+fn assert_bits(got: &[f64], want: &[f64], what: &str) {
+    let same =
+        got.len() == want.len() && got.iter().zip(want).all(|(a, b)| a.to_bits() == b.to_bits());
+    assert!(same, "{what}: the returned output differs from serial CSR");
+}
+
+#[test]
+fn late_straggler_writes_never_reach_a_returned_output() {
+    let coo = irregular(160, 120, 91);
+    let csr: Csr<u32, f64> = coo.to_csr();
+    for k in [1usize, 4] {
+        let x = Arc::new(x_panel_for(120, k));
+        let mut y_serial = vec![0.0; 160 * k];
+        csr.spmm(&x, k, &mut y_serial);
+        let (go, go_rx) = mpsc::channel();
+        let (scribbled_tx, scribbled) = mpsc::channel();
+        let kernel: Arc<dyn ChunkKernel<f64>> = Arc::new(ParkedChunk {
+            inner: CsrChunks::new(Arc::new(csr.clone()), 6),
+            armed: AtomicBool::new(true),
+            go: Mutex::new(go_rx),
+            scribbled: Mutex::new(scribbled_tx),
+        });
+        let mut sup = SupervisedSpMv::with_opts(kernel, 3, injection_opts(RecoveryPolicy::Degrade));
+        let (y, report) = sup.spmm_owned(Arc::clone(&x), k).expect("degrade mode recovers");
+        assert!(
+            report.events.iter().any(|e| matches!(e, FaultEvent::WorkerStalled { chunk: 0, .. })),
+            "k={k}: chunk 0 must be abandoned, got {:?}",
+            report.events
+        );
+        assert_bits(&y, &y_serial, &format!("k={k} before the release"));
+        go.send(()).expect("the straggler waits");
+        scribbled.recv().expect("the straggler scribbles its piece");
+        assert_bits(&y, &y_serial, &format!("k={k} after the straggler scribbled"));
+        go.send(()).expect("the straggler waits again");
+        let (y, report) = sup.spmm_owned(Arc::clone(&x), k).expect("healthy follow-up");
+        assert_bits(&y, &y_serial, &format!("k={k} follow-up"));
+        assert!(!report.degraded(), "k={k}: follow-up events {:?}", report.events);
+    }
+}
+
+#[test]
+fn owned_output_is_serial_after_panic_and_death() {
+    let coo = irregular(160, 120, 93);
+    let csr: Csr<u32, f64> = coo.to_csr();
+    for action in [FaultAction::PanicOnce, FaultAction::ExitThread] {
+        for k in [1usize, 4] {
+            let x = Arc::new(x_panel_for(120, k));
+            let mut y_serial = vec![0.0; 160 * k];
+            csr.spmm(&x, k, &mut y_serial);
+            let kernel: Arc<dyn ChunkKernel<f64>> =
+                Arc::new(CsrChunks::new(Arc::new(csr.clone()), 6));
+            let mut sup =
+                SupervisedSpMv::with_opts(kernel, 3, injection_opts(RecoveryPolicy::Degrade));
+            let armed = FaultPlan::new().inject(FaultSite::chunk(0, 0), action).arm();
+            let (y, report) = sup.spmm_owned(Arc::clone(&x), k).expect("degrade mode recovers");
+            assert_eq!(armed.fired_count(), 1, "{action:?} k={k} must fire once");
+            assert!(report.degraded(), "{action:?} k={k}: no event recorded");
+            assert_bits(&y, &y_serial, &format!("{action:?} k={k}"));
+        }
     }
 }

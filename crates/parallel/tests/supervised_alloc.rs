@@ -1,5 +1,6 @@
-//! A warm supervised call on a shared input allocates its chunk outputs
-//! and a small constant: the input panel is read in place, not copied.
+//! A warm supervised call on a shared input allocates its output panel,
+//! which every chunk computes into, and a small constant: the input
+//! panel is read in place, not copied.
 //!
 //! The counting allocator sees every thread of the process, so this file
 //! holds a single test.
@@ -70,7 +71,7 @@ fn warm_shared_x_call_allocates_only_its_chunk_outputs() {
     /// Call bookkeeping, independent of the matrix size.
     const SMALL: usize = 4096;
     // An explicit deadline: a tight `SPMV_WATCHDOG_MS` could otherwise
-    // trigger recovery, which allocates fresh chunk buffers.
+    // trigger recovery, which allocates chunk buffers and a fresh output.
     let opts = WatchdogOpts { deadline: Duration::from_secs(60), ..WatchdogOpts::default() };
     for n in [2_000usize, 200_000] {
         let csr = scattered(n);
@@ -90,7 +91,7 @@ fn warm_shared_x_call_allocates_only_its_chunk_outputs() {
                     worst = worst.max(REQUESTED.load(Ordering::SeqCst) - before);
                     assert!(!report.degraded(), "{name} n={n} k={k}: {:?}", report.events);
                 }
-                // The staged chunk outputs cover each row once.
+                // The output panel, `n x k` values.
                 let limit = n * k * 8 + SMALL;
                 assert!(
                     worst < limit,

@@ -383,9 +383,10 @@ fn run_batch(
     };
     let (nrows, ncols) = (es.kernel.nrows(), es.kernel.ncols());
 
-    // A lone request runs on its own `x` and its response `y`. A panel
-    // gathers the request vectors into the row-major `ncols x k` layout
-    // the SpMM kernels expect, and is scattered back below.
+    // A lone request runs on its own `x`, and the panel the executor
+    // returns becomes its response `y`. A wider batch gathers the request
+    // vectors into the row-major `ncols x k` layout the SpMM kernels
+    // expect, and the returned panel is scattered back below.
     let x = if k == 1 {
         Arc::clone(&live[0].x)
     } else {
@@ -397,7 +398,6 @@ fn run_batch(
         }
         Arc::new(x_panel)
     };
-    let mut y_panel = vec![0.0f64; nrows * k];
 
     // The watchdog deadline tracks the batch's tightest remaining
     // budget: a stalled worker costs at most the time the most
@@ -409,13 +409,14 @@ fn run_batch(
     es.exec.set_deadline(exec_deadline);
 
     let run_serial = sh.degraded.load(Ordering::Acquire) || !es.breaker.allow_parallel(now);
-    let outcome = if run_serial {
+    let (y_panel, outcome) = if run_serial {
+        let mut y_panel = vec![0.0f64; nrows * k];
         serial_spmm(es.kernel.as_ref(), &x, k, &mut y_panel);
         stats.bump(&stats.serial_batches);
-        BatchOutcome { degraded: false, attempts: 1, serial: true }
+        (y_panel, BatchOutcome { degraded: false, attempts: 1, serial: true })
     } else {
-        match run_parallel(es, stats, cfg, &x, k, &mut y_panel, tightest) {
-            Ok(o) => o,
+        match run_parallel(es, stats, cfg, &x, k, tightest) {
+            Ok(done) => done,
             Err((attempts, last)) => {
                 for p in &live {
                     let shard = p.shard;
@@ -464,20 +465,20 @@ struct BatchOutcome {
 /// The parallel path with bounded retry: re-execute on a typed pool
 /// fault (fail-fast policy) with exponential backoff, give up after
 /// `max_retries` or once the batch's tightest deadline has passed.
+/// Returns the executor's own output panel.
 fn run_parallel(
     es: &mut ExecEntry,
     stats: &StatsInner,
     cfg: &ServiceConfig,
     x: &Arc<Vec<f64>>,
     k: usize,
-    y_panel: &mut [f64],
     tightest: Instant,
-) -> Result<BatchOutcome, (u32, PoolError)> {
+) -> Result<(Vec<f64>, BatchOutcome), (u32, PoolError)> {
     let mut attempts = 0u32;
     loop {
         attempts += 1;
-        match es.exec.spmm_shared(Arc::clone(x), k, y_panel) {
-            Ok(report) => {
+        match es.exec.spmm_owned(Arc::clone(x), k) {
+            Ok((y_panel, report)) => {
                 if report.degraded() {
                     stats.pool_faults.fetch_add(report.events.len() as u64, Ordering::Relaxed);
                     if es.breaker.record_fault(Instant::now()) {
@@ -486,7 +487,8 @@ fn run_parallel(
                 } else {
                     es.breaker.record_success();
                 }
-                return Ok(BatchOutcome { degraded: report.degraded(), attempts, serial: false });
+                let outcome = BatchOutcome { degraded: report.degraded(), attempts, serial: false };
+                return Ok((y_panel, outcome));
             }
             Err(e) => {
                 stats.bump(&stats.pool_faults);
@@ -508,10 +510,9 @@ fn run_parallel(
 }
 
 /// Serial SpMM over the chunk kernel — the same per-chunk
-/// `compute_block` calls the supervised executor makes, through the same
-/// assembly, so the result is bit-identical to the parallel path. Each
-/// chunk computes straight into its rows of `y`; rows no chunk covers
-/// are zeroed.
+/// `compute_block` calls the supervised executor makes, so the result is
+/// bit-identical to the parallel path. Each chunk computes straight into
+/// its rows of `y`; rows no chunk covers are zeroed.
 pub(crate) fn serial_spmm(kernel: &dyn ChunkKernel<f64>, x: &[f64], k: usize, y: &mut [f64]) {
     assemble_chunks(kernel, k, y, |chunk, rows| kernel.compute_block(chunk, x, k, rows));
 }

@@ -1,6 +1,7 @@
-//! A warm lone request allocates two vectors: its response `y` and the
-//! executor's staged chunk outputs. The request's `x` goes to the
-//! executor as is, without a gather, a copy or a scatter.
+//! A warm lone request allocates one vector: its response `y`, which is
+//! the output the executor's chunks were computed into. The request's
+//! `x` goes to the executor as is, without a gather, a copy or a
+//! scatter.
 //!
 //! The counting allocator sees every thread of the process (clients,
 //! shards, workers, the supervisor), so this file holds a single test.
@@ -53,7 +54,7 @@ fn scattered(n: usize) -> Csr<u32, f64> {
 }
 
 #[test]
-fn warm_lone_submit_allocates_only_its_response_and_chunk_outputs() {
+fn warm_lone_submit_allocates_only_its_response() {
     const N: usize = 50_000;
     /// Admission, queue, batch and call bookkeeping, independent of `N`.
     const SMALL: usize = 16 << 10;
@@ -64,7 +65,7 @@ fn warm_lone_submit_allocates_only_its_response_and_chunk_outputs() {
         ("csr-duvi", Arc::new(CsrDuViChunks::new(Arc::new(duvi), 8))),
     ];
     // Explicit deadlines: a tight `SPMV_WATCHDOG_MS` could otherwise
-    // trigger recovery, which allocates more chunk buffers.
+    // trigger recovery, which allocates chunk buffers and a fresh output.
     let cfg = ServiceConfig {
         default_deadline: Duration::from_secs(60),
         max_exec_deadline: Duration::from_secs(60),
@@ -100,11 +101,11 @@ fn warm_lone_submit_allocates_only_its_response_and_chunk_outputs() {
             assert!(!resp.degraded && !resp.serial, "{name}: degraded or serial run");
             assert!(resp.y == y_serial, "{name}: response differs from serial");
         }
-        // The response `y` and the chunk outputs, one vector each.
-        let limit = 2 * N * 8 + SMALL;
+        // The response `y`, one vector.
+        let limit = N * 8 + SMALL;
         assert!(
             worst <= limit,
-            "{name}: a warm lone submit allocated {worst} bytes (limit {limit} = 2 y + {SMALL})"
+            "{name}: a warm lone submit allocated {worst} bytes (limit {limit} = y + {SMALL})"
         );
     }
     svc.shutdown();

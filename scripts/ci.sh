@@ -50,13 +50,19 @@ done
 echo "== fault-smoke (scripted fault recovery matrix) =="
 # Deterministic injected panics/stalls/deaths/corruption through the
 # supervised executor; every recovery must be bit-identical to serial.
+# The second run pins every thread to one CPU, where abandoned
+# stragglers keep writing into their call's output while the caller
+# assembles and returns a fresh one, interleaved far more often.
 cargo test -q -p spmv-parallel --features fault-injection
+taskset -c 0 cargo test -q -p spmv-parallel --features fault-injection
 
 echo "== tier-1 under a 5 ms watchdog deadline =="
 # An aggressively low deadline forces spurious stall triage on this
 # 2-CPU host; it may only cause (correct) serial recovery — any wrong
-# result or error fails the gate.
+# result or error fails the gate. On one CPU the triage fires far more
+# often, with the abandoned workers still computing.
 SPMV_WATCHDOG_MS=5 cargo test -q --test fault_tolerance
+SPMV_WATCHDOG_MS=5 taskset -c 0 cargo test -q --test fault_tolerance
 
 echo "== telemetry feature matrix =="
 # The telemetry feature must not change results, only observability:
