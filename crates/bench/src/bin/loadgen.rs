@@ -21,8 +21,8 @@
 //! and the summary's `shard_kills`/`requeued`/`respawns` show the
 //! supervisor repairing them. `--inject-faults` (requires building with
 //! `--features fault-injection`) additionally arms a deterministic
-//! worker-fault plan — panics, a worker death, a stall — underneath the
-//! shard chaos.
+//! worker-fault plan — two panics and two stalls — underneath the shard
+//! chaos, and exits nonzero unless the service counted a pool fault.
 //!
 //! Without `--rps`, the generator calibrates: it measures the service's
 //! closed-loop single-client throughput on a throwaway instance, scales
@@ -209,7 +209,7 @@ fn build_service(args: &Args, deadline: Duration) -> (SpmvService, Workload) {
         builder = builder.inject_faults(
             FaultPlan::new()
                 .inject(FaultSite::chunk(0, 0), FaultAction::PanicOnce)
-                .inject(FaultSite::chunk(2, 1), FaultAction::ExitThread)
+                .inject(FaultSite::chunk(2, 1), FaultAction::DelayOnce(Duration::from_millis(30)))
                 .inject(FaultSite::chunk(4, 0), FaultAction::DelayOnce(Duration::from_millis(30)))
                 .inject(FaultSite::chunk(6, 2), FaultAction::PanicOnce),
         );
@@ -420,8 +420,12 @@ fn main() {
         stats.submitted, stats.admitted, shed, stats.shed_overload, stats.shed_quota
     );
     println!(
-        "  completed {:>7}   expired  {:>7}   failed {:>5}   retries {}   breaker trips {}",
-        stats.completed, stats.deadline_expired, stats.failed, stats.retries, stats.breaker_trips
+        "  completed {:>7}   expired  {:>7}   failed {:>5}   pool faults {}   breaker trips {}",
+        stats.completed,
+        stats.deadline_expired,
+        stats.failed,
+        stats.pool_faults,
+        stats.breaker_trips
     );
     println!(
         "  latency over completed: p50 {:.2}ms  p95 {:.2}ms  p99 {:.2}ms  (deadline {:.1}ms)",
@@ -509,6 +513,13 @@ fn main() {
             "loadgen: --require-shed: no requests were shed (offered {offered_rps:.0} rps \
              did not saturate the service)"
         );
+        std::process::exit(1);
+    }
+    // With the caller kept off the chunks, the panic on chunk 0 of
+    // dispatch 0 fires on every shard that serves in parallel, so a
+    // drill that counted no fault injected nothing.
+    if args.inject_faults && stats.pool_faults == 0 {
+        eprintln!("loadgen: --inject-faults: no pool fault was counted (no fault fired)");
         std::process::exit(1);
     }
 }

@@ -223,10 +223,12 @@ pub struct ServiceSummary {
     pub deadline_expired: u64,
     /// Admitted requests that returned a result.
     pub completed: u64,
-    /// Admitted requests that exhausted retries (`ExecutionFailed`) or
-    /// were drained at shutdown.
+    /// Admitted requests answered `Evicting`: their matrix was torn
+    /// down while they waited. (Requests still queued when a shutdown's
+    /// drain budget runs out count in `deadline_expired`.)
     pub failed: u64,
-    /// Batch re-executions after a recoverable pool fault.
+    /// Always 0: the service's supervised executor recovers every worker
+    /// fault, so no batch is re-run. Kept so the schema stays readable.
     pub retries: u64,
     /// Times a per-matrix circuit breaker tripped to serial execution.
     pub breaker_trips: u64,

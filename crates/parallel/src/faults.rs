@@ -13,11 +13,9 @@
 //! to nothing). The supervised executor consults the plan at two points:
 //!
 //! * **before a worker computes a chunk** — [`FaultAction::PanicOnce`]
-//!   panics on the worker thread (caught by the worker loop),
+//!   panics on the worker thread (caught by the worker loop), and
 //!   [`FaultAction::DelayOnce`] sleeps past the watchdog deadline to
-//!   simulate a wedged worker, and [`FaultAction::ExitThread`] makes the
-//!   worker thread return from its loop entirely, simulating a dead
-//!   worker that must be respawned;
+//!   simulate a wedged worker that must be abandoned and respawned;
 //! * **after a worker computes a chunk** — [`FaultAction::CorruptChunk`]
 //!   flips the sign of the first element the worker produced, simulating
 //!   silent data corruption that only the self-check can catch.
@@ -35,8 +33,6 @@
 //! but shared with workers through an `Arc`, so concurrent tests in the
 //! same process cannot see each other's faults.
 
-#![allow(dead_code)] // the harness is only driven under `fault-injection`
-
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -49,8 +45,6 @@ pub enum FaultAction {
     /// Sleep for the given duration before computing, simulating a stall
     /// past the watchdog deadline.
     DelayOnce(Duration),
-    /// Make the worker thread exit its loop, simulating a dead worker.
-    ExitThread,
     /// Corrupt the first output element of the chunk after computing it
     /// (sign flip), simulating silent corruption.
     CorruptChunk,
@@ -190,7 +184,8 @@ pub struct FaultHandle {
 
 impl FaultHandle {
     /// Snapshot of the plan armed on the *calling* thread, advancing its
-    /// dispatch counter. Returns an inert handle when nothing is armed.
+    /// dispatch counter. Returns a handle that never fires when nothing
+    /// is armed.
     pub fn capture() -> FaultHandle {
         let state = ACTIVE.with(|a| a.borrow().clone());
         let dispatch = match &state {
@@ -205,14 +200,9 @@ impl FaultHandle {
         FaultHandle { state, dispatch }
     }
 
-    /// An inert handle (never fires).
-    pub fn inert() -> FaultHandle {
-        FaultHandle { state: None, dispatch: 0 }
-    }
-
     /// Consumes a matching before-compute rule. `PanicOnce` panics here;
-    /// `DelayOnce` sleeps here; `ExitThread` and `CorruptChunk` are
-    /// returned for the caller to act on.
+    /// `DelayOnce` sleeps here; `CorruptChunk` is returned for the caller
+    /// to act on.
     pub fn before_compute(&self, chunk: usize) -> Option<FaultAction> {
         let action = self.state.as_ref()?.plan.take(self.dispatch, chunk)?;
         match action {
@@ -221,7 +211,7 @@ impl FaultHandle {
                 std::thread::sleep(d);
                 None
             }
-            FaultAction::ExitThread | FaultAction::CorruptChunk => Some(action),
+            FaultAction::CorruptChunk => Some(action),
         }
     }
 }

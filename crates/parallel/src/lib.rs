@@ -74,14 +74,12 @@
 //! Long-running multithreaded SpMV must survive its workers, not trust
 //! them. [`supervised::SupervisedSpMv`] is the crate's one watchdog (see
 //! the README's *Failure model* section for the full contract): it runs
-//! chunk-granular SpMV with typed fault handling. Under
-//! [`supervised::RecoveryPolicy::Degrade`] any panicked, stalled, dead,
-//! or (with `verify_every`) corrupted chunk is re-executed serially on the
-//! caller — the result is bit-identical to a serial run and the call
-//! reports a [`supervised::HealthReport`]; under
-//! [`supervised::RecoveryPolicy::FailFast`] the first fault returns a
-//! typed [`supervised::PoolError`] with `y` untouched. Either way the
-//! executor remains reusable.
+//! chunk-granular SpMV and recovers every fault it detects. A panicked
+//! chunk, a claimed chunk still pending at the deadline (a stall: its
+//! worker is abandoned and respawned), or, with `verify_every`, a
+//! corrupted chunk is re-executed serially on the caller. The result is
+//! bit-identical to a serial run, the call reports a
+//! [`supervised::HealthReport`], and the executor remains reusable.
 //!
 //! [`pool::WorkerPool`], and every `Par*` executor on it, has no
 //! watchdog: a panic on any thread is re-raised on the caller once the
@@ -89,8 +87,8 @@
 //! is waited for, because the job borrows the caller's stack.
 //!
 //! The `fault-injection` feature compiles in a deterministic scripted
-//! fault harness ([`faults`], test-only) that drives panics, stalls,
-//! thread deaths, and silent corruption through the supervised executor;
+//! fault harness ([`faults`], test-only) that drives panics, stalls and
+//! silent corruption through the supervised executor;
 //! the recovery matrix lives in `tests/fault_injection.rs`, and
 //! feature-independent guarantees (tight-deadline correctness, self-check
 //! on honest kernels) in the workspace-root `tests/fault_tolerance.rs`.
@@ -128,7 +126,7 @@ pub use pool::{Parts, WorkerPool};
 pub use spmspv::{ParMaskedSpMSpV, ParSpMSpV};
 pub use supervised::{
     assemble_chunks, parse_watchdog_ms, watchdog_deadline, watchdog_deadline_checked, ChunkKernel,
-    CsrChunks, CsrDuChunks, CsrDuViChunks, CsrViChunks, FaultEvent, HealthReport, PoolError,
-    RecoveryPolicy, SupervisedSpMv, WatchdogOpts, DEFAULT_WATCHDOG,
+    CsrChunks, CsrDuChunks, CsrDuViChunks, CsrViChunks, FaultEvent, HealthReport, SupervisedSpMv,
+    WatchdogOpts, DEFAULT_WATCHDOG,
 };
 pub use telemetry::PoolTelemetry;

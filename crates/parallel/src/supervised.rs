@@ -14,29 +14,26 @@
 //! re-raises a worker panic on the caller and otherwise waits. This module
 //! is the *resilient* path and holds the crate's only watchdog: everything
 //! a worker touches is owned by an `Arc`'d per-call state, so the caller
-//! may walk away from a wedged worker without any dangling borrow. That
-//! buys the full fault model:
+//! may walk away from a wedged worker without any dangling borrow. The
+//! watchdog detects two faults, and the opt-in self-check a third:
 //!
 //! * **worker panic** — caught on the worker, reported, and the chunk is
-//!   re-executed serially by the caller (no deadline wait);
-//! * **worker death** (thread terminated without finishing) — detected at
-//!   the deadline, chunk re-executed serially, worker respawned;
-//! * **worker stall** (alive but past the deadline) — the worker is
-//!   *abandoned*: the caller re-executes its chunk serially, a
-//!   replacement thread takes its roster slot, and the stuck thread exits
-//!   on its own whenever its computation finally returns (it only holds
-//!   `Arc`s, so nothing dangles);
+//!   re-executed serially by the caller (no deadline wait). Every chunk
+//!   runs under `catch_unwind`, so a worker thread never dies of one;
+//! * **worker stall** — a claimed chunk still pending at the deadline,
+//!   whatever its thread is doing. The worker is *abandoned*: the caller
+//!   re-executes its chunk serially, a replacement thread takes its
+//!   roster slot, and the stuck thread exits on its own whenever its
+//!   computation finally returns (it only holds `Arc`s, so nothing
+//!   dangles);
 //! * **silent chunk corruption** — optionally caught by re-executing
 //!   sampled chunks serially and comparing bit patterns (the chunk kernel
 //!   is deterministic, so any discrepancy is corruption, not roundoff).
 //!
-//! Under [`RecoveryPolicy::Degrade`] every fault above still yields a
-//! **correct** result — recovery re-runs the identical chunk kernel over
-//! the identical partition, so output is bit-identical to a serial run —
-//! plus a [`HealthReport`] saying what happened. Under
-//! [`RecoveryPolicy::FailFast`] the first fault aborts the call with a
-//! typed [`PoolError`] instead (a caller's `y` is left untouched); the
-//! executor itself stays usable either way.
+//! Every fault above still yields a **correct** result — recovery re-runs
+//! the identical chunk kernel over the identical partition, so output is
+//! bit-identical to a serial run — plus a [`HealthReport`] saying what
+//! happened. The executor stays usable after any of them.
 //!
 //! Workers must never hold a borrow of caller memory, so the input is
 //! *shared* and the output is *owned by the call*:
@@ -71,10 +68,13 @@ use spmv_core::csr_du::{CsrDu, DuSplit};
 use spmv_core::csr_duvi::CsrDuVi;
 use spmv_core::csr_vi::CsrVi;
 use spmv_core::{Csr, Isa, Scalar, SpIndex, SparseError};
+use std::convert::Infallible;
 use std::marker::PhantomData;
 use std::ops::{Deref, Range};
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+#[cfg(feature = "telemetry")]
+use std::sync::atomic::AtomicU64;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -130,7 +130,7 @@ pub struct CsrChunks<I: SpIndex, V: Scalar, M = Arc<Csr<I, V>>> {
 impl<I: SpIndex, V: Scalar, M: Deref<Target = Csr<I, V>>> CsrChunks<I, V, M> {
     /// Partitions `matrix` into `nchunks` nnz-balanced row chunks. The
     /// kernel ISA is snapshotted here, so every chunk execution — worker,
-    /// serial retry and bit-exact self-check alike — runs the same kernel.
+    /// serial recovery and bit-exact self-check alike — runs the same kernel.
     pub fn new(matrix: M, nchunks: usize) -> CsrChunks<I, V, M> {
         CsrChunks::with_isa(matrix, nchunks, spmv_core::simd::selected())
     }
@@ -397,29 +397,14 @@ pub fn watchdog_deadline_checked() -> Result<Duration, SparseError> {
     }
 }
 
-/// What the supervisor does when a fault is detected.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RecoveryPolicy {
-    /// Recover: re-execute affected chunks serially on the caller,
-    /// respawn lost workers, return `Ok` with the events in the
-    /// [`HealthReport`]. The result is bit-identical to a serial run.
-    Degrade,
-    /// Abort: return the first fault as a typed [`PoolError`], leaving
-    /// the output buffer untouched. Lost workers are still respawned, so
-    /// the executor remains usable.
-    FailFast,
-}
-
 /// Watchdog configuration for [`SupervisedSpMv`].
 #[derive(Debug, Clone, Copy)]
 pub struct WatchdogOpts {
-    /// How long a call waits for outstanding chunks before triaging
-    /// their workers for death or stall. Any positive value is safe: a
-    /// low deadline can only cause spurious (correct) serial recovery,
-    /// never a wrong result.
+    /// How long a call waits for outstanding chunks before treating
+    /// every claimed chunk still pending as a stall. Any positive value
+    /// is safe: a low deadline can only cause spurious (correct) serial
+    /// recovery, never a wrong result.
     pub deadline: Duration,
-    /// Degrade-and-recover or fail-fast.
-    pub policy: RecoveryPolicy,
     /// `0` disables the self-check; `n > 0` re-executes every `n`-th
     /// chunk serially after all chunks complete and compares bit
     /// patterns, replacing any corrupted chunk with the serial result
@@ -433,65 +418,22 @@ pub struct WatchdogOpts {
 }
 
 impl Default for WatchdogOpts {
-    /// Deadline from `SPMV_WATCHDOG_MS` (default 1 s), degrade-and-
-    /// recover, self-check off.
+    /// Deadline from `SPMV_WATCHDOG_MS` (default 1 s), self-check off.
     fn default() -> WatchdogOpts {
-        WatchdogOpts {
-            deadline: watchdog_deadline(),
-            policy: RecoveryPolicy::Degrade,
-            verify_every: 0,
-            caller_participates: true,
-        }
+        WatchdogOpts { deadline: watchdog_deadline(), verify_every: 0, caller_participates: true }
     }
 }
-
-/// Typed faults surfaced by [`RecoveryPolicy::FailFast`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum PoolError {
-    /// A worker panicked while computing `chunk`.
-    WorkerPanicked { tid: usize, chunk: usize },
-    /// A worker exceeded the watchdog deadline while holding `chunk`.
-    WorkerStalled { tid: usize, chunk: usize, waited: Duration },
-    /// A worker's thread terminated without completing `chunk`.
-    WorkerDied { tid: usize, chunk: usize },
-    /// A chunk's published result did not match its serial re-execution.
-    ChunkCorrupted { chunk: usize },
-}
-
-impl std::fmt::Display for PoolError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            PoolError::WorkerPanicked { tid, chunk } => {
-                write!(f, "worker {tid} panicked while computing chunk {chunk}")
-            }
-            PoolError::WorkerStalled { tid, chunk, waited } => {
-                write!(f, "worker {tid} stalled on chunk {chunk} ({waited:?} past deadline)")
-            }
-            PoolError::WorkerDied { tid, chunk } => {
-                write!(f, "worker {tid} died without completing chunk {chunk}")
-            }
-            PoolError::ChunkCorrupted { chunk } => {
-                write!(f, "chunk {chunk} failed the serial cross-check (corrupted result)")
-            }
-        }
-    }
-}
-
-impl std::error::Error for PoolError {}
 
 /// One observed-and-handled fault (see [`HealthReport`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FaultEvent {
     /// A worker panicked; the chunk was re-executed serially.
     WorkerPanicked { tid: usize, chunk: usize },
-    /// A worker thread died mid-chunk; the chunk was re-executed
-    /// serially.
-    WorkerDied { tid: usize, chunk: usize },
-    /// A live worker blew the deadline; it was abandoned (it exits on
-    /// its own once its computation returns) and the chunk re-executed
-    /// serially.
+    /// A worker's claimed chunk was still pending at the deadline; the
+    /// worker was abandoned (it exits on its own once its computation
+    /// returns) and the chunk re-executed serially.
     WorkerStalled { tid: usize, chunk: usize, waited: Duration },
-    /// A fresh thread took over a lost worker's roster slot.
+    /// A fresh thread took over an abandoned worker's roster slot.
     WorkerRespawned { tid: usize },
     /// The self-check caught a corrupted chunk and replaced it with the
     /// serial result.
@@ -507,11 +449,6 @@ pub struct HealthReport {
     pub events: Vec<FaultEvent>,
     /// Chunks the caller re-executed serially (recovery work).
     pub recovered_chunks: usize,
-    /// Per-thread heartbeat counters at the end of the call (index =
-    /// tid; the caller is 0). Each thread bumps its counter at chunk
-    /// claim and completion, so a low even count identifies the thread
-    /// that did little work — diagnostic context for the events above.
-    pub heartbeats: Vec<u64>,
     /// Per-thread busy time and chunk counts for this call (`dispatches`
     /// is always 1). `None` unless the crate's `telemetry` feature is
     /// enabled; recording is compiled out entirely when off.
@@ -711,10 +648,6 @@ struct CallState<V: Scalar> {
     results: Vec<Mutex<Slot<V>>>,
     progress: Mutex<Progress>,
     done_cv: Condvar,
-    /// Per-thread heartbeats (index = tid), bumped at chunk claim and
-    /// completion. Diagnostic only; exposed through
-    /// [`HealthReport::heartbeats`].
-    hb: Vec<AtomicU64>,
     /// Per-thread busy nanoseconds (index = tid); each thread adds only
     /// to its own counter, relaxed ordering (diagnostics, not
     /// synchronization).
@@ -796,32 +729,19 @@ struct SupShared<V: Scalar> {
     work_cv: Condvar,
 }
 
-/// Outcome of one worker chunk attempt.
-enum ChunkRun {
-    Done,
-    #[cfg(feature = "fault-injection")]
-    Exit,
-}
-
-/// Runs chunk `c` into `piece` on a worker; returns `true` if the thread
-/// must exit (injected death). Panics — injected or real — are caught
-/// and recorded so the supervisor can recover without waiting for the
-/// deadline.
+/// Runs chunk `c` into `piece` on a worker. Panics — injected or real —
+/// are caught and recorded so the supervisor can recover without waiting
+/// for the deadline.
 fn worker_chunk<V: Scalar>(
     job: &CallState<V>,
     kernel: &dyn ChunkKernel<V>,
     c: usize,
     piece: Piece<'_, V>,
     tid: usize,
-) -> bool {
+) {
     let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
         #[cfg(feature = "fault-injection")]
         let injected = job.fault.before_compute(c);
-        #[cfg(feature = "fault-injection")]
-        if injected == Some(crate::faults::FaultAction::ExitThread) {
-            // Simulated thread death: the claimed chunk stays unpublished.
-            return ChunkRun::Exit;
-        }
         kernel.compute_block(c, &job.x, job.k, &mut *piece.rows);
         #[cfg(feature = "fault-injection")]
         if injected == Some(crate::faults::FaultAction::CorruptChunk) {
@@ -829,22 +749,14 @@ fn worker_chunk<V: Scalar>(
                 *v0 = -*v0; // silent corruption only the self-check sees
             }
         }
-        ChunkRun::Done
     }));
     // The chunk is finished, even after a panic, before anything is
     // published.
     drop(piece);
-    match outcome {
-        Ok(ChunkRun::Done) => {
-            job.publish(c, Slot::InPlace);
-            false
-        }
-        #[cfg(feature = "fault-injection")]
-        Ok(ChunkRun::Exit) => true,
-        Err(_) => {
-            job.mark_failed(c, tid);
-            false
-        }
+    if outcome.is_ok() {
+        job.publish(c, Slot::InPlace);
+    } else {
+        job.mark_failed(c, tid);
     }
 }
 
@@ -883,11 +795,7 @@ fn sup_worker_loop<V: Scalar>(
                 break;
             };
             job.claims[c].store(tid, Ordering::Release);
-            job.hb[tid].fetch_add(1, Ordering::AcqRel);
-            if timed(&job, tid, || worker_chunk(&job, &*kernel, c, piece, tid)) {
-                return;
-            }
-            job.hb[tid].fetch_add(1, Ordering::AcqRel);
+            timed(&job, tid, || worker_chunk(&job, &*kernel, c, piece, tid));
         }
     }
 }
@@ -908,7 +816,8 @@ struct WorkerSlot {
 /// thread 0). Each [`SupervisedSpMv::spmm_owned`] call fans the chunks out
 /// over the threads with dynamic claiming, each claimant computing into
 /// the call's output, supervises them against the watchdog deadline, and
-/// recovers per the policy. See the module docs for the fault model.
+/// recovers every fault it detects. See the module docs for the fault
+/// model.
 pub struct SupervisedSpMv<V: Scalar> {
     kernel: Arc<dyn ChunkKernel<V>>,
     layout: Arc<Layout>,
@@ -968,33 +877,31 @@ impl<V: Scalar> SupervisedSpMv<V> {
     /// on a copy of `x` with `k = 1`.
     ///
     /// Returns the call's [`HealthReport`] (empty events ⇒ fully healthy
-    /// parallel run). Under [`RecoveryPolicy::FailFast`] the first fault
-    /// aborts with a [`PoolError`] and `y` is left untouched.
-    pub fn spmv(&mut self, x: &[V], y: &mut [V]) -> Result<HealthReport, PoolError> {
+    /// parallel run). The error type is [`Infallible`]: every fault is
+    /// recovered, so the call never fails. The `Result` remains so that
+    /// callers matching on it, such as perfbench's fault count
+    /// (`.map_or(true, |h| h.degraded())`), compile unchanged.
+    pub fn spmv(&mut self, x: &[V], y: &mut [V]) -> Result<HealthReport, Infallible> {
         assert_eq!(x.len(), self.layout.ncols, "x length must equal ncols");
         assert_eq!(y.len(), self.layout.nrows, "y length must equal nrows");
-        self.spmm_shared(Arc::new(x.to_vec()), 1, y)
+        Ok(self.spmm_shared(Arc::new(x.to_vec()), 1, y))
     }
 
-    /// [`SupervisedSpMv::spmm_shared`] on a copy of the panel `x`.
-    pub fn spmm(&mut self, x: &[V], k: usize, y: &mut [V]) -> Result<HealthReport, PoolError> {
-        self.spmm_shared(Arc::new(x.to_vec()), k, y)
+    /// [`SupervisedSpMv::spmm_shared`] on a copy of the panel `x`. Never
+    /// fails; the `Result` remains for its callers, as on
+    /// [`SupervisedSpMv::spmv`].
+    pub fn spmm(&mut self, x: &[V], k: usize, y: &mut [V]) -> Result<HealthReport, Infallible> {
+        Ok(self.spmm_shared(Arc::new(x.to_vec()), k, y))
     }
 
     /// [`SupervisedSpMv::spmm_owned`], copying the result into the
-    /// row-major `nrows x k` panel `y`. On an error `y` is left
-    /// untouched.
-    pub fn spmm_shared(
-        &mut self,
-        x: Arc<Vec<V>>,
-        k: usize,
-        y: &mut [V],
-    ) -> Result<HealthReport, PoolError> {
+    /// row-major `nrows x k` panel `y`.
+    pub fn spmm_shared(&mut self, x: Arc<Vec<V>>, k: usize, y: &mut [V]) -> HealthReport {
         assert!(k >= 1, "need at least one right-hand side");
         assert_eq!(y.len(), self.layout.nrows * k, "y must be an nrows x k row-major panel");
-        let (out, report) = self.spmm_owned(x, k)?;
+        let (out, report) = self.spmm_owned(x, k);
         y.copy_from_slice(&out);
-        Ok(report)
+        report
     }
 
     /// Computes and returns the row-major panel `y[nrows x k] = A ·
@@ -1002,26 +909,20 @@ impl<V: Scalar> SupervisedSpMv<V> {
     /// share the panel instead of borrowing it, so no copy is made. The
     /// output is allocated once, zeroed, and each chunk's claimant
     /// computes straight into its rows, so a healthy call returns that
-    /// allocation. Chunks are claimed dynamically; panics, stalls and
-    /// deaths are recovered by re-executing the chunk's *panel* serially
-    /// on the caller into a buffer of its own
-    /// ([`RecoveryPolicy::Degrade`], bit-identical to a serial SpMM),
+    /// allocation. Chunks are claimed dynamically; panics and stalls are
+    /// recovered by re-executing the chunk's *panel* serially on the
+    /// caller into a buffer of its own (bit-identical to a serial SpMM),
     /// and the call then returns a fresh output assembled from the
-    /// finished chunks; or the first fault aborts the call
-    /// ([`RecoveryPolicy::FailFast`]). The `verify_every` self-check
-    /// compares full chunk panels bit-for-bit. `k = 1` is bit-identical
-    /// to [`SupervisedSpMv::spmv`].
-    pub fn spmm_owned(
-        &mut self,
-        x: Arc<Vec<V>>,
-        k: usize,
-    ) -> Result<(Vec<V>, HealthReport), PoolError> {
+    /// finished chunks. The `verify_every` self-check compares full chunk
+    /// panels bit-for-bit. `k = 1` is bit-identical to
+    /// [`SupervisedSpMv::spmv`].
+    pub fn spmm_owned(&mut self, x: Arc<Vec<V>>, k: usize) -> (Vec<V>, HealthReport) {
         assert!(k >= 1, "need at least one right-hand side");
         assert_eq!(x.len(), self.layout.ncols * k, "x must be an ncols x k row-major panel");
         let mut report = HealthReport::default();
         let nchunks = self.layout.nchunks();
         if nchunks == 0 {
-            return Ok((vec![V::zero(); self.layout.nrows * k], report));
+            return (vec![V::zero(); self.layout.nrows * k], report);
         }
         let state = Arc::new(CallState {
             x,
@@ -1032,7 +933,6 @@ impl<V: Scalar> SupervisedSpMv<V> {
             results: (0..nchunks).map(|_| Mutex::new(Slot::Pending)).collect(),
             progress: Mutex::new(Progress { done: 0, failed: Vec::new() }),
             done_cv: Condvar::new(),
-            hb: (0..self.nthreads).map(|_| AtomicU64::new(0)).collect(),
             #[cfg(feature = "telemetry")]
             busy_ns: (0..self.nthreads).map(|_| AtomicU64::new(0)).collect(),
             #[cfg(feature = "fault-injection")]
@@ -1051,18 +951,15 @@ impl<V: Scalar> SupervisedSpMv<V> {
         if self.opts.caller_participates {
             while let Some((c, piece)) = state.out.claim() {
                 state.claims[c].store(0, Ordering::Release);
-                state.hb[0].fetch_add(1, Ordering::AcqRel);
                 timed(&state, 0, || self.kernel.compute_block(c, &state.x, k, &mut *piece.rows));
                 drop(piece);
                 state.publish(c, Slot::InPlace);
-                state.hb[0].fetch_add(1, Ordering::AcqRel);
             }
         }
-        self.supervise(&state, &mut report)?;
+        self.supervise(&state, &mut report);
         if self.opts.verify_every > 0 {
-            self.self_check(&state, &mut report)?;
+            self.self_check(&state, &mut report);
         }
-        report.heartbeats = state.hb.iter().map(|h| h.load(Ordering::Acquire)).collect();
         #[cfg(feature = "telemetry")]
         {
             // Chunk counts come from the claim ledger: who *claimed* each
@@ -1088,7 +985,7 @@ impl<V: Scalar> SupervisedSpMv<V> {
             // small-request load).
             lock(&self.shared.state).job = None;
         }
-        Ok((self.output(&state), report))
+        (self.output(&state), report)
     }
 
     /// The call's result: the panel itself when every chunk's claimant
@@ -1121,11 +1018,7 @@ impl<V: Scalar> SupervisedSpMv<V> {
 
     /// Waits for all chunks, recovering panics immediately and triaging
     /// stragglers at the deadline.
-    fn supervise(
-        &mut self,
-        state: &Arc<CallState<V>>,
-        report: &mut HealthReport,
-    ) -> Result<(), PoolError> {
+    fn supervise(&mut self, state: &Arc<CallState<V>>, report: &mut HealthReport) {
         let start = Instant::now();
         loop {
             // Handle recorded worker panics without waiting for the
@@ -1133,17 +1026,15 @@ impl<V: Scalar> SupervisedSpMv<V> {
             let failed = std::mem::take(&mut lock(&state.progress).failed);
             for (chunk, tid) in failed {
                 report.events.push(FaultEvent::WorkerPanicked { tid, chunk });
-                if self.opts.policy == RecoveryPolicy::FailFast {
-                    return Err(PoolError::WorkerPanicked { tid, chunk });
-                }
                 self.recover_chunk(state, chunk, report);
             }
             if state.done() == state.nchunks {
-                return Ok(());
+                return;
             }
             let elapsed = start.elapsed();
             if elapsed >= self.opts.deadline {
-                return self.triage(state, report, elapsed);
+                self.triage(state, report, elapsed);
+                return;
             }
             let p = lock(&state.progress);
             if p.done < state.nchunks && p.failed.is_empty() {
@@ -1155,42 +1046,22 @@ impl<V: Scalar> SupervisedSpMv<V> {
         }
     }
 
-    /// Deadline expired with chunks outstanding: classify each straggling
-    /// worker (dead vs stalled), abandon/respawn it, and re-execute its
-    /// chunk serially (Degrade) or abort (FailFast).
-    fn triage(
-        &mut self,
-        state: &Arc<CallState<V>>,
-        report: &mut HealthReport,
-        waited: Duration,
-    ) -> Result<(), PoolError> {
+    /// Deadline expired with chunks outstanding: every claimed chunk
+    /// still pending is a stall, whatever state its thread is in, so its
+    /// worker is abandoned and respawned; every pending chunk is then
+    /// re-executed serially.
+    fn triage(&mut self, state: &Arc<CallState<V>>, report: &mut HealthReport, waited: Duration) {
         for chunk in 0..state.nchunks {
             if !state.is_pending(chunk) {
                 continue;
             }
             let tid = state.claims[chunk].load(Ordering::Acquire);
-            let fault = if tid == UNCLAIMED || tid == 0 {
-                // Unclaimed (workers died before reaching it) or the
-                // supervisor's own — no worker to blame; just recover.
-                None
-            } else if self.workers[tid - 1].handle.is_finished() {
-                Some((FaultEvent::WorkerDied { tid, chunk }, PoolError::WorkerDied { tid, chunk }))
-            } else {
-                Some((
-                    FaultEvent::WorkerStalled { tid, chunk, waited },
-                    PoolError::WorkerStalled { tid, chunk, waited },
-                ))
-            };
-            if let Some((event, error)) = fault {
-                report.events.push(event);
+            // Unclaimed (no worker reached it in time) or the
+            // supervisor's own: no worker to blame; just recover.
+            if tid != UNCLAIMED && tid != 0 {
+                report.events.push(FaultEvent::WorkerStalled { tid, chunk, waited });
                 self.respawn(tid, report);
-                if self.opts.policy == RecoveryPolicy::FailFast {
-                    return Err(error);
-                }
             }
-            // Unclaimed chunks carry no fault to report (the work just
-            // has to happen somewhere) — recover them under both
-            // policies.
             self.recover_chunk(state, chunk, report);
         }
         // Every chunk now has a published result; panics that raced the
@@ -1199,12 +1070,8 @@ impl<V: Scalar> SupervisedSpMv<V> {
         let failed = std::mem::take(&mut lock(&state.progress).failed);
         for (chunk, tid) in failed {
             report.events.push(FaultEvent::WorkerPanicked { tid, chunk });
-            if self.opts.policy == RecoveryPolicy::FailFast {
-                return Err(PoolError::WorkerPanicked { tid, chunk });
-            }
         }
         debug_assert_eq!(state.done(), state.nchunks, "triage must resolve every chunk");
-        Ok(())
     }
 
     /// Computes `chunk` serially on the caller into a buffer of its own.
@@ -1237,37 +1104,9 @@ impl<V: Scalar> SupervisedSpMv<V> {
         report.events.push(FaultEvent::WorkerRespawned { tid });
     }
 
-    /// Replaces any dead roster slot with a fresh worker thread and
-    /// returns how many were respawned. The per-call watchdog already
-    /// respawns workers it catches faulting *during* a call; this is the
-    /// between-calls complement for executor handoff: a serving layer
-    /// that parks an executor when its owning thread dies and hands it
-    /// to a replacement thread calls this to restore the roster to full
-    /// strength before dispatching again. Safe to call at any time the
-    /// executor is not mid-call.
-    pub fn ensure_workers(&mut self) -> usize {
-        let epoch = lock(&self.shared.state).epoch;
-        let mut respawned = 0;
-        for i in 0..self.workers.len() {
-            let slot = &self.workers[i];
-            if slot.alive.load(Ordering::Acquire) && !slot.handle.is_finished() {
-                continue;
-            }
-            slot.alive.store(false, Ordering::Release);
-            self.workers[i] = spawn_sup_worker(&self.shared, &self.kernel, i + 1, epoch);
-            respawned += 1;
-        }
-        respawned
-    }
-
     /// Re-executes sampled chunks serially and compares bit patterns;
-    /// replaces corrupted chunks with the serial result (Degrade) or
-    /// aborts (FailFast).
-    fn self_check(
-        &self,
-        state: &Arc<CallState<V>>,
-        report: &mut HealthReport,
-    ) -> Result<(), PoolError> {
+    /// replaces corrupted chunks with the serial result.
+    fn self_check(&self, state: &Arc<CallState<V>>, report: &mut HealthReport) {
         for chunk in (0..state.nchunks).step_by(self.opts.verify_every) {
             let expect = self.compute_own(state, chunk);
             let same = |got: &[V]| {
@@ -1284,13 +1123,9 @@ impl<V: Scalar> SupervisedSpMv<V> {
                 continue;
             }
             report.events.push(FaultEvent::ChunkCorrupted { chunk });
-            if self.opts.policy == RecoveryPolicy::FailFast {
-                return Err(PoolError::ChunkCorrupted { chunk });
-            }
             *slot = Slot::Own(expect); // the serial result is authoritative
             report.recovered_chunks += 1;
         }
-        Ok(())
     }
 }
 
@@ -1520,7 +1355,7 @@ mod tests {
                     let kernel = Arc::new(GapChunks { csr: csr.clone(), order });
                     let mut sup = SupervisedSpMv::with_opts(kernel, nthreads, calm());
                     let mut y = vec![f64::NAN; 50 * k];
-                    sup.spmm_shared(Arc::clone(&x), k, &mut y).expect("healthy run");
+                    sup.spmm_shared(Arc::clone(&x), k, &mut y);
                     let same = y.iter().zip(&expect).all(|(a, b)| a.to_bits() == b.to_bits());
                     assert!(same, "k={k} order={order:?} nthreads={nthreads}");
                 }
@@ -1668,7 +1503,7 @@ mod tests {
         {
             kernel.panic_once.store(panic, Ordering::SeqCst);
             kernel.corrupt_once.store(corrupt, Ordering::SeqCst);
-            let (y, report) = sup.spmm_owned(Arc::clone(&shared), 1).expect(what);
+            let (y, report) = sup.spmm_owned(Arc::clone(&shared), 1);
             assert_eq!(y, y_serial, "{what}");
             assert_eq!(report.degraded(), panic || corrupt, "{what}: {:?}", report.events);
             let mut y = vec![f64::NAN; 120];
@@ -1725,53 +1560,22 @@ mod tests {
     }
 
     #[test]
-    fn failfast_on_healthy_run_is_ok() {
-        let coo = irregular(60, 60, 5);
-        let csr: Csr<u32, f64> = coo.to_csr();
-        let x = x_for(60);
-        let opts = WatchdogOpts { policy: RecoveryPolicy::FailFast, ..calm() };
-        let mut sup =
-            SupervisedSpMv::with_opts(Arc::new(CsrChunks::new(Arc::new(csr), 4)), 4, opts);
-        let mut y = vec![0.0; 60];
-        sup.spmv(&x, &mut y).expect("no fault, no error");
-    }
-
-    #[test]
     fn tight_deadline_never_corrupts_results() {
         // The no-false-trips property: an aggressively low deadline may
-        // cause spurious serial recovery, but results stay bit-identical
-        // and no error is returned under Degrade.
+        // cause spurious serial recovery, but results stay bit-identical.
         let coo = irregular(150, 150, 11);
         let csr: Csr<u32, f64> = coo.to_csr();
         let x = x_for(150);
         let mut y_serial = vec![0.0; 150];
         csr.spmv(&x, &mut y_serial);
-        let opts = WatchdogOpts {
-            deadline: Duration::from_micros(1),
-            policy: RecoveryPolicy::Degrade,
-            ..WatchdogOpts::default()
-        };
+        let opts = WatchdogOpts { deadline: Duration::from_micros(1), ..WatchdogOpts::default() };
         let mut sup =
             SupervisedSpMv::with_opts(Arc::new(CsrChunks::new(Arc::new(csr), 16)), 4, opts);
         for _ in 0..10 {
             let mut y = vec![0.0; 150];
-            sup.spmv(&x, &mut y).expect("degrade mode never errors");
+            sup.spmv(&x, &mut y).expect("supervised calls never fail");
             assert_eq!(y, y_serial);
         }
-    }
-
-    #[test]
-    fn heartbeats_cover_all_threads() {
-        let coo = irregular(100, 80, 2);
-        let csr: Csr<u32, f64> = coo.to_csr();
-        let x = x_for(80);
-        let mut sup =
-            SupervisedSpMv::with_opts(Arc::new(CsrChunks::new(Arc::new(csr), 8)), 3, calm());
-        let mut y = vec![0.0; 100];
-        let report = sup.spmv(&x, &mut y).expect("healthy run");
-        assert_eq!(report.heartbeats.len(), 3);
-        // All chunk work is accounted for: 2 beats per chunk, 8 chunks.
-        assert_eq!(report.heartbeats.iter().sum::<u64>(), 16);
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Fault-injection recovery matrix (requires `--features fault-injection`).
 //!
 //! Drives scripted faults — worker panics, stalls past the watchdog
-//! deadline, thread deaths, and silent chunk corruption — through the
-//! supervised executor, across thread counts {1, 2, 4, 7}, and asserts
+//! deadline, and silent chunk corruption — through the supervised
+//! executor, across thread counts {1, 2, 4, 7}, and asserts
 //! the two acceptance properties after every recovery:
 //!
 //! 1. the result is **bit-identical** to the serial kernel;
@@ -21,17 +21,13 @@ use spmv_core::csr_du::{CsrDu, DuOptions};
 use spmv_core::{Coo, Csr, SpMv};
 use spmv_parallel::faults::{FaultAction, FaultPlan, FaultSite};
 use spmv_parallel::supervised::{
-    ChunkKernel, CsrChunks, CsrDuChunks, FaultEvent, PoolError, RecoveryPolicy, SupervisedSpMv,
-    WatchdogOpts,
+    ChunkKernel, CsrChunks, CsrDuChunks, FaultEvent, SupervisedSpMv, WatchdogOpts,
 };
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::Duration;
 
 const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 7];
-
-/// A scripted fault and the check its fail-fast error must pass.
-type FailFastCase = (FaultAction, fn(&PoolError) -> bool);
 
 fn irregular(nrows: usize, ncols: usize, seed: u64) -> Coo<f64> {
     let mut t: Vec<(usize, usize, f64)> = Vec::new();
@@ -57,13 +53,12 @@ fn x_for(ncols: usize) -> Vec<f64> {
     (0..ncols).map(|i| ((i % 23) as f64) * 0.37 - 3.0).collect()
 }
 
-/// Supervised opts for injection tests: short deadline (stall/death
-/// recovery is deadline-gated), caller dedicated to supervision so the
-/// targeted worker deterministically claims chunks.
-fn injection_opts(policy: RecoveryPolicy) -> WatchdogOpts {
+/// Supervised opts for injection tests: short deadline (stall recovery
+/// is deadline-gated), caller dedicated to supervision so the targeted
+/// worker deterministically claims chunks.
+fn injection_opts() -> WatchdogOpts {
     WatchdogOpts {
         deadline: Duration::from_millis(40),
-        policy,
         verify_every: 0,
         caller_participates: false,
     }
@@ -80,8 +75,7 @@ fn supervised_recovers_from(action: FaultAction, expect_fires: bool) {
     for &nthreads in &THREAD_COUNTS {
         let kernel: Arc<dyn ChunkKernel<f64>> =
             Arc::new(CsrChunks::new(Arc::new(csr.clone()), nthreads.max(2) * 2));
-        let mut sup =
-            SupervisedSpMv::with_opts(kernel, nthreads, injection_opts(RecoveryPolicy::Degrade));
+        let mut sup = SupervisedSpMv::with_opts(kernel, nthreads, injection_opts());
         // Target chunk 0 of dispatch 0: with >= 2 threads some worker
         // necessarily claims it (caller doesn't participate); with one
         // thread no worker exists, the rule cannot fire, and the run must
@@ -125,38 +119,44 @@ fn supervised_recovers_from_worker_stall() {
 }
 
 #[test]
-fn supervised_recovers_from_worker_death() {
-    supervised_recovers_from(FaultAction::ExitThread, true);
-}
-
-#[test]
-fn supervised_panic_recovery_reports_event_and_respawn_keeps_strength() {
+fn supervised_stall_reports_event_then_respawns_the_stalled_worker() {
     let coo = irregular(100, 90, 3);
     let csr: Csr<u32, f64> = coo.to_csr();
     let x = x_for(90);
     let mut y_serial = vec![0.0; 100];
     csr.spmv(&x, &mut y_serial);
     let kernel: Arc<dyn ChunkKernel<f64>> = Arc::new(CsrChunks::new(Arc::new(csr), 6));
-    let mut sup = SupervisedSpMv::with_opts(kernel, 3, injection_opts(RecoveryPolicy::Degrade));
-    let armed = FaultPlan::new().inject(FaultSite::chunk(0, 0), FaultAction::ExitThread).arm();
+    let mut sup = SupervisedSpMv::with_opts(kernel, 3, injection_opts());
+    let armed = FaultPlan::new()
+        .inject(FaultSite::chunk(0, 0), FaultAction::DelayOnce(Duration::from_millis(150)))
+        .arm();
     let mut y = vec![0.0; 100];
-    let report = sup.spmv(&x, &mut y).expect("degrade");
+    let report = sup.spmv(&x, &mut y).expect("supervised calls never fail");
     assert_eq!(armed.fired_count(), 1);
     assert_eq!(y, y_serial);
-    let died = report.events.iter().find_map(|e| match e {
-        FaultEvent::WorkerDied { tid, .. } => Some(*tid),
-        _ => None,
-    });
-    let died = died.unwrap_or_else(|| panic!("expected WorkerDied, got {:?}", report.events));
+    let (at, stalled) = report
+        .events
+        .iter()
+        .enumerate()
+        .find_map(|(i, e)| match e {
+            FaultEvent::WorkerStalled { tid, chunk: 0, .. } => Some((i, *tid)),
+            _ => None,
+        })
+        .unwrap_or_else(|| panic!("expected a stall on chunk 0, got {:?}", report.events));
     assert!(
-        report
-            .events
+        report.events[at..]
             .iter()
-            .any(|e| matches!(e, FaultEvent::WorkerRespawned { tid } if *tid == died)),
-        "dead worker {died} must be respawned: {:?}",
+            .any(|e| matches!(e, FaultEvent::WorkerRespawned { tid } if *tid == stalled)),
+        "stalled worker {stalled} must be respawned after its stall event: {:?}",
         report.events
     );
     assert!(report.recovered_chunks >= 1);
+    drop(armed);
+    // The respawned roster is back at strength: a follow-up is healthy.
+    let mut y2 = vec![0.0; 100];
+    let report2 = sup.spmv(&x, &mut y2).expect("supervised calls never fail");
+    assert_eq!(y2, y_serial);
+    assert!(!report2.degraded(), "follow-up must be healthy, got {:?}", report2.events);
 }
 
 #[test]
@@ -170,7 +170,7 @@ fn supervised_self_check_catches_injected_corruption() {
     let kernel: Arc<dyn ChunkKernel<f64>> = Arc::new(CsrDuChunks::new(Arc::new(du), 6));
     let opts = WatchdogOpts {
         verify_every: 1, // check every chunk: corruption cannot hide
-        ..injection_opts(RecoveryPolicy::Degrade)
+        ..injection_opts()
     };
     let mut sup = SupervisedSpMv::with_opts(kernel, 3, opts);
     let armed = FaultPlan::new().inject(FaultSite::chunk(0, 0), FaultAction::CorruptChunk).arm();
@@ -186,44 +186,6 @@ fn supervised_self_check_catches_injected_corruption() {
 }
 
 #[test]
-fn supervised_failfast_returns_typed_errors() {
-    let coo = irregular(120, 100, 5);
-    let csr: Csr<u32, f64> = coo.to_csr();
-    let x = x_for(100);
-    let cases: Vec<FailFastCase> = vec![
-        (FaultAction::PanicOnce, |e| matches!(e, PoolError::WorkerPanicked { .. })),
-        (FaultAction::DelayOnce(Duration::from_millis(200)), |e| {
-            matches!(e, PoolError::WorkerStalled { .. })
-        }),
-        (FaultAction::ExitThread, |e| matches!(e, PoolError::WorkerDied { .. })),
-    ];
-    for (action, matches_err) in cases {
-        let kernel: Arc<dyn ChunkKernel<f64>> = Arc::new(CsrChunks::new(Arc::new(csr.clone()), 4));
-        let mut sup =
-            SupervisedSpMv::with_opts(kernel, 2, injection_opts(RecoveryPolicy::FailFast));
-        let _armed = FaultPlan::new().inject(FaultSite::chunk(0, 0), action).arm();
-        let mut y = vec![123.0; 120];
-        let err = sup.spmv(&x, &mut y).expect_err("failfast surfaces the fault");
-        assert!(matches_err(&err), "{action:?} yielded {err:?}");
-        assert_eq!(y, vec![123.0; 120], "failfast must leave y untouched");
-    }
-}
-
-#[test]
-fn supervised_failfast_corruption_error() {
-    let coo = irregular(80, 80, 6);
-    let csr: Csr<u32, f64> = coo.to_csr();
-    let x = x_for(80);
-    let kernel: Arc<dyn ChunkKernel<f64>> = Arc::new(CsrChunks::new(Arc::new(csr), 4));
-    let opts = WatchdogOpts { verify_every: 1, ..injection_opts(RecoveryPolicy::FailFast) };
-    let mut sup = SupervisedSpMv::with_opts(kernel, 2, opts);
-    let _armed = FaultPlan::new().inject(FaultSite::chunk(0, 0), FaultAction::CorruptChunk).arm();
-    let mut y = vec![0.0; 80];
-    let err = sup.spmv(&x, &mut y).expect_err("corruption must fail fast");
-    assert!(matches!(err, PoolError::ChunkCorrupted { .. }), "{err:?}");
-}
-
-#[test]
 fn supervised_repeated_faults_across_calls_stay_correct() {
     // One plan, faults on several consecutive calls: the roster respawn
     // must keep the pool at strength through repeated degradation.
@@ -233,10 +195,10 @@ fn supervised_repeated_faults_across_calls_stay_correct() {
     let mut y_serial = vec![0.0; 130];
     csr.spmv(&x, &mut y_serial);
     let kernel: Arc<dyn ChunkKernel<f64>> = Arc::new(CsrChunks::new(Arc::new(csr), 8));
-    let mut sup = SupervisedSpMv::with_opts(kernel, 4, injection_opts(RecoveryPolicy::Degrade));
+    let mut sup = SupervisedSpMv::with_opts(kernel, 4, injection_opts());
     let armed = FaultPlan::new()
         .inject(FaultSite::chunk(0, 0), FaultAction::PanicOnce)
-        .inject(FaultSite::chunk(1, 3), FaultAction::ExitThread)
+        .inject(FaultSite::chunk(1, 3), FaultAction::DelayOnce(Duration::from_millis(120)))
         .inject(FaultSite::chunk(2, 7), FaultAction::DelayOnce(Duration::from_millis(120)))
         .arm();
     for call in 0..4 {
@@ -256,8 +218,8 @@ fn x_panel_for(ncols: usize, k: usize) -> Vec<f64> {
 }
 
 /// SpMM analogue of [`supervised_recovers_from`]: a fault during a
-/// multi-vector chunk must recover under Degrade with a panel
-/// bit-identical to the serial SpMM.
+/// multi-vector chunk must recover with a panel bit-identical to the
+/// serial SpMM.
 fn supervised_spmm_recovers_from(action: FaultAction, expect_fires: bool) {
     let coo = irregular(160, 120, 42);
     let csr: Csr<u32, f64> = coo.to_csr();
@@ -268,8 +230,7 @@ fn supervised_spmm_recovers_from(action: FaultAction, expect_fires: bool) {
     for &nthreads in &THREAD_COUNTS {
         let kernel: Arc<dyn ChunkKernel<f64>> =
             Arc::new(CsrChunks::new(Arc::new(csr.clone()), nthreads.max(2) * 2));
-        let mut sup =
-            SupervisedSpMv::with_opts(kernel, nthreads, injection_opts(RecoveryPolicy::Degrade));
+        let mut sup = SupervisedSpMv::with_opts(kernel, nthreads, injection_opts());
         let armed = FaultPlan::new().inject(FaultSite::chunk(0, 0), action).arm();
         let mut y = vec![-7.0; 160 * k];
         let report = sup.spmm(&x, k, &mut y).expect("degrade mode recovers");
@@ -301,11 +262,6 @@ fn supervised_spmm_recovers_from_worker_stall() {
 }
 
 #[test]
-fn supervised_spmm_recovers_from_worker_death() {
-    supervised_spmm_recovers_from(FaultAction::ExitThread, true);
-}
-
-#[test]
 fn supervised_spmm_self_check_catches_injected_corruption() {
     // CorruptChunk flips the first element of the chunk's *panel*; the
     // bit-exact self-check must catch it and restore the serial panel.
@@ -317,7 +273,7 @@ fn supervised_spmm_self_check_catches_injected_corruption() {
     csr.spmm(&x, k, &mut y_serial);
     let du = CsrDu::from_csr(&csr, &DuOptions::default());
     let kernel: Arc<dyn ChunkKernel<f64>> = Arc::new(CsrDuChunks::new(Arc::new(du), 6));
-    let opts = WatchdogOpts { verify_every: 1, ..injection_opts(RecoveryPolicy::Degrade) };
+    let opts = WatchdogOpts { verify_every: 1, ..injection_opts() };
     let mut sup = SupervisedSpMv::with_opts(kernel, 3, opts);
     let armed = FaultPlan::new().inject(FaultSite::chunk(0, 0), FaultAction::CorruptChunk).arm();
     let mut y = vec![0.0; 140 * k];
@@ -329,47 +285,6 @@ fn supervised_spmm_self_check_catches_injected_corruption() {
         "events: {:?}",
         report.events
     );
-}
-
-#[test]
-fn supervised_spmm_failfast_leaves_panel_untouched() {
-    let coo = irregular(120, 100, 5);
-    let csr: Csr<u32, f64> = coo.to_csr();
-    let k = 4;
-    let x = x_panel_for(100, k);
-    let cases: Vec<FailFastCase> = vec![
-        (FaultAction::PanicOnce, |e| matches!(e, PoolError::WorkerPanicked { .. })),
-        (FaultAction::DelayOnce(Duration::from_millis(200)), |e| {
-            matches!(e, PoolError::WorkerStalled { .. })
-        }),
-        (FaultAction::ExitThread, |e| matches!(e, PoolError::WorkerDied { .. })),
-    ];
-    for (action, matches_err) in cases {
-        let kernel: Arc<dyn ChunkKernel<f64>> = Arc::new(CsrChunks::new(Arc::new(csr.clone()), 4));
-        let mut sup =
-            SupervisedSpMv::with_opts(kernel, 2, injection_opts(RecoveryPolicy::FailFast));
-        let _armed = FaultPlan::new().inject(FaultSite::chunk(0, 0), action).arm();
-        let mut y = vec![123.0; 120 * k];
-        let err = sup.spmm(&x, k, &mut y).expect_err("failfast surfaces the fault");
-        assert!(matches_err(&err), "{action:?} yielded {err:?}");
-        assert_eq!(y, vec![123.0; 120 * k], "failfast must leave the panel untouched");
-    }
-}
-
-#[test]
-fn supervised_spmm_failfast_corruption_error() {
-    let coo = irregular(80, 80, 6);
-    let csr: Csr<u32, f64> = coo.to_csr();
-    let k = 2;
-    let x = x_panel_for(80, k);
-    let kernel: Arc<dyn ChunkKernel<f64>> = Arc::new(CsrChunks::new(Arc::new(csr), 4));
-    let opts = WatchdogOpts { verify_every: 1, ..injection_opts(RecoveryPolicy::FailFast) };
-    let mut sup = SupervisedSpMv::with_opts(kernel, 2, opts);
-    let _armed = FaultPlan::new().inject(FaultSite::chunk(0, 0), FaultAction::CorruptChunk).arm();
-    let mut y = vec![9.5; 80 * k];
-    let err = sup.spmm(&x, k, &mut y).expect_err("corruption must fail fast");
-    assert!(matches!(err, PoolError::ChunkCorrupted { .. }), "{err:?}");
-    assert_eq!(y, vec![9.5; 80 * k], "failfast corruption must leave the panel untouched");
 }
 
 // ---------------------------------------------------------------------
@@ -436,7 +351,7 @@ fn calls_stay_serial_past_the_straggler(
     while start.elapsed() < stall * 3 {
         let (x, y_serial) = &cases[calls % cases.len()];
         let mut y = vec![f64::NAN; nrows * k];
-        sup.spmm_shared(Arc::clone(x), k, &mut y).expect("degrade mode recovers");
+        sup.spmm_shared(Arc::clone(x), k, &mut y);
         let same = y.iter().zip(y_serial).all(|(a, b)| a.to_bits() == b.to_bits());
         assert!(same, "{what} k={k}: call {calls} differs from serial");
         calls += 1;
@@ -453,7 +368,7 @@ fn abandoned_straggler_never_reaches_a_later_call() {
     for k in [1usize, 4] {
         // A scripted stall before the chunk computes.
         let kernel: Arc<dyn ChunkKernel<f64>> = Arc::new(CsrChunks::new(Arc::new(csr.clone()), 6));
-        let mut sup = SupervisedSpMv::with_opts(kernel, 3, injection_opts(RecoveryPolicy::Degrade));
+        let mut sup = SupervisedSpMv::with_opts(kernel, 3, injection_opts());
         let armed =
             FaultPlan::new().inject(FaultSite::chunk(0, 0), FaultAction::DelayOnce(stall)).arm();
         let calls = calls_stay_serial_past_the_straggler(&mut sup, &csr, k, stall, "DelayOnce");
@@ -467,7 +382,7 @@ fn abandoned_straggler_never_reaches_a_later_call() {
             stall,
             armed: AtomicBool::new(true),
         });
-        let mut sup = SupervisedSpMv::with_opts(kernel, 3, injection_opts(RecoveryPolicy::Degrade));
+        let mut sup = SupervisedSpMv::with_opts(kernel, 3, injection_opts());
         calls_stay_serial_past_the_straggler(&mut sup, &csr, k, stall, "mid-chunk stall");
     }
 }
@@ -537,8 +452,8 @@ fn late_straggler_writes_never_reach_a_returned_output() {
             go: Mutex::new(go_rx),
             scribbled: Mutex::new(scribbled_tx),
         });
-        let mut sup = SupervisedSpMv::with_opts(kernel, 3, injection_opts(RecoveryPolicy::Degrade));
-        let (y, report) = sup.spmm_owned(Arc::clone(&x), k).expect("degrade mode recovers");
+        let mut sup = SupervisedSpMv::with_opts(kernel, 3, injection_opts());
+        let (y, report) = sup.spmm_owned(Arc::clone(&x), k);
         assert!(
             report.events.iter().any(|e| matches!(e, FaultEvent::WorkerStalled { chunk: 0, .. })),
             "k={k}: chunk 0 must be abandoned, got {:?}",
@@ -549,27 +464,26 @@ fn late_straggler_writes_never_reach_a_returned_output() {
         scribbled.recv().expect("the straggler scribbles its piece");
         assert_bits(&y, &y_serial, &format!("k={k} after the straggler scribbled"));
         go.send(()).expect("the straggler waits again");
-        let (y, report) = sup.spmm_owned(Arc::clone(&x), k).expect("healthy follow-up");
+        let (y, report) = sup.spmm_owned(Arc::clone(&x), k);
         assert_bits(&y, &y_serial, &format!("k={k} follow-up"));
         assert!(!report.degraded(), "k={k}: follow-up events {:?}", report.events);
     }
 }
 
 #[test]
-fn owned_output_is_serial_after_panic_and_death() {
+fn owned_output_is_serial_after_panic_and_stall() {
     let coo = irregular(160, 120, 93);
     let csr: Csr<u32, f64> = coo.to_csr();
-    for action in [FaultAction::PanicOnce, FaultAction::ExitThread] {
+    for action in [FaultAction::PanicOnce, FaultAction::DelayOnce(Duration::from_millis(150))] {
         for k in [1usize, 4] {
             let x = Arc::new(x_panel_for(120, k));
             let mut y_serial = vec![0.0; 160 * k];
             csr.spmm(&x, k, &mut y_serial);
             let kernel: Arc<dyn ChunkKernel<f64>> =
                 Arc::new(CsrChunks::new(Arc::new(csr.clone()), 6));
-            let mut sup =
-                SupervisedSpMv::with_opts(kernel, 3, injection_opts(RecoveryPolicy::Degrade));
+            let mut sup = SupervisedSpMv::with_opts(kernel, 3, injection_opts());
             let armed = FaultPlan::new().inject(FaultSite::chunk(0, 0), action).arm();
-            let (y, report) = sup.spmm_owned(Arc::clone(&x), k).expect("degrade mode recovers");
+            let (y, report) = sup.spmm_owned(Arc::clone(&x), k);
             assert_eq!(armed.fired_count(), 1, "{action:?} k={k} must fire once");
             assert!(report.degraded(), "{action:?} k={k}: no event recorded");
             assert_bits(&y, &y_serial, &format!("{action:?} k={k}"));

@@ -82,12 +82,12 @@ fn warm_shared_x_call_allocates_only_its_chunk_outputs() {
                 let mut y = vec![0.0; n * k];
                 // Warm-up: the first calls wake the workers.
                 for _ in 0..2 {
-                    sup.spmm_shared(Arc::clone(&x), k, &mut y).expect("healthy run");
+                    sup.spmm_shared(Arc::clone(&x), k, &mut y);
                 }
                 let mut worst = 0;
                 for _ in 0..5 {
                     let before = REQUESTED.load(Ordering::SeqCst);
-                    let report = sup.spmm_shared(Arc::clone(&x), k, &mut y).expect("healthy run");
+                    let report = sup.spmm_shared(Arc::clone(&x), k, &mut y);
                     worst = worst.max(REQUESTED.load(Ordering::SeqCst) - before);
                     assert!(!report.degraded(), "{name} n={n} k={k}: {:?}", report.events);
                 }

@@ -68,7 +68,8 @@ impl CircuitBreaker {
         }
     }
 
-    /// Records a pool fault (a `PoolError` or a degraded health report).
+    /// Records a pool fault: a supervised call whose health report is
+    /// degraded (it recovered a panic, a stall or a corrupted chunk).
     /// Returns `true` when this fault tripped the breaker open.
     pub fn record_fault(&mut self, now: Instant) -> bool {
         match self.state {

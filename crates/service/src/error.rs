@@ -2,12 +2,12 @@
 //! a [`Response`](crate::Response) or one of these errors — never a hang.
 
 use spmv_core::SparseError;
-use spmv_parallel::PoolError;
 use std::time::Duration;
 
 /// Why a request did not return a result. Clients must handle every
 /// variant; the first three are *load signals* (retry later, shed, or
-/// slow down), the rest are request or execution failures.
+/// slow down), the rest are request or lifecycle failures. Execution
+/// never fails: the supervised executor recovers every worker fault.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ServiceError {
     /// Admission control shed the request: the bounded queue was full.
@@ -53,14 +53,6 @@ pub enum ServiceError {
         /// The request vector's length.
         got: usize,
     },
-    /// Execution kept faulting: the batch was retried with bounded
-    /// backoff and every attempt surfaced a pool fault.
-    ExecutionFailed {
-        /// Attempts made (1 + retries).
-        attempts: u32,
-        /// The last fault observed.
-        last: PoolError,
-    },
     /// The named matrix is being evicted: new requests are rejected and
     /// requests already queued for it are answered with this error.
     Evicting(String),
@@ -97,9 +89,6 @@ impl std::fmt::Display for ServiceError {
             }
             ServiceError::DimensionMismatch { expected, got } => {
                 write!(f, "x has {got} entries but the matrix has {expected} columns")
-            }
-            ServiceError::ExecutionFailed { attempts, last } => {
-                write!(f, "execution failed after {attempts} attempts: {last}")
             }
             ServiceError::Evicting(name) => {
                 write!(f, "matrix {name:?} is being evicted")

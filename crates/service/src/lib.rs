@@ -105,17 +105,14 @@
 //!
 //! # Failure handling
 //!
-//! Under [`RecoveryPolicy::Degrade`](spmv_parallel::RecoveryPolicy) the
-//! executor absorbs worker panics, stalls, and deaths and the batch
-//! still completes (flagged [`Response::degraded`]). Under
-//! [`FailFast`](spmv_parallel::RecoveryPolicy::FailFast) a typed
-//! [`PoolError`](spmv_parallel::PoolError) triggers bounded
-//! exponential-backoff retry ([`ServiceConfig::max_retries`]); if every
-//! attempt faults the batch fails with
-//! [`ServiceError::ExecutionFailed`]. Repeated faults trip a
-//! per-matrix [`CircuitBreaker`] that routes that matrix's batches to a
-//! serial fallback (same chunk kernels, bit-identical results) for a
-//! cooldown before probing the pool again.
+//! Each batch is one supervised call. The executor absorbs worker
+//! panics and stalls (and, with [`ServiceConfig::verify_every`],
+//! corrupted chunks) and the batch still completes, flagged
+//! [`Response::degraded`]; execution itself never fails a request.
+//! Repeated degraded calls trip a per-matrix [`CircuitBreaker`] that
+//! routes that matrix's batches to a serial fallback (same chunk
+//! kernels, bit-identical results) for a cooldown before probing the
+//! pool again.
 //!
 //! Every counter is exposed via [`SpmvService::stats`]; the
 //! [`ServiceStats`] invariants (`submitted = admitted + sheds`,

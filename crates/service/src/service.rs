@@ -28,7 +28,7 @@ use crate::shard::{
 use crate::stats::{ServiceStats, StatsInner, MAX_BATCH};
 use spmv_core::{Csr, SparseError};
 use spmv_memsim::{Plan, PlanCacheStats, Planner, PlannerConfig};
-use spmv_parallel::{watchdog_deadline, watchdog_deadline_checked, ChunkKernel, RecoveryPolicy};
+use spmv_parallel::{watchdog_deadline, watchdog_deadline_checked, ChunkKernel};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
@@ -96,9 +96,6 @@ pub struct ServiceConfig {
     /// Dispatcher shards; matrices are hash-assigned to shards by name.
     /// Default 1 (a single dispatcher, as before, but supervised).
     pub shards: usize,
-    /// Fault handling for the executors: degrade-and-recover (default)
-    /// or fail-fast into the retry/breaker path.
-    pub policy: RecoveryPolicy,
     /// Forwarded to [`WatchdogOpts::verify_every`] (0 = off).
     ///
     /// [`WatchdogOpts::verify_every`]: spmv_parallel::WatchdogOpts::verify_every
@@ -111,13 +108,6 @@ pub struct ServiceConfig {
     /// deadline is the batch's tightest remaining budget clamped to
     /// `1ms ..= max_exec_deadline`.
     pub max_exec_deadline: Duration,
-    /// Retries after a recoverable pool fault before the batch fails
-    /// with [`ServiceError::ExecutionFailed`].
-    pub max_retries: u32,
-    /// First retry backoff; doubles per attempt.
-    pub base_backoff: Duration,
-    /// Backoff ceiling.
-    pub max_backoff: Duration,
     /// Consecutive pool faults that trip a matrix's circuit breaker.
     pub breaker_trip_after: u32,
     /// How long a tripped breaker forces serial execution before a
@@ -127,7 +117,8 @@ pub struct ServiceConfig {
     pub supervise_interval: Duration,
     /// Heartbeat staleness past which a shard with pending work counts
     /// as stalled. Never applied tighter than the worst *healthy* batch
-    /// (all retries blowing the full watchdog deadline plus backoff).
+    /// plus 250 ms; that batch is twice `max_exec_deadline`, a watchdog
+    /// deadline blown and the serial recovery after it.
     pub stall_grace: Duration,
     /// Respawns after which a shard's breaker trips and the shard
     /// degrades to serial-drain mode (no worker pool left to die).
@@ -154,13 +145,9 @@ impl Default for ServiceConfig {
             max_batch: MAX_BATCH,
             threads: 4,
             shards: 1,
-            policy: RecoveryPolicy::Degrade,
             verify_every: 0,
             caller_participates: true,
             max_exec_deadline: watchdog_deadline(),
-            max_retries: 2,
-            base_backoff: Duration::from_millis(1),
-            max_backoff: Duration::from_millis(50),
             breaker_trip_after: 3,
             breaker_cooldown: Duration::from_millis(250),
             supervise_interval: Duration::from_millis(10),
@@ -213,8 +200,6 @@ pub struct Response {
     pub queue_wait: Duration,
     /// Whether the executing call observed (and recovered from) faults.
     pub degraded: bool,
-    /// Pool attempts the executing batch needed (1 = no retries).
-    pub attempts: u32,
     /// Whether the batch ran serially because the matrix's circuit
     /// breaker was open or the shard is degraded.
     pub serial: bool,
@@ -583,8 +568,7 @@ impl SpmvService {
     }
 
     /// Slack beyond the request budget before the client-side backstop
-    /// fires: enough for every retry to blow the full watchdog deadline
-    /// plus backoff, with margin for scheduling noise.
+    /// fires: the worst healthy batch, with margin for scheduling noise.
     fn reply_grace(&self) -> Duration {
         worst_healthy_batch(&self.inner.cfg).saturating_add(Duration::from_secs(5)).min(FAR_FUTURE)
     }

@@ -24,10 +24,12 @@
 //!   on executes every batch serially on the dispatcher thread
 //!   (no worker pool to die), trading throughput for liveness.
 //!
-//! Executor handoff is warm: a cleanly-exiting incarnation parks its
-//! executor map in the shard's `parked_execs` slot; the replacement
-//! takes it and calls [`SupervisedSpMv::ensure_workers`] to replace any
-//! worker threads that died with the previous incarnation.
+//! Executor handoff is warm: an exiting incarnation (clean return, chaos
+//! kill, or panic unwind) parks its executor map in the shard's
+//! `parked_execs` slot, and the replacement serves from it as is. The
+//! executors' worker threads are not the shard's: they outlive it, and
+//! none of them dies of a fault (each chunk runs under `catch_unwind`,
+//! and a stalled worker is replaced during the call that caught it).
 
 use crate::breaker::CircuitBreaker;
 use crate::error::ServiceError;
@@ -36,7 +38,7 @@ use crate::sched::{release_slot, DrrSched};
 use crate::service::{Pending, Response, ServiceConfig, TenantLimits};
 use crate::stats::{ShardStatsInner, StatsInner};
 use spmv_memsim::Planner;
-use spmv_parallel::{assemble_chunks, ChunkKernel, PoolError, SupervisedSpMv, WatchdogOpts};
+use spmv_parallel::{assemble_chunks, ChunkKernel, SupervisedSpMv, WatchdogOpts};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
@@ -169,13 +171,12 @@ pub(crate) fn bump_shard(
 /// capped here, so every deadline instant stays representable.
 pub(crate) const FAR_FUTURE: Duration = Duration::from_secs(100 * 365 * 24 * 60 * 60);
 
-/// The worst healthy batch: every retry blowing the full watchdog
-/// deadline, plus the backoff between them. Saturating, because
-/// `max_retries: u32::MAX` is a legal "retry until the deadline".
+/// The worst healthy batch: the call blowing the full watchdog deadline,
+/// then the serial recovery of its pending chunks, allowed as long
+/// again. Saturating, because `max_exec_deadline: Duration::MAX` is a
+/// legal "never triage".
 pub(crate) fn worst_healthy_batch(cfg: &ServiceConfig) -> Duration {
-    cfg.max_exec_deadline
-        .saturating_mul(cfg.max_retries.saturating_add(2))
-        .saturating_add(cfg.max_backoff.saturating_mul(cfg.max_retries.saturating_add(1)))
+    cfg.max_exec_deadline.saturating_mul(2)
 }
 
 /// A stalled heartbeat only counts as a stall past this threshold: the
@@ -230,7 +231,6 @@ pub(crate) fn shard_loop(inner: &Arc<ServiceInner>, idx: usize, my_inc: u64) {
     let cfg = &inner.cfg;
     let opts = WatchdogOpts {
         deadline: cfg.max_exec_deadline.max(Duration::from_millis(1)),
-        policy: cfg.policy,
         verify_every: cfg.verify_every,
         // The shard claims chunks as thread 0 — forced on for
         // `threads == 1` (otherwise nobody computes), and safe under
@@ -239,13 +239,6 @@ pub(crate) fn shard_loop(inner: &Arc<ServiceInner>, idx: usize, my_inc: u64) {
     };
     let mut holder =
         ExecHolder { sh, my_inc, execs: Some(lock(&sh.parked_execs).take().unwrap_or_default()) };
-    // Warm handoff: executors inherited from a dead incarnation may have
-    // lost worker threads with it; restore the rosters before serving.
-    if let Some(execs) = holder.execs.as_mut() {
-        for e in execs.values_mut() {
-            e.exec.ensure_workers();
-        }
-    }
 
     loop {
         for id in std::mem::take(&mut *lock(&sh.retired)) {
@@ -324,7 +317,7 @@ pub(crate) fn shard_loop(inner: &Arc<ServiceInner>, idx: usize, my_inc: u64) {
 }
 
 /// Executes one coalesced batch: expire stale members, gather the
-/// panel, run it (parallel with retry/backoff, serially when the matrix
+/// panel, run it (one supervised call, or serially when the matrix
 /// breaker is open or the whole shard is degraded), scatter, publish. A
 /// lone request skips the gather and the scatter.
 fn run_batch(
@@ -408,29 +401,14 @@ fn run_batch(
         .clamp(Duration::from_millis(1), cfg.max_exec_deadline.max(Duration::from_millis(1)));
     es.exec.set_deadline(exec_deadline);
 
-    let run_serial = sh.degraded.load(Ordering::Acquire) || !es.breaker.allow_parallel(now);
-    let (y_panel, outcome) = if run_serial {
+    let serial = sh.degraded.load(Ordering::Acquire) || !es.breaker.allow_parallel(now);
+    let (y_panel, degraded) = if serial {
         let mut y_panel = vec![0.0f64; nrows * k];
         serial_spmm(es.kernel.as_ref(), &x, k, &mut y_panel);
         stats.bump(&stats.serial_batches);
-        (y_panel, BatchOutcome { degraded: false, attempts: 1, serial: true })
+        (y_panel, false)
     } else {
-        match run_parallel(es, stats, cfg, &x, k, tightest) {
-            Ok(done) => done,
-            Err((attempts, last)) => {
-                for p in &live {
-                    let shard = p.shard;
-                    p.reply.publish_with(
-                        Err(ServiceError::ExecutionFailed { attempts, last: last.clone() }),
-                        || {
-                            stats.bump(&stats.failed);
-                            bump_shard(stats, shard, |s| &s.failed);
-                        },
-                    );
-                }
-                return;
-            }
-        }
+        run_parallel(es, stats, x, k)
     };
 
     stats.batch_sizes[k - 1].fetch_add(1, Ordering::Relaxed);
@@ -440,14 +418,7 @@ fn run_batch(
         (0..k).map(|v| (0..nrows).map(|r| y_panel[r * k + v]).collect()).collect()
     };
     for (p, y) in live.iter().zip(ys) {
-        let resp = Response {
-            y,
-            batch_k: k,
-            queue_wait: now - p.enqueued,
-            degraded: outcome.degraded,
-            attempts: outcome.attempts,
-            serial: outcome.serial,
-        };
+        let resp = Response { y, batch_k: k, queue_wait: now - p.enqueued, degraded, serial };
         let shard = p.shard;
         p.reply.publish_with(Ok(resp), || {
             stats.bump(&stats.completed);
@@ -456,57 +427,26 @@ fn run_batch(
     }
 }
 
-struct BatchOutcome {
-    degraded: bool,
-    attempts: u32,
-    serial: bool,
-}
-
-/// The parallel path with bounded retry: re-execute on a typed pool
-/// fault (fail-fast policy) with exponential backoff, give up after
-/// `max_retries` or once the batch's tightest deadline has passed.
-/// Returns the executor's own output panel.
+/// The parallel path: one supervised call, which recovers every fault
+/// it detects. A degraded call counts its fault events and feeds the
+/// matrix breaker. Returns the executor's own output panel and whether
+/// the call degraded.
 fn run_parallel(
     es: &mut ExecEntry,
     stats: &StatsInner,
-    cfg: &ServiceConfig,
-    x: &Arc<Vec<f64>>,
+    x: Arc<Vec<f64>>,
     k: usize,
-    tightest: Instant,
-) -> Result<(Vec<f64>, BatchOutcome), (u32, PoolError)> {
-    let mut attempts = 0u32;
-    loop {
-        attempts += 1;
-        match es.exec.spmm_owned(Arc::clone(x), k) {
-            Ok((y_panel, report)) => {
-                if report.degraded() {
-                    stats.pool_faults.fetch_add(report.events.len() as u64, Ordering::Relaxed);
-                    if es.breaker.record_fault(Instant::now()) {
-                        stats.bump(&stats.breaker_trips);
-                    }
-                } else {
-                    es.breaker.record_success();
-                }
-                let outcome = BatchOutcome { degraded: report.degraded(), attempts, serial: false };
-                return Ok((y_panel, outcome));
-            }
-            Err(e) => {
-                stats.bump(&stats.pool_faults);
-                if es.breaker.record_fault(Instant::now()) {
-                    stats.bump(&stats.breaker_trips);
-                }
-                if attempts > cfg.max_retries || Instant::now() >= tightest {
-                    return Err((attempts, e));
-                }
-                stats.bump(&stats.retries);
-                let backoff = cfg
-                    .base_backoff
-                    .saturating_mul(1u32 << (attempts - 1).min(16))
-                    .min(cfg.max_backoff);
-                std::thread::sleep(backoff);
-            }
+) -> (Vec<f64>, bool) {
+    let (y_panel, report) = es.exec.spmm_owned(x, k);
+    if report.degraded() {
+        stats.pool_faults.fetch_add(report.events.len() as u64, Ordering::Relaxed);
+        if es.breaker.record_fault(Instant::now()) {
+            stats.bump(&stats.breaker_trips);
         }
+    } else {
+        es.breaker.record_success();
     }
+    (y_panel, report.degraded())
 }
 
 /// Serial SpMM over the chunk kernel — the same per-chunk
@@ -708,11 +648,19 @@ mod tests {
     }
 
     #[test]
-    fn unbounded_retries_saturate_the_stall_threshold() {
-        // `u32::MAX` retries is a legal config: the supervisor's threshold
-        // must grow with it, neither overflowing nor wrapping short.
-        let cfg = ServiceConfig { max_retries: u32::MAX, ..ServiceConfig::default() };
-        assert!(stall_threshold(&cfg) >= cfg.max_exec_deadline * u32::MAX);
+    fn unbounded_exec_deadline_saturates_the_stall_threshold() {
+        // `Duration::MAX` is a legal watchdog ceiling: the supervisor's
+        // threshold must saturate with it, neither overflowing nor
+        // wrapping short.
+        let cfg = ServiceConfig { max_exec_deadline: Duration::MAX, ..ServiceConfig::default() };
+        assert_eq!(worst_healthy_batch(&cfg), Duration::MAX);
+        assert_eq!(stall_threshold(&cfg), Duration::MAX);
+        // Under the default 1-s watchdog the configured 10-s grace holds.
+        let cfg = ServiceConfig {
+            max_exec_deadline: spmv_parallel::DEFAULT_WATCHDOG,
+            ..ServiceConfig::default()
+        };
+        assert_eq!(stall_threshold(&cfg), Duration::from_secs(10));
     }
 
     #[test]

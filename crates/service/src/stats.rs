@@ -53,7 +53,6 @@ pub(crate) struct StatsInner {
     pub deadline_expired: AtomicU64,
     pub completed: AtomicU64,
     pub failed: AtomicU64,
-    pub retries: AtomicU64,
     pub pool_faults: AtomicU64,
     pub breaker_trips: AtomicU64,
     pub serial_batches: AtomicU64,
@@ -74,7 +73,6 @@ impl StatsInner {
             deadline_expired: AtomicU64::new(0),
             completed: AtomicU64::new(0),
             failed: AtomicU64::new(0),
-            retries: AtomicU64::new(0),
             pool_faults: AtomicU64::new(0),
             breaker_trips: AtomicU64::new(0),
             serial_batches: AtomicU64::new(0),
@@ -100,7 +98,7 @@ impl StatsInner {
             deadline_expired: load(&self.deadline_expired),
             completed: load(&self.completed),
             failed: load(&self.failed),
-            retries: load(&self.retries),
+            retries: 0,
             pool_faults: load(&self.pool_faults),
             breaker_trips: load(&self.breaker_trips),
             serial_batches: load(&self.serial_batches),
@@ -158,13 +156,17 @@ pub struct ServiceStats {
     /// Admitted requests answered with a result.
     pub completed: u64,
     /// Admitted requests answered
-    /// [`ExecutionFailed`](crate::ServiceError::ExecutionFailed) or
-    /// drained at shutdown.
+    /// [`Evicting`](crate::ServiceError::Evicting): queued, or popped in
+    /// a batch, while their matrix was torn down. (Requests still queued
+    /// when a shutdown's drain budget runs out count in
+    /// `deadline_expired`.)
     pub failed: u64,
-    /// Batch re-executions after a recoverable pool fault.
+    /// Always 0: the supervised executor recovers every worker fault
+    /// itself, so the service never re-runs a batch. The field stays
+    /// because benchmark artifacts and their readers still carry it.
     pub retries: u64,
-    /// Pool faults observed (degraded health-report events plus typed
-    /// `PoolError` returns).
+    /// Fault events in the health reports of degraded supervised calls
+    /// (recovered panics, stalls, respawns and corrupted chunks).
     pub pool_faults: u64,
     /// Times a per-matrix circuit breaker tripped open.
     pub breaker_trips: u64,
@@ -198,7 +200,7 @@ pub struct ShardStats {
     pub deadline_expired: u64,
     /// Admitted requests answered with a result.
     pub completed: u64,
-    /// Admitted requests answered `ExecutionFailed` / `Evicting`.
+    /// Admitted requests answered `Evicting`.
     pub failed: u64,
     /// In-flight requests replayed after this shard died or stalled
     /// (each still terminates exactly once; informational).

@@ -1,5 +1,5 @@
-//! Chaos under load: scripted worker panics, stalls, deaths, and
-//! corruption fire *while* concurrent client traffic is in flight.
+//! Chaos under load: scripted worker panics, stalls, and corruption
+//! fire *while* concurrent client traffic is in flight.
 //! Every request must terminate with a bit-correct result or a typed
 //! error — no hangs, no silent wrong answers — across thread counts
 //! {1, 2, 4, 7}. Requires `--features fault-injection`.
@@ -9,7 +9,7 @@
 use spmv_core::csr_vi::CsrVi;
 use spmv_core::{Coo, Csr, SpMv};
 use spmv_parallel::faults::{FaultAction, FaultPlan, FaultSite};
-use spmv_parallel::{CsrChunks, CsrViChunks, RecoveryPolicy};
+use spmv_parallel::{CsrChunks, CsrViChunks};
 use spmv_service::{Request, ServiceBuilder, ServiceConfig, ServiceError};
 use std::sync::Arc;
 use std::time::Duration;
@@ -45,15 +45,15 @@ fn req(matrix: &str, tenant: &str, x: Vec<f64>, deadline: Duration) -> Request {
     Request { matrix: matrix.into(), tenant: tenant.into(), x, deadline: Some(deadline) }
 }
 
-/// The scripted mixed-fault plan: a panic on the very first dispatch, a
-/// worker death, a stall past the watchdog deadline, and a second panic
-/// later in the run. Chunk-pinned sites fire deterministically when the
+/// The scripted mixed-fault plan: a panic on the very first dispatch,
+/// two stalls past the watchdog deadline, and a second panic later in
+/// the run. Chunk-pinned sites fire deterministically when the
 /// dispatcher does not claim chunks itself (`caller_participates:
 /// false`), because then every chunk runs on an injectable worker.
 fn mixed_plan() -> FaultPlan {
     FaultPlan::new()
         .inject(FaultSite::chunk(0, 0), FaultAction::PanicOnce)
-        .inject(FaultSite::chunk(2, 1), FaultAction::ExitThread)
+        .inject(FaultSite::chunk(2, 1), FaultAction::DelayOnce(Duration::from_millis(300)))
         .inject(FaultSite::chunk(4, 0), FaultAction::DelayOnce(Duration::from_millis(300)))
         .inject(FaultSite::chunk(6, 2), FaultAction::PanicOnce)
 }
@@ -70,12 +70,11 @@ fn chaos_under_concurrent_load_terminates_every_request_correctly() {
 
         let cfg = ServiceConfig {
             threads: nthreads,
-            policy: RecoveryPolicy::Degrade,
             // Route every chunk through workers so chunk-pinned faults
             // fire; at 1 thread the service forces the dispatcher to
             // participate (and, as thread 0, it is never injected).
             caller_participates: false,
-            // Tight enough that the 300ms injected stall is detected
+            // Tight enough that the 300ms injected stalls are detected
             // and recovered rather than silently waited out.
             max_exec_deadline: Duration::from_millis(120),
             default_deadline: Duration::from_secs(30),
@@ -155,88 +154,12 @@ fn chaos_under_concurrent_load_terminates_every_request_correctly() {
 }
 
 #[test]
-fn failfast_panics_are_retried_to_success() {
-    let coo = irregular(120, 100, 41);
-    let csr: Csr<u32, f64> = coo.to_csr();
-    let cfg = ServiceConfig {
-        threads: 2,
-        caller_participates: false,
-        policy: RecoveryPolicy::FailFast,
-        max_retries: 2,
-        default_deadline: Duration::from_secs(30),
-        max_exec_deadline: Duration::from_secs(30),
-        ..ServiceConfig::default()
-    };
-    let svc = ServiceBuilder::new(cfg)
-        .register_matrix("m", Arc::new(CsrChunks::new(Arc::new(csr.clone()), 5)))
-        // Chunk 0 panics on the first two dispatches (= the first two
-        // attempts); the third attempt runs clean.
-        .inject_faults(
-            FaultPlan::new()
-                .inject(FaultSite::chunk(0, 0), FaultAction::PanicOnce)
-                .inject(FaultSite::chunk(1, 0), FaultAction::PanicOnce),
-        )
-        .start();
-
-    let x = x_for(100, 1);
-    let mut want = vec![0.0f64; 120];
-    csr.spmv(&x, &mut want);
-    let resp = svc.submit(req("m", "t", x, Duration::from_secs(30))).unwrap();
-    assert_eq!(resp.y, want);
-    assert_eq!(resp.attempts, 3, "two injected failures then success");
-    let stats = svc.shutdown();
-    assert_eq!(stats.retries, 2);
-    assert_eq!(stats.pool_faults, 2);
-    assert_eq!(stats.completed, 1);
-    assert_eq!(stats.failed, 0);
-}
-
-#[test]
-fn persistent_faults_exhaust_retries_with_a_typed_failure() {
-    let coo = irregular(100, 90, 43);
-    let csr: Csr<u32, f64> = coo.to_csr();
-    let cfg = ServiceConfig {
-        threads: 2,
-        caller_participates: false,
-        policy: RecoveryPolicy::FailFast,
-        max_retries: 2,
-        default_deadline: Duration::from_secs(30),
-        max_exec_deadline: Duration::from_secs(30),
-        ..ServiceConfig::default()
-    };
-    let svc = ServiceBuilder::new(cfg)
-        .register_matrix("m", Arc::new(CsrChunks::new(Arc::new(csr), 5)))
-        .inject_faults(
-            FaultPlan::new()
-                .inject(FaultSite::chunk(0, 0), FaultAction::PanicOnce)
-                .inject(FaultSite::chunk(1, 0), FaultAction::PanicOnce)
-                .inject(FaultSite::chunk(2, 0), FaultAction::PanicOnce),
-        )
-        .start();
-
-    let r = svc.submit(req("m", "t", x_for(90, 2), Duration::from_secs(30)));
-    match r {
-        Err(ServiceError::ExecutionFailed { attempts: 3, last }) => {
-            assert!(matches!(last, spmv_parallel::PoolError::WorkerPanicked { .. }));
-        }
-        other => panic!("expected ExecutionFailed after exhausted retries, got {other:?}"),
-    }
-    let stats = svc.shutdown();
-    assert_eq!(stats.failed, 1);
-    assert_eq!(stats.retries, 2);
-    assert_eq!(stats.pool_faults, 3);
-    assert_eq!(stats.breaker_trips, 1, "three consecutive faults trip the default breaker");
-}
-
-#[test]
 fn tripped_breaker_routes_to_serial_with_identical_results() {
     let coo = irregular(130, 110, 47);
     let csr: Csr<u32, f64> = coo.to_csr();
     let cfg = ServiceConfig {
         threads: 2,
         caller_participates: false,
-        policy: RecoveryPolicy::FailFast,
-        max_retries: 3,
         breaker_trip_after: 2,
         breaker_cooldown: Duration::from_secs(60),
         default_deadline: Duration::from_secs(30),
@@ -245,36 +168,40 @@ fn tripped_breaker_routes_to_serial_with_identical_results() {
     };
     let svc = ServiceBuilder::new(cfg)
         .register_matrix("m", Arc::new(CsrChunks::new(Arc::new(csr.clone()), 5)))
+        // Chunk 0 panics on the first two dispatches: two degraded calls.
         .inject_faults(
             FaultPlan::new()
                 .inject(FaultSite::chunk(0, 0), FaultAction::PanicOnce)
                 .inject(FaultSite::chunk(1, 0), FaultAction::PanicOnce),
         )
         .start();
+    let served = |phase: usize| {
+        let x = x_for(110, phase);
+        let mut want = vec![0.0f64; 130];
+        csr.spmv(&x, &mut want);
+        let r = svc.submit(req("m", "t", x, Duration::from_secs(30))).unwrap();
+        assert_eq!(r.y, want, "phase {phase}: result must be bit-identical to serial");
+        r
+    };
 
-    // Request 1: two faults trip the breaker (trip_after = 2), then the
-    // third attempt completes in parallel.
-    let x1 = x_for(110, 1);
-    let mut want1 = vec![0.0f64; 130];
-    csr.spmv(&x1, &mut want1);
-    let r1 = svc.submit(req("m", "t", x1, Duration::from_secs(30))).unwrap();
-    assert_eq!(r1.y, want1);
-    assert!(!r1.serial, "request 1 still ran on the pool");
+    // Requests 1 and 2: the executor recovers each panic, so both run on
+    // the pool and come back degraded; the second degraded call in a row
+    // trips the breaker (trip_after = 2).
+    for phase in [1, 5] {
+        let r = served(phase);
+        assert!(r.degraded && !r.serial, "phase {phase}: {r:?}");
+    }
 
-    // Request 2: the breaker is open (60s cooldown), so the batch runs
+    // Request 3: the breaker is open (60s cooldown), so the batch runs
     // on the serial fallback — same bits, flagged `serial`.
-    let x2 = x_for(110, 9);
-    let mut want2 = vec![0.0f64; 130];
-    csr.spmv(&x2, &mut want2);
-    let r2 = svc.submit(req("m", "t", x2, Duration::from_secs(30))).unwrap();
-    assert_eq!(r2.y, want2, "serial fallback must be bit-identical");
-    assert!(r2.serial);
-    assert_eq!(r2.attempts, 1);
+    let r3 = served(9);
+    assert!(r3.serial && !r3.degraded, "{r3:?}");
 
     let stats = svc.shutdown();
     assert_eq!(stats.breaker_trips, 1);
     assert_eq!(stats.serial_batches, 1);
-    assert_eq!(stats.completed, 2);
+    assert_eq!(stats.pool_faults, 2, "one recovered panic per degraded call");
+    assert_eq!(stats.completed, 3);
 }
 
 #[test]
@@ -291,7 +218,6 @@ fn shutdown_mid_chaos_publishes_every_outstanding_reply_promptly() {
         threads: 2,
         caller_participates: false,
         max_batch: 1, // every request holds its own queue slot
-        policy: RecoveryPolicy::Degrade,
         max_exec_deadline: Duration::from_millis(150),
         default_deadline: Duration::from_secs(30),
         ..ServiceConfig::default()
@@ -359,7 +285,6 @@ fn corrupted_chunk_is_repaired_by_the_self_check() {
     let cfg = ServiceConfig {
         threads: 2,
         caller_participates: false,
-        policy: RecoveryPolicy::Degrade,
         verify_every: 1, // cross-check every chunk
         default_deadline: Duration::from_secs(30),
         max_exec_deadline: Duration::from_secs(30),

@@ -7,9 +7,7 @@ use spmv_core::csr_du::DuOptions;
 use spmv_core::csr_duvi::CsrDuVi;
 use spmv_core::csr_vi::CsrVi;
 use spmv_core::{Coo, Csr, SpMv};
-use spmv_parallel::{
-    ChunkKernel, CsrChunks, CsrDuChunks, CsrDuViChunks, CsrViChunks, RecoveryPolicy,
-};
+use spmv_parallel::{ChunkKernel, CsrChunks, CsrDuChunks, CsrDuViChunks, CsrViChunks};
 use spmv_service::{
     Request, ServiceBuilder, ServiceConfig, ServiceError, SpmvService, TenantLimits,
 };
@@ -499,22 +497,6 @@ fn flooding_tenant_cannot_starve_a_polite_tenant() {
 }
 
 #[test]
-fn failfast_policy_retries_and_still_completes_on_healthy_pool() {
-    let coo = irregular(90, 80, 29);
-    let csr: Csr<u32, f64> = coo.to_csr();
-    let cfg = ServiceConfig { policy: RecoveryPolicy::FailFast, threads: 2, ..calm_config() };
-    let svc = ServiceBuilder::new(cfg)
-        .register_matrix("m", Arc::new(CsrChunks::new(Arc::new(csr.clone()), 4)))
-        .start();
-    let x = x_for(80, 5);
-    let mut want = vec![0.0f64; 90];
-    csr.spmv(&x, &mut want);
-    let resp = svc.submit(req("m", "t", x)).unwrap();
-    assert_eq!(resp.y, want);
-    assert_eq!(resp.attempts, 1, "healthy pool needs no retries");
-}
-
-#[test]
 fn unbounded_deadline_serves_and_releases_its_quota_slot() {
     // `Duration::MAX` is past any `Instant`: it must read as "no
     // deadline", and each request must give its tenant's quota slot back.
@@ -542,12 +524,13 @@ fn unbounded_deadline_serves_and_releases_its_quota_slot() {
 }
 
 #[test]
-fn unbounded_retries_serve_and_shut_down_cleanly() {
-    // `max_retries: u32::MAX` means "retry until the batch deadline"; the
-    // client backstop and the supervisor scale their slack with it.
+fn unbounded_exec_deadline_serves_and_shuts_down_cleanly() {
+    // `max_exec_deadline: Duration::MAX` means "never triage a stall";
+    // the client backstop and the supervisor scale their slack with it,
+    // saturating rather than overflowing.
     let coo = irregular(90, 80, 37);
     let csr: Csr<u32, f64> = coo.to_csr();
-    let cfg = ServiceConfig { max_retries: u32::MAX, ..calm_config() };
+    let cfg = ServiceConfig { max_exec_deadline: Duration::MAX, ..calm_config() };
     let svc = ServiceBuilder::new(cfg)
         .register_matrix("m", Arc::new(CsrChunks::new(Arc::new(csr.clone()), 4)))
         .start();

@@ -215,11 +215,8 @@ fn stalled_shard_is_abandoned_and_its_inflight_batch_replayed() {
         threads: 2,
         default_deadline: Duration::from_secs(30),
         // Keep the stall threshold small: it is stall_grace floored by
-        // the worst healthy batch (max_exec_deadline/retries/backoff).
+        // the worst healthy batch (twice max_exec_deadline).
         max_exec_deadline: Duration::from_millis(50),
-        max_retries: 0,
-        base_backoff: Duration::from_millis(1),
-        max_backoff: Duration::from_millis(1),
         stall_grace: Duration::from_millis(100),
         supervise_interval: Duration::from_millis(5),
         ..ServiceConfig::default()

@@ -48,7 +48,7 @@ for ex in quickstart cg_solver compression_report scaling_study mtx_tool; do
 done
 
 echo "== fault-smoke (scripted fault recovery matrix) =="
-# Deterministic injected panics/stalls/deaths/corruption through the
+# Deterministic injected panics/stalls/corruption through the
 # supervised executor; every recovery must be bit-identical to serial.
 # The second run pins every thread to one CPU, where abandoned
 # stragglers keep writing into their call's output while the caller
@@ -105,7 +105,7 @@ cargo run -q --release -p spmv-bench --features telemetry --bin reproduce -- \
 echo "== service-smoke (overload-safe serving layer) =="
 # The serving layer's own matrix, with and without fault injection:
 # admission control, tenant quotas, deadline budgets, batch coalescing,
-# retry/breaker behavior, and the chaos-under-load suite across thread
+# circuit-breaker behavior, and the chaos-under-load suite across thread
 # counts {1,2,4,7}.
 cargo test -q -p spmv-service
 cargo test -q -p spmv-service --features fault-injection
@@ -132,9 +132,9 @@ echo "== shard-chaos (self-healing sharded dispatch) =="
 cargo test -q -p spmv-service --test shard_chaos
 # Then the load generator as a supervision drill: 4 shards, a killer
 # thread murdering them round-robin, deterministic worker faults armed
-# underneath, and the schema-v5 artifact — whose per-shard counter
-# mirrors must sum exactly to the globals — re-validated through the
-# independent jsonv reader.
+# underneath (the run fails if no pool fault was counted), and the
+# schema-v5 artifact — whose per-shard counter mirrors must sum exactly
+# to the globals — re-validated through the independent jsonv reader.
 timeout 300 cargo run -q --release -p spmv-bench --features fault-injection --bin loadgen -- \
     --duration 2 --deadline-ms 25 --queue-capacity 8 --clients 32 \
     --shards 4 --kill-shard --inject-faults --load-factor 2 \
