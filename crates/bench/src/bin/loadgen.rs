@@ -1,14 +1,14 @@
 //! Open-loop load generator for the SpMV serving layer.
 //!
-//! Drives mixed-tenant traffic against an [`SpmvService`] at a
+//! Drives mixed-tenant traffic against an `SpmvService` at a
 //! configured offered load (requests/second), including deliberately
 //! *above* saturation, and reports how the service degraded: admitted
 //! vs shed counts, end-to-end latency percentiles over completed
 //! requests (p50/p95/p99), per-tenant admission-wait percentiles, the
 //! per-shard counter mirrors, and the batch-coalescing histogram. With
-//! `--out DIR` the run is written as a schema-v5 `BENCH.json` whose
-//! `service` section passes `reproduce check-bench` — graceful
-//! degradation as a validated artifact.
+//! `--out DIR` the run is written as a `BENCH.json` whose `service`
+//! section passes `reproduce check-bench` — graceful degradation as a
+//! validated artifact.
 //!
 //!   loadgen [--duration S] [--rps R | --load-factor F] [--deadline-ms D]
 //!           [--tenants N] [--threads T] [--clients C] [--queue-capacity Q]
@@ -40,7 +40,7 @@ use spmv_bench::metrics::{
 use spmv_core::csr_vi::CsrVi;
 use spmv_core::{Coo, Csr};
 use spmv_parallel::{ChunkKernel, CsrChunks, CsrViChunks};
-use spmv_service::{Request, ServiceBuilder, ServiceConfig, ServiceError, SpmvService};
+use spmv_service::{Request, ServiceBuilder, ServiceConfig, ServiceError};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -182,7 +182,10 @@ struct Workload {
     ncols: Vec<usize>,
 }
 
-fn build_service(args: &Args, deadline: Duration) -> (SpmvService, Workload) {
+/// The service a run drives, not yet started: the two workload matrices
+/// behind the configured queue, batching and shards. Calibration starts
+/// it as it is; the drill arms `--inject-faults` on it first.
+fn service_builder(args: &Args, deadline: Duration) -> (ServiceBuilder, Workload) {
     let a = workload_matrix(20_000, 20_000, args.seed);
     let b = workload_matrix(12_000, 15_000, args.seed ^ 0x5bd1e995);
     let vi_b = CsrVi::from_csr(&b);
@@ -201,20 +204,8 @@ fn build_service(args: &Args, deadline: Duration) -> (SpmvService, Workload) {
         caller_participates: !args.inject_faults,
         ..ServiceConfig::default()
     };
-    #[allow(unused_mut)]
-    let mut builder = ServiceBuilder::new(cfg).register_matrix("A", ka).register_matrix("B", kb);
-    #[cfg(feature = "fault-injection")]
-    if args.inject_faults {
-        use spmv_parallel::faults::{FaultAction, FaultPlan, FaultSite};
-        builder = builder.inject_faults(
-            FaultPlan::new()
-                .inject(FaultSite::chunk(0, 0), FaultAction::PanicOnce)
-                .inject(FaultSite::chunk(2, 1), FaultAction::DelayOnce(Duration::from_millis(30)))
-                .inject(FaultSite::chunk(4, 0), FaultAction::DelayOnce(Duration::from_millis(30)))
-                .inject(FaultSite::chunk(6, 2), FaultAction::PanicOnce),
-        );
-    }
-    (builder.start(), workload)
+    let builder = ServiceBuilder::new(cfg).register_matrix("A", ka).register_matrix("B", kb);
+    (builder, workload)
 }
 
 fn x_for(ncols: usize, phase: u64) -> Vec<f64> {
@@ -234,7 +225,8 @@ fn request(w: &Workload, phase: u64, tenants: usize) -> Request {
 /// Closed-loop single-client throughput on a throwaway service: the
 /// baseline the saturation estimate scales from. Runs ~400ms.
 fn calibrate(args: &Args) -> f64 {
-    let (svc, workload) = build_service(args, Duration::from_secs(10));
+    let (builder, workload) = service_builder(args, Duration::from_secs(10));
+    let svc = builder.start();
     let t0 = Instant::now();
     let mut n = 0u64;
     while t0.elapsed() < Duration::from_millis(400) {
@@ -275,8 +267,22 @@ fn main() {
     };
 
     let deadline = Duration::from_secs_f64(args.deadline_ms / 1000.0);
-    let (svc, workload) = build_service(&args, deadline);
-    let svc = Arc::new(svc);
+    #[allow(unused_mut)]
+    let (mut builder, workload) = service_builder(&args, deadline);
+    // Only the drill's own service is armed, so the faults fire under the
+    // offered load and not inside the calibration.
+    #[cfg(feature = "fault-injection")]
+    if args.inject_faults {
+        use spmv_parallel::faults::{FaultAction, FaultPlan, FaultSite};
+        builder = builder.inject_faults(
+            FaultPlan::new()
+                .inject(FaultSite::chunk(0, 0), FaultAction::PanicOnce)
+                .inject(FaultSite::chunk(2, 1), FaultAction::DelayOnce(Duration::from_millis(30)))
+                .inject(FaultSite::chunk(4, 0), FaultAction::DelayOnce(Duration::from_millis(30)))
+                .inject(FaultSite::chunk(6, 2), FaultAction::PanicOnce),
+        );
+    }
+    let svc = Arc::new(builder.start());
     let workload = Arc::new(workload);
 
     // Open-loop arrivals: request i is due at start + i/rps. A shared
@@ -474,7 +480,6 @@ fn main() {
         deadline_expired: stats.deadline_expired,
         completed: stats.completed,
         failed: stats.failed,
-        retries: stats.retries,
         breaker_trips: stats.breaker_trips,
         latency,
         batch_sizes: stats.batch_sizes.to_vec(),

@@ -17,36 +17,29 @@
 //!   ablation-ordering   ordering sensitivity: original/scrambled/RCM (A1c)
 //!   ablation-partition  row/column/block partitioning comparison (A3)
 //!   validate   analytic model vs exact cache-trace simulation
-//!   measured   wall-clock serial format comparison on sample matrices
 //!   verify     structural validate() + CSR cross-check of every format
-//!   bench      measured formats x thread counts -> schema-versioned BENCH.json
 //!   check-bench [FILE]   validate a BENCH.json against the schema (CI gate)
 //!   plan       planner-chosen cell per matrix -> BENCH.json + PLANCACHE
-//!   all        everything above (except check-bench and plan), in order
+//!   graph      SpMSpV BFS/PageRank drivers + density sweep -> BENCH.json
+//!   all        every command from fig1 to verify above, in order
 //! ```
 //!
 //! `--scale` shrinks the corpus working sets (default 1.0 = paper scale;
 //! use e.g. 0.05 for a quick run). Scaling changes absolute working sets,
 //! so set membership stays keyed to matrix ids as in the paper.
 //! `--out DIR` additionally writes each artifact as JSON for downstream
-//! plotting (and is where `bench` puts `BENCH.json`; default `.`).
-//! `--iters N` overrides the timed iteration count of `bench`.
-//! `--k LIST` sets the SpMM right-hand-side panel widths `bench` sweeps
-//! (comma-separated, validated/sorted/deduped; default `1,2,4,8`; `1` is
-//! plain SpMV).
-//! `--isa {auto,scalar,avx2}` selects the kernel instruction set `bench`
-//! measures with (default `auto` = runtime detection; requesting an ISA
-//! the host lacks is a CLI error).
+//! plotting (and is where `plan` and `graph` put `BENCH.json`; default
+//! `.`). `--iters N` overrides the timed iteration count of `plan` and
+//! `graph`.
 //!
-//! Build with `--features telemetry` for BENCH.json records to include
-//! per-worker busy times and load-imbalance ratios.
+//! Kernel performance is measured by perfbench (`perfbench/` at the
+//! repository root), which runs the paper's §VI-A protocol; `reproduce`
+//! regenerates the modelled tables, verifies the formats and plans.
 
 use spmv_bench::figures::{figure_series, format_figure};
-use spmv_bench::measured::{measure_serial, PAPER_ITERATIONS};
 use spmv_bench::runner::{evaluate_corpus, EvalOptions};
 use spmv_bench::tables::{compare_table, format_compare, format_table2, table2};
 use spmv_core::csr_du::{CsrDu, DuOptions};
-use spmv_core::csr_duvi::CsrDuVi;
 use spmv_core::csr_vi::CsrVi;
 use spmv_core::examples::paper_matrix;
 use spmv_core::{Csc, Csr};
@@ -59,10 +52,6 @@ struct Args {
     scale: f64,
     out: Option<PathBuf>,
     iters: Option<usize>,
-    /// Panel widths for `bench` (`--k 1,2,4,8`); `None` keeps the default.
-    k_values: Option<Vec<usize>>,
-    /// Kernel ISA for `bench` (`--isa scalar`); `None` = auto-detect.
-    isa: Option<spmv_core::Isa>,
     command: String,
     /// Optional positional argument after the command (check-bench FILE).
     arg: Option<String>,
@@ -94,8 +83,6 @@ fn parse_args(argv: impl Iterator<Item = String>) -> Result<Args, CliError> {
     let mut scale = 1.0f64;
     let mut out = None;
     let mut iters = None;
-    let mut k_values = None;
-    let mut isa = None;
     let mut command = None;
     let mut extra = None;
     let mut it = argv;
@@ -125,27 +112,6 @@ fn parse_args(argv: impl Iterator<Item = String>) -> Result<Args, CliError> {
                 }
                 iters = Some(n);
             }
-            "--k" => {
-                let list = value("--k", &mut it)?;
-                k_values = Some(
-                    spmv_bench::metrics::parse_k_list(&list)
-                        .map_err(|reason| CliError::Invalid { flag: "--k", reason })?,
-                );
-            }
-            "--isa" => {
-                let choice = value("--isa", &mut it)?;
-                let parsed = spmv_core::simd::parse_choice(&choice)
-                    .map_err(|reason| CliError::Invalid { flag: "--isa", reason })?;
-                if let Some(requested) = parsed {
-                    if !requested.available() {
-                        return Err(CliError::Invalid {
-                            flag: "--isa",
-                            reason: format!("{requested} is not available on this host"),
-                        });
-                    }
-                }
-                isa = parsed;
-            }
             "--help" | "-h" => {
                 print!("{HELP}");
                 std::process::exit(0);
@@ -159,18 +125,14 @@ fn parse_args(argv: impl Iterator<Item = String>) -> Result<Args, CliError> {
         scale,
         out,
         iters,
-        k_values,
-        isa,
         command: command.unwrap_or_else(|| "all".to_string()),
         arg: extra,
     })
 }
 
-const HELP: &str = "reproduce [--scale S] [--out DIR] [--iters N] [--k LIST] [--isa ISA] \
+const HELP: &str = "reproduce [--scale S] [--out DIR] [--iters N] \
 <fig1|table1|fig4|table2|table3|table4|fig7|fig8|ablation-du|ablation-widen|\
-ablation-ordering|ablation-partition|validate|measured|verify|bench|check-bench|plan|graph|all> [arg]\n\
---k takes a comma-separated list of SpMM panel widths for bench (default 1,2,4,8)\n\
---isa selects the bench kernel instruction set: auto (default), scalar, avx2\n";
+ablation-ordering|ablation-partition|validate|verify|check-bench|plan|graph|all> [arg]\n";
 
 fn write_json(out: &Option<PathBuf>, name: &str, value: &impl serde::Serialize) {
     if let Some(dir) = out {
@@ -256,13 +218,11 @@ fn main() {
         "ablation-ordering" => ablation_ordering(),
         "ablation-partition" => ablation_partition(),
         "validate" => validate_model(),
-        "measured" => measured(&args),
         "verify" => {
             if !verify(&args) {
                 std::process::exit(1);
             }
         }
-        "bench" => bench(&args),
         "check-bench" => {
             if !check_bench(&args) {
                 std::process::exit(1);
@@ -291,9 +251,7 @@ fn main() {
             "ablation-ordering",
             "ablation-partition",
             "validate",
-            "measured",
             "verify",
-            "bench",
         ] {
             run(cmd);
         }
@@ -525,48 +483,6 @@ fn validate_model() {
     println!("\n(ratios near 1 mean the closed-form allocator matches LRU behaviour;\n the analytic model exists because tracing 100 full-size matrices x 4\n formats x 5 placements is computationally infeasible)");
 }
 
-/// Wall-clock serial comparison of all formats on sample corpus matrices.
-fn measured(args: &Args) {
-    println!(
-        "\n== Measured mode: serial wall-clock, {PAPER_ITERATIONS} iterations (§VI-A protocol) ==\n"
-    );
-    println!(
-        "(this container has one CPU; multithreaded wall-clock scaling is not\n \
-         meaningful here — scaling shape lives in the simulated tables above)\n"
-    );
-    let scale = args.scale.min(0.25); // keep measured mode quick
-    let corpus = spmv_matgen::corpus::corpus_scaled(scale);
-    let picks: Vec<u32> = vec![2, 9, 3, 26]; // ML, ML-vi, MS, MS-vi ids
-    println!(
-        "{:<12} {:>9} {:>7} | {:>9} {:>9} {:>9} {:>9}",
-        "matrix", "nnz", "ttu", "CSR", "CSR-DU", "CSR-VI", "CSR-DU-VI"
-    );
-    for id in picks {
-        let entry = corpus.iter().find(|e| e.id == id).expect("id in corpus");
-        let csr: Csr = entry.build().to_csr();
-        let du = CsrDu::from_csr(&csr, &DuOptions::default());
-        let vi = CsrVi::from_csr(&csr);
-        let duvi = CsrDuVi::from_csr(&csr, &DuOptions::default());
-        let iters = PAPER_ITERATIONS;
-        // Setup uses the checked SpMV entry point; the vectors are sized
-        // from the matrix itself, so a failure here is a format bug.
-        let m_csr = measure_serial(&csr, iters, 42).expect("CSR measurement setup");
-        let m_du = measure_serial(&du, iters, 42).expect("CSR-DU measurement setup");
-        let m_vi = measure_serial(&vi, iters, 42).expect("CSR-VI measurement setup");
-        let m_duvi = measure_serial(&duvi, iters, 42).expect("CSR-DU-VI measurement setup");
-        println!(
-            "{:<12} {:>9} {:>7.1} | {:>7.0} MF {:>6.0} MF {:>6.0} MF {:>6.0} MF",
-            entry.name,
-            csr.nnz(),
-            csr.ttu(),
-            m_csr.mflops,
-            m_du.mflops,
-            m_vi.mflops,
-            m_duvi.mflops
-        );
-    }
-}
-
 /// Verify mode: for every corpus matrix, build every format, re-prove its
 /// structural invariants with `validate()`, and cross-check its SpMV result
 /// against the CSR baseline row-by-row within a ULP tolerance
@@ -575,8 +491,8 @@ fn measured(args: &Args) {
 fn verify(args: &Args) -> bool {
     use spmv_core::prelude::*;
 
-    // Verification builds ~12 formats per matrix; cap the working sets the
-    // same way measured mode does so a full-corpus pass stays tractable.
+    // Verification builds ~12 formats per matrix; cap the working sets so
+    // a full-corpus pass stays tractable.
     let scale = args.scale.min(0.25);
     let corpus = spmv_matgen::corpus::corpus_scaled(scale);
     println!("\n== Verify mode: validate() + CSR cross-check (ULP tolerance) on every format ==\n");
@@ -723,22 +639,17 @@ fn verify(args: &Args) -> bool {
     fail == 0
 }
 
-/// Bench mode: run the measurement matrix (sample matrices x all four
-/// formats x thread counts x SpMM panel widths), print a bandwidth
-/// summary, and emit the schema-versioned `BENCH.json` observability
-/// artifact (validated through the same reader `check-bench` uses before
-/// it is trusted).
 /// Graph mode: run the SpMSpV frontier drivers (BFS levels, convergence-
 /// masked PageRank) and the density-crossover sweep over the power-law
 /// corpus, checking BFS/PageRank bit-identity across thread counts and
-/// kernel paths, and emit a schema-v7 `BENCH.json` whose `spmspv`
-/// section carries the evidence.
+/// kernel paths, and emit a `BENCH.json` whose `spmspv` section carries
+/// the evidence.
 fn graph_cmd(args: &Args) {
     use spmv_bench::graph::{collect_graph, GraphOptions};
     use spmv_bench::metrics::validate_bench_text;
 
     let opts = GraphOptions {
-        scale: args.scale.min(0.25), // keep graph mode quick, like bench
+        scale: args.scale.min(0.25), // keep graph mode quick
         iters: args.iters.unwrap_or(GraphOptions::default().iters),
         ..GraphOptions::default()
     };
@@ -811,89 +722,8 @@ fn graph_cmd(args: &Args) {
     );
 }
 
-fn bench(args: &Args) {
-    use spmv_bench::metrics::{collect_bench, validate_bench_text, BenchOptions};
-    let opts = BenchOptions {
-        scale: args.scale.min(0.25), // keep bench mode quick, like measured
-        iters: args.iters.unwrap_or(BenchOptions::default().iters),
-        k_values: args.k_values.clone().unwrap_or(BenchOptions::default().k_values),
-        isa: args.isa,
-        ..BenchOptions::default()
-    };
-    println!(
-        "\n== Bench mode: {} iterations/cell, corpus scale {}, k {:?}, isa {} -> BENCH.json ==\n",
-        opts.iters,
-        opts.scale,
-        opts.k_values,
-        opts.isa.map_or("auto".to_string(), |i| i.to_string()),
-    );
-    let file = collect_bench(&opts).expect("bench collection");
-    println!(
-        "machine stream bandwidth: {:.2} GB/s (roofline ceiling)\n",
-        file.machine.machine_bandwidth_gbs
-    );
-    println!(
-        "{:<12} {:<9} {:>3} {:>3} {:>6} | {:>10} {:>10} {:>8} {:>9} {:>9} {:>9} {:>9} {:>6} | \
-         {:>9}",
-        "matrix",
-        "format",
-        "thr",
-        "k",
-        "isa",
-        "median",
-        "p99",
-        "cv",
-        "MFLOP/s",
-        "eff GB/s",
-        "adj GB/s",
-        "GB/s/vec",
-        "roof",
-        "imbalance"
-    );
-    for r in &file.records {
-        let imbalance = match &r.telemetry {
-            Some(t) => format!("{:>9.2}", t.imbalance),
-            None => format!("{:>9}", "-"),
-        };
-        println!(
-            "{:<12} {:<9} {:>3} {:>3} {:>6} | {:>8.1} us {:>8.1} us {:>8.3} {:>9.0} {:>9.2} \
-             {:>9.2} {:>9.2} {:>6.2} | {imbalance}",
-            r.matrix,
-            r.format,
-            r.threads,
-            r.k,
-            r.kernel_isa,
-            r.stats.median_s * 1e6,
-            r.stats.p99_s * 1e6,
-            r.stats.cv,
-            r.mflops,
-            r.effective_bandwidth_gbs,
-            r.compression_adjusted_gbs,
-            r.per_vector_bandwidth_gbs,
-            r.roofline_fraction,
-        );
-    }
-    let text = {
-        let mut t = serde_json::to_string_pretty(&file).expect("serialize BENCH.json");
-        t.push('\n');
-        t
-    };
-    validate_bench_text(&text).expect("freshly emitted BENCH.json must satisfy its own schema");
-    let dir = args.out.clone().unwrap_or_else(|| PathBuf::from("."));
-    std::fs::create_dir_all(&dir).expect("create output dir");
-    let path = dir.join("BENCH.json");
-    std::fs::write(&path, text).expect("write BENCH.json");
-    println!(
-        "\nwrote {} ({} records, schema v{}{})",
-        path.display(),
-        file.records.len(),
-        file.schema_version,
-        if cfg!(feature = "telemetry") { ", telemetry on" } else { ", telemetry off" }
-    );
-}
-
 /// Plan mode: run every M0 corpus matrix through the adaptive planner,
-/// measure (cold) or replay (warm) the chosen cell, and emit a schema-v6
+/// measure (cold) or replay (warm) the chosen cell, and emit a
 /// `BENCH.json` plus the persisted plan cache. A second run against the
 /// same `--out` is fully warm: every decision is a cache hit, nothing is
 /// re-encoded, and the cold run's measured medians are replayed — the
@@ -904,7 +734,7 @@ fn plan_cmd(args: &Args) {
     use spmv_memsim::{Planner, PlannerConfig};
 
     let opts = PlanRunOptions {
-        scale: args.scale.min(0.25), // keep plan mode quick, like bench
+        scale: args.scale.min(0.25), // keep plan mode quick
         iters: args.iters.unwrap_or(PlanRunOptions::default().iters),
         ..PlanRunOptions::default()
     };
@@ -1001,8 +831,8 @@ fn plan_cmd(args: &Args) {
 
 /// Check-bench mode: validate an existing BENCH.json (path from the
 /// positional argument, else `--out`/`.`) against the schema. Returns
-/// `false` on any violation (the process exits non-zero) — CI's
-/// bench-smoke gate.
+/// `false` on any violation (the process exits non-zero) — the gate
+/// behind CI's plan, graph, service and shard-chaos smoke runs.
 fn check_bench(args: &Args) -> bool {
     use spmv_bench::metrics::validate_bench_text;
     let path = match &args.arg {
@@ -1040,46 +870,11 @@ mod tests {
     fn defaults_and_flags_parse() {
         let a = parse(&[]).unwrap();
         assert_eq!(a.command, "all");
-        assert!(a.k_values.is_none() && a.isa.is_none());
-        let a = parse(&["--scale", "0.1", "--iters", "8", "bench"]).unwrap();
+        assert!(a.iters.is_none() && a.out.is_none());
+        let a = parse(&["--scale", "0.1", "--iters", "8", "graph"]).unwrap();
         assert_eq!(a.scale, 0.1);
         assert_eq!(a.iters, Some(8));
-        assert_eq!(a.command, "bench");
-    }
-
-    #[test]
-    fn k_list_is_validated_sorted_and_deduped() {
-        // Regression: "--k 0", duplicates and unsorted lists used to pass
-        // straight through to the measurement matrix (0 then panicking
-        // deep inside the kernels, duplicates double-measuring cells).
-        let a = parse(&["--k", "8,2,2,4", "bench"]).unwrap();
-        assert_eq!(a.k_values, Some(vec![2, 4, 8]));
-        for bad in ["0", "1,0", "x", ""] {
-            let err = parse(&["--k", bad, "bench"]).unwrap_err();
-            assert!(matches!(err, CliError::Invalid { flag: "--k", .. }), "{bad:?}: {err}");
-        }
-        assert!(matches!(parse(&["--k"]).unwrap_err(), CliError::MissingValue("--k")));
-    }
-
-    #[test]
-    fn isa_flag_parses_and_rejects_garbage() {
-        let a = parse(&["--isa", "auto", "bench"]).unwrap();
-        assert_eq!(a.isa, None);
-        let a = parse(&["--isa", "scalar", "bench"]).unwrap();
-        assert_eq!(a.isa, Some(spmv_core::Isa::Scalar));
-        let err = parse(&["--isa", "sse9", "bench"]).unwrap_err();
-        assert!(matches!(err, CliError::Invalid { flag: "--isa", .. }), "{err}");
-        // avx2 either parses (host has it) or errors as unavailable.
-        match parse(&["--isa", "avx2", "bench"]) {
-            Ok(a) => {
-                assert!(spmv_core::Isa::Avx2.available());
-                assert_eq!(a.isa, Some(spmv_core::Isa::Avx2));
-            }
-            Err(e) => {
-                assert!(!spmv_core::Isa::Avx2.available());
-                assert!(matches!(e, CliError::Invalid { flag: "--isa", .. }), "{e}");
-            }
-        }
+        assert_eq!(a.command, "graph");
     }
 
     #[test]
@@ -1096,9 +891,9 @@ mod tests {
 
     #[test]
     fn stray_arguments_are_typed_errors() {
-        let err = parse(&["bench", "x", "y"]).unwrap_err();
+        let err = parse(&["check-bench", "x", "y"]).unwrap_err();
         assert!(matches!(err, CliError::Unexpected(_)), "{err}");
-        let err = parse(&["--iters", "0", "bench"]).unwrap_err();
+        let err = parse(&["--iters", "0", "plan"]).unwrap_err();
         assert!(matches!(err, CliError::Invalid { flag: "--iters", .. }), "{err}");
     }
 }

@@ -458,7 +458,7 @@ impl Default for GraphOptions {
 }
 
 /// Runs the graph suite over the power-law corpus entries and returns a
-/// schema-v7 [`BenchFile`] whose `spmspv` section carries the evidence.
+/// [`BenchFile`] whose `spmspv` section carries the evidence.
 ///
 /// For every matrix this *checks* (not just measures) the determinism
 /// contract: BFS levels and PageRank rank bits must be identical across

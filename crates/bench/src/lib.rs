@@ -8,12 +8,13 @@
 //! DESIGN.md §4 for the index and EXPERIMENTS.md for recorded
 //! paper-vs-reproduction numbers.
 //!
-//! The observability layer lives in [`measured`] (per-iteration
-//! [`measured::TimingStats`], adaptive warm-up) and [`metrics`] (the
-//! bandwidth model joining time to working-set bytes, and the
-//! schema-versioned `BENCH.json` artifact validated through the
-//! [`jsonv`] reader). Enable the `telemetry` feature to also record
-//! per-worker busy times and imbalance ratios into each record.
+//! Observability: [`measured`] times `reproduce plan`'s chosen cells
+//! (per-iteration [`measured::TimingStats`] after an adaptive warm-up),
+//! and [`metrics`] joins time to working-set bytes in the
+//! schema-versioned `BENCH.json` artifact that `plan`, `graph` and
+//! `loadgen` write and the [`jsonv`] reader re-validates. Kernel
+//! performance is measured by perfbench (`perfbench/` at the repository
+//! root), which links [`measured::random_x`] and the [`roofline`] triad.
 
 pub mod figures;
 pub mod graph;

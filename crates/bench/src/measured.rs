@@ -1,29 +1,22 @@
-//! Wall-clock measurement mode — the paper's actual protocol (§VI-A):
-//! time 128 consecutive SpMV operations with a randomly-initialized x
-//! vector, caches warm.
+//! Timing helpers for `reproduce plan`: per-iteration samples summarized
+//! with *robust* statistics ([`TimingStats`]) after an *adaptive*
+//! warm-up ([`WarmupOpts`]), plus the seeded random `x` of the paper's
+//! §VI-A protocol ([`random_x`]).
 //!
-//! Unlike a single start/stop total, every iteration here is timed as its
-//! own sample and summarized with *robust* statistics ([`TimingStats`]):
-//! the median and MAD are insensitive to the occasional
-//! scheduler-preemption outlier that poisons a mean, the p95 and the
-//! coefficient of variation expose whether the run was quiet enough to
-//! trust at all, and warm-up is *adaptive* — it runs until the last few
-//! iterations stabilize ([`WarmupOpts`]) instead of assuming one
-//! iteration fills the caches.
-//!
-//! On this container (a single CPU) multithreaded wall-clock numbers do
-//! not exhibit real scaling; the measured mode exists to (a) validate the
-//! *serial* format comparisons for real, and (b) run the full protocol
-//! faithfully on machines that do have the cores.
+//! Every iteration is timed as its own sample: the median and MAD are
+//! insensitive to the occasional scheduler-preemption outlier that
+//! poisons a mean, the p95 and the coefficient of variation expose
+//! whether the run was quiet enough to trust at all, and warm-up runs
+//! until the last few iterations stabilize instead of assuming one
+//! iteration fills the caches. The §VI-A protocol itself — timed SpMV
+//! calls with a random `x` on each format — is perfbench's `kernel-ml`
+//! workload.
 
 use serde::Serialize;
 use spmv_core::checked::{CheckOptions, CheckedSpMv};
 use spmv_core::{Csr, DenseBlock, DenseBlockMut, Scalar, SpIndex, SpMm, SpMv, SparseError};
-use spmv_parallel::{ParSpMm, ParSpMv};
+use spmv_parallel::ParSpMm;
 use std::time::Instant;
-
-/// Default iteration count, as in the paper.
-pub const PAPER_ITERATIONS: usize = 128;
 
 /// Deterministic pseudo-random x vector ("randomly created x vertices",
 /// §VI-A) in `[-1, 1)` — splitmix64, no rand dependency in the hot path.
@@ -182,108 +175,14 @@ fn adaptive_warmup(opts: &WarmupOpts, mut iter: impl FnMut()) -> usize {
 }
 
 /// Wall-clock measurement of one kernel.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Measurement {
-    /// Iterations timed.
-    pub iterations: usize,
     /// Adaptive warm-up iterations that ran (untimed) before the samples.
     pub warmup_iterations: usize,
-    /// Total seconds for all timed iterations.
-    pub total_s: f64,
-    /// Median seconds per iteration (see [`TimingStats::median_s`]).
-    pub per_iter_s: f64,
     /// Achieved MFLOP/s at the median iteration time.
     pub mflops: f64,
     /// Full per-iteration sample summary.
     pub stats: TimingStats,
-}
-
-/// Measures `iters` serial SpMV iterations of `m` with default
-/// [`WarmupOpts`].
-///
-/// Setup goes through the *checked* entry point ([`SpMv::try_spmv`]): a
-/// matrix/vector dimension disagreement surfaces as an `Err` here rather
-/// than as UB-adjacent debug-assert behavior inside the timed loop.
-pub fn measure_serial<V: Scalar>(
-    m: &dyn SpMv<V>,
-    iters: usize,
-    seed: u64,
-) -> Result<Measurement, SparseError> {
-    measure_serial_with(m, iters, seed, &WarmupOpts::default())
-}
-
-/// [`measure_serial`] with an explicit warm-up policy.
-pub fn measure_serial_with<V: Scalar>(
-    m: &dyn SpMv<V>,
-    iters: usize,
-    seed: u64,
-    warmup: &WarmupOpts,
-) -> Result<Measurement, SparseError> {
-    if iters == 0 {
-        return Err(SparseError::InvalidArgument(
-            "measure_serial requires iters >= 1 (a zero-iteration measurement has no data)".into(),
-        ));
-    }
-    let x = random_x::<V>(m.ncols(), seed);
-    let mut y = vec![V::zero(); m.nrows()];
-    // First warm-up iteration is dimension-checked; the rest (and the
-    // timed loop) can use the unchecked entry point.
-    m.try_spmv(&x, &mut y)?;
-    let warmed = 1 + adaptive_warmup(warmup, || {
-        m.spmv(&x, &mut y);
-        std::hint::black_box(&mut y);
-    });
-    let samples = collect_samples(iters, || {
-        m.spmv(&x, &mut y);
-        std::hint::black_box(&mut y);
-    });
-    summarize(m.flops(), warmed, &samples)
-}
-
-/// Measures `iters` multithreaded iterations of a planned executor with
-/// default [`WarmupOpts`]. The plan's persistent worker pool was spawned
-/// at plan time (the paper's spawn-once protocol), so the timed loop
-/// contains only pool dispatches.
-pub fn measure_parallel<V: Scalar>(
-    m: &dyn SpMv<V>,
-    par: &mut dyn ParSpMv<V>,
-    iters: usize,
-    seed: u64,
-) -> Result<Measurement, SparseError> {
-    measure_parallel_with(m, par, iters, seed, &WarmupOpts::default())
-}
-
-/// [`measure_parallel`] with an explicit warm-up policy.
-///
-/// Warm-up telemetry is drained (and discarded) before the timed loop,
-/// so a [`ParSpMv::take_telemetry`] call right after this function
-/// returns covers exactly the `iters` timed dispatches.
-pub fn measure_parallel_with<V: Scalar>(
-    m: &dyn SpMv<V>,
-    par: &mut dyn ParSpMv<V>,
-    iters: usize,
-    seed: u64,
-    warmup: &WarmupOpts,
-) -> Result<Measurement, SparseError> {
-    if iters == 0 {
-        return Err(SparseError::InvalidArgument(
-            "measure_parallel requires iters >= 1 (a zero-iteration measurement has no data)"
-                .into(),
-        ));
-    }
-    let x = random_x::<V>(m.ncols(), seed);
-    let mut y = vec![V::zero(); m.nrows()];
-    let warmed = adaptive_warmup(warmup, || {
-        par.par_spmv(&x, &mut y);
-        std::hint::black_box(&mut y);
-    });
-    // Reset the telemetry window so it covers only the timed loop.
-    let _ = par.take_telemetry();
-    let samples = collect_samples(iters, || {
-        par.par_spmv(&x, &mut y);
-        std::hint::black_box(&mut y);
-    });
-    summarize(m.flops(), warmed, &samples)
 }
 
 /// Measures `iters` serial SpMM iterations of `m` with a `k`-wide
@@ -319,9 +218,10 @@ pub fn measure_serial_spmm_with<V: Scalar>(
     summarize(m.flops() * k, warmed, &samples)
 }
 
-/// Measures `iters` multithreaded SpMM iterations of a planned executor;
-/// the SpMM analogue of [`measure_parallel_with`] (spawn-once pool, warm-
-/// up telemetry drained before the timed loop).
+/// Measures `iters` multithreaded SpMM iterations of a planned executor.
+/// The plan's persistent worker pool was spawned at plan time (the
+/// paper's spawn-once protocol), so the timed loop contains only pool
+/// dispatches.
 pub fn measure_parallel_spmm_with<V: Scalar>(
     m: &dyn SpMv<V>,
     par: &mut dyn ParSpMm<V>,
@@ -345,8 +245,6 @@ pub fn measure_parallel_spmm_with<V: Scalar>(
         par.par_spmm(&x, k, &mut y);
         std::hint::black_box(&mut y);
     });
-    // Reset the telemetry window so it covers only the timed loop.
-    let _ = par.take_telemetry();
     let samples = collect_samples(iters, || {
         par.par_spmm(&x, k, &mut y);
         std::hint::black_box(&mut y);
@@ -354,10 +252,15 @@ pub fn measure_parallel_spmm_with<V: Scalar>(
     summarize(m.flops() * k, warmed, &samples)
 }
 
-/// Verifies a parallel SpMM panel against the serial CSR reference,
-/// column by column, through the same ULP/L1 comparator as
-/// [`validate_parallel`] — never a raw `==`. Each of the `k` columns of
-/// the panel is extracted and checked as an independent SpMV result.
+/// Verifies a parallel SpMM panel against the serial CSR reference
+/// before its timing is trusted, column by column, through the ULP/L1
+/// comparator of [`spmv_core::checked`] over **every** row
+/// (`sample_rows: 0`) — never a raw `==`: parallel reductions
+/// legitimately reorder sums. `baseline` is the CSR form of the same
+/// matrix; a mismatch returns the typed
+/// [`SparseError::VerificationFailed`] naming the row and the ULP
+/// distances. Each of the `k` columns of the panel is extracted and
+/// checked as an independent SpMV result.
 pub fn validate_parallel_spmm<I: SpIndex, V: Scalar>(
     m: &dyn SpMv<V>,
     baseline: &Csr<I, V>,
@@ -406,36 +309,7 @@ fn summarize(
             stats.median_s
         )));
     }
-    Ok(Measurement {
-        iterations: stats.samples,
-        warmup_iterations,
-        total_s: samples.iter().sum(),
-        per_iter_s: stats.median_s,
-        mflops,
-        stats,
-    })
-}
-
-/// Verifies that `par` produces the same y as the serial reference before
-/// trusting its timing, using the ULP/L1 comparator from
-/// [`spmv_core::checked`] over **every** row (`sample_rows: 0`): parallel
-/// reductions legitimately reorder sums, so a raw `== 0.0` max-abs-diff
-/// both over-rejects (reduction executors) and under-informs (no row, no
-/// magnitudes). `baseline` is the CSR form of the same matrix (it drives
-/// the per-row reference and the cancellation fallback); a mismatch
-/// returns the typed [`SparseError::VerificationFailed`] naming the row
-/// and the ULP distances.
-pub fn validate_parallel<I: SpIndex, V: Scalar>(
-    m: &dyn SpMv<V>,
-    baseline: &Csr<I, V>,
-    par: &mut dyn ParSpMv<V>,
-    seed: u64,
-) -> Result<(), SparseError> {
-    let x = random_x::<V>(m.ncols(), seed);
-    let mut y_par = vec![V::zero(); m.nrows()];
-    par.par_spmv(&x, &mut y_par);
-    let opts = CheckOptions { sample_rows: 0, ..CheckOptions::default() };
-    CheckedSpMv::with_options(m, baseline, opts)?.verify_against(&x, &y_par)
+    Ok(Measurement { warmup_iterations, mflops, stats })
 }
 
 #[cfg(test)]
@@ -443,14 +317,12 @@ mod tests {
     use super::*;
     use spmv_core::csr_du::{CsrDu, DuOptions};
     use spmv_core::Csr;
-    use spmv_parallel::{ParCscColumns, ParCsrDu};
+    use spmv_parallel::ParCsrDu;
 
     #[test]
     fn serial_measurement_is_sane() {
         let csr: Csr = spmv_matgen::gen::banded(5000, 4, 1.0, 1).to_csr();
-        let m = measure_serial(&csr, 4, 42).unwrap();
-        assert_eq!(m.iterations, 4);
-        assert!(m.total_s > 0.0);
+        let m = measure_serial_spmm_with(&csr, 1, 4, 42, &WarmupOpts::default()).unwrap();
         assert!(m.mflops > 1.0, "mflops {}", m.mflops);
         assert!(m.warmup_iterations >= WarmupOpts::default().min_iters);
         assert!(m.warmup_iterations <= 1 + WarmupOpts::default().max_iters);
@@ -458,40 +330,18 @@ mod tests {
         assert_eq!(s.samples, 4);
         assert!(s.min_s <= s.median_s && s.median_s <= s.p95_s && s.p95_s <= s.p99_s);
         assert!(s.mad_s >= 0.0 && s.cv >= 0.0);
-        assert!((m.per_iter_s - s.median_s).abs() < 1e-15);
     }
 
     #[test]
     fn zero_iterations_are_rejected_not_divided() {
         let csr: Csr = spmv_matgen::gen::banded(100, 2, 1.0, 1).to_csr();
-        let err = measure_serial(&csr, 0, 1).unwrap_err();
+        let err = measure_serial_spmm_with(&csr, 1, 0, 1, &WarmupOpts::default()).unwrap_err();
         assert!(matches!(err, SparseError::InvalidArgument(_)), "{err}");
         let du = CsrDu::from_csr(&csr, &DuOptions::default());
         let mut par = ParCsrDu::new(&du, 2);
-        let err = measure_parallel(&du, &mut par, 0, 1).unwrap_err();
+        let err =
+            measure_parallel_spmm_with(&du, &mut par, 1, 0, 1, &WarmupOpts::default()).unwrap_err();
         assert!(matches!(err, SparseError::InvalidArgument(_)), "{err}");
-    }
-
-    #[test]
-    fn parallel_measurement_validates_against_serial() {
-        let csr: Csr = spmv_matgen::gen::banded(3000, 4, 1.0, 2).to_csr();
-        let du = CsrDu::from_csr(&csr, &DuOptions::default());
-        let mut par = ParCsrDu::new(&du, 3);
-        validate_parallel(&du, &csr, &mut par, 7).unwrap();
-        let m = measure_parallel(&du, &mut par, 3, 7).unwrap();
-        assert!(m.per_iter_s > 0.0);
-        assert_eq!(m.stats.samples, 3);
-    }
-
-    #[test]
-    fn validator_accepts_reordered_reductions() {
-        // The column-partitioned executor sums per-thread private vectors
-        // — a reordering a raw == 0.0 comparison would spuriously fail on
-        // general inputs; the ULP comparator must accept it.
-        let csr: Csr = spmv_matgen::gen::banded(500, 6, 1.0, 3).to_csr();
-        let csc = spmv_core::Csc::from_csr(&csr).unwrap();
-        let mut par = ParCscColumns::new(&csc, 4);
-        validate_parallel(&csc, &csr, &mut par, 11).unwrap();
     }
 
     #[test]
@@ -504,7 +354,7 @@ mod tests {
         perturbed.values_mut()[7] += 100.0;
         let du = CsrDu::from_csr(&perturbed, &DuOptions::default());
         let mut par = ParCsrDu::new(&du, 2);
-        let err = validate_parallel(&du, &csr, &mut par, 3).unwrap_err();
+        let err = validate_parallel_spmm(&du, &csr, &mut par, 2, 3).unwrap_err();
         assert!(matches!(err, SparseError::VerificationFailed { .. }), "{err}");
     }
 
@@ -512,14 +362,14 @@ mod tests {
     fn spmm_measurement_and_validation_work() {
         let csr: Csr = spmv_matgen::gen::banded(2000, 4, 1.0, 2).to_csr();
         let m = measure_serial_spmm_with(&csr, 4, 3, 42, &WarmupOpts::default()).unwrap();
-        assert_eq!(m.iterations, 3);
+        assert_eq!(m.stats.samples, 3);
         assert!(m.mflops > 0.0);
         let du = CsrDu::from_csr(&csr, &DuOptions::default());
         let mut par = ParCsrDu::new(&du, 3);
         validate_parallel_spmm(&du, &csr, &mut par, 4, 7).unwrap();
         let mp =
             measure_parallel_spmm_with(&du, &mut par, 4, 3, 7, &WarmupOpts::default()).unwrap();
-        assert!(mp.per_iter_s > 0.0);
+        assert!(mp.stats.median_s > 0.0);
         assert_eq!(mp.stats.samples, 3);
     }
 

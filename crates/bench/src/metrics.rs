@@ -18,27 +18,17 @@
 //! * **traffic per nnz** — the format's matrix bytes per non-zero, the
 //!   §II-B quantity compression reduces.
 //!
-//! [`collect_bench`] runs the measurement matrix (corpus entries ×
-//! formats × thread counts) and returns a schema-versioned [`BenchFile`]
-//! that the `reproduce bench` command serializes as `BENCH.json`;
-//! [`validate_bench_text`] re-parses and checks that artifact (CI's
-//! `bench-smoke` gate, and `reproduce check-bench`). With the `telemetry`
-//! feature enabled, multithreaded records also carry per-worker busy
-//! times and the load-imbalance ratio ([`TelemetryRecord`]).
+//! Records come from `reproduce plan` ([`crate::planning::run_planned`]),
+//! one per corpus matrix at the planner's chosen cell; `loadgen` fills
+//! the `service` section and `reproduce graph` the `spmspv` section.
+//! [`validate_bench_text`] re-parses and checks any of these artifacts
+//! (`reproduce check-bench`, run by the CI smoke gates). Kernel
+//! performance itself is measured by perfbench, not here.
 
 use crate::jsonv::Json;
-use crate::measured::{
-    measure_parallel_spmm_with, measure_serial_spmm_with, validate_parallel_spmm, TimingStats,
-    WarmupOpts,
-};
+use crate::measured::TimingStats;
 use crate::roofline;
 use serde::Serialize;
-use spmv_core::csr_du::{CsrDu, DuOptions};
-use spmv_core::csr_duvi::CsrDuVi;
-use spmv_core::csr_vi::CsrVi;
-use spmv_core::stats::effective_bandwidth;
-use spmv_core::{Csr, Isa, SpMm, SparseError};
-use spmv_parallel::{ParCsr, ParCsrDu, ParCsrDuVi, ParCsrVi, ParSpMm, PoolTelemetry};
 
 /// Version stamped into every `BENCH.json`; bump on any breaking change
 /// to the record layout (consumers must check it before reading fields).
@@ -74,9 +64,12 @@ use spmv_parallel::{ParCsr, ParCsrDu, ParCsrDuVi, ParCsrVi, ParSpMm, PoolTelemet
 /// per-iteration timings, and the kernel path the crossover switch chose
 /// each PageRank iteration. `records` may now also be empty when
 /// `spmspv` is present.
-pub const BENCH_SCHEMA_VERSION: u64 = 7;
+/// Version 8 dropped what the retired exhaustive `bench` sweep alone
+/// wrote: the per-record `telemetry` and `planned` fields (every record
+/// is planned, so `planner` is mandatory) and `service.retries`.
+pub const BENCH_SCHEMA_VERSION: u64 = 8;
 
-/// The formats the benchmark matrix covers, in emission order.
+/// The format keys a record (and its planner block) may carry.
 pub const BENCH_FORMATS: [&str; 4] = ["csr", "csr-du", "csr-vi", "csr-duvi"];
 
 /// Where a `BENCH.json` was produced.
@@ -113,35 +106,6 @@ impl MachineInfo {
         MachineInfo {
             machine_bandwidth_gbs: roofline::measure_stream_bandwidth(),
             ..Self::detect()
-        }
-    }
-}
-
-/// Per-worker execution telemetry attached to a multithreaded record
-/// (requires the `telemetry` feature; absent → `null` in the JSON).
-#[derive(Debug, Clone, PartialEq, Serialize)]
-pub struct TelemetryRecord {
-    /// Nanoseconds each thread spent executing dispatched work over the
-    /// timed iterations (index = tid; 0 is the dispatching caller).
-    pub busy_ns: Vec<u64>,
-    /// Work items per thread over the timed iterations.
-    pub chunks: Vec<u64>,
-    /// Pool dispatches covered (≥ iterations; reduction formats dispatch
-    /// twice per call).
-    pub dispatches: u64,
-    /// Busiest thread's busy time over the mean (1.0 = perfectly
-    /// balanced; see [`PoolTelemetry::imbalance`]).
-    pub imbalance: f64,
-}
-
-impl From<PoolTelemetry> for TelemetryRecord {
-    fn from(t: PoolTelemetry) -> TelemetryRecord {
-        let imbalance = t.imbalance();
-        TelemetryRecord {
-            busy_ns: t.busy_ns,
-            chunks: t.chunks,
-            dispatches: t.dispatches,
-            imbalance,
         }
     }
 }
@@ -227,9 +191,6 @@ pub struct ServiceSummary {
     /// down while they waited. (Requests still queued when a shutdown's
     /// drain budget runs out count in `deadline_expired`.)
     pub failed: u64,
-    /// Always 0: the service's supervised executor recovers every worker
-    /// fault, so no batch is re-run. Kept so the schema stays readable.
-    pub retries: u64,
     /// Times a per-matrix circuit breaker tripped to serial execution.
     pub breaker_trips: u64,
     /// End-to-end latency summary over *completed* requests (seconds,
@@ -250,9 +211,8 @@ pub struct ServiceSummary {
     pub tenant_waits: Vec<TenantWait>,
 }
 
-/// The planner decision behind a planned record (schema v6 `planner`).
-/// Present exactly when the record's `planned` flag is true — classic
-/// bench records, which sweep every format, carry `null` here.
+/// The planner decision behind a record (schema v6 `planner`; mandatory
+/// since v8).
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct PlannerDecisionRecord {
     /// Chosen format, as a [`BENCH_FORMATS`] key.
@@ -346,14 +306,15 @@ pub struct GraphMatrixRecord {
 }
 
 /// The top-level `spmspv` section of a graph artifact (schema v7; null
-/// for kernel benches and `loadgen` artifacts).
+/// for `plan` and `loadgen` artifacts).
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct GraphSummary {
     /// One record per measured graph matrix.
     pub matrices: Vec<GraphMatrixRecord>,
 }
 
-/// One measured (matrix, format, thread count, panel width) cell.
+/// One planned-and-measured corpus matrix: the (format, thread count)
+/// cell the planner chose, timed at panel width `k`.
 #[derive(Debug, Clone, Serialize)]
 pub struct BenchRecord {
     /// Corpus matrix name.
@@ -402,13 +363,8 @@ pub struct BenchRecord {
     /// cell runs to the measured stream ceiling. May exceed 1.0 for
     /// cache-resident working sets (the ceiling is a *memory* figure).
     pub roofline_fraction: f64,
-    /// Per-worker telemetry (`telemetry` feature, threads > 1 only).
-    pub telemetry: Option<TelemetryRecord>,
-    /// Whether this record's (format, threads) cell was chosen by the
-    /// planner rather than swept exhaustively (schema v6).
-    pub planned: bool,
-    /// The planner decision, present exactly when `planned` (schema v6).
-    pub planner: Option<PlannerDecisionRecord>,
+    /// The planner decision behind this record.
+    pub planner: PlannerDecisionRecord,
 }
 
 /// A complete `BENCH.json`.
@@ -424,228 +380,18 @@ pub struct BenchFile {
     pub iterations: usize,
     /// x-vector seed.
     pub seed: u64,
-    /// One record per (matrix, format, thread count). May be empty only
-    /// for a `loadgen` artifact (then `service` is present).
+    /// One record per planned corpus matrix. May be empty only when
+    /// `service` or `spmspv` is present.
     pub records: Vec<BenchRecord>,
     /// Serving-layer overload summary (`loadgen` artifacts only; null
-    /// for kernel benches).
+    /// otherwise).
     pub service: Option<ServiceSummary>,
     /// Plan-cache counters (`reproduce plan` artifacts only; null when
     /// the run never invoked the planner). Schema v6.
     pub plan_cache: Option<PlanCacheSummary>,
-    /// Graph/SpMSpV section (`reproduce graph` artifacts only; null for
-    /// kernel benches and `loadgen`). Schema v7.
+    /// Graph/SpMSpV section (`reproduce graph` artifacts only; null
+    /// otherwise). Schema v7.
     pub spmspv: Option<GraphSummary>,
-}
-
-/// What [`collect_bench`] measures.
-#[derive(Debug, Clone)]
-pub struct BenchOptions {
-    /// Corpus scale factor (1.0 = paper scale).
-    pub scale: f64,
-    /// Timed iterations per record (≥ 1; rejected otherwise).
-    pub iters: usize,
-    /// x-vector seed.
-    pub seed: u64,
-    /// Corpus matrix ids to measure.
-    pub matrix_ids: Vec<u32>,
-    /// Thread counts to measure (1 runs the serial kernel).
-    pub thread_counts: Vec<usize>,
-    /// Right-hand-side panel widths to measure (1 = plain SpMV).
-    pub k_values: Vec<usize>,
-    /// Warm-up policy.
-    pub warmup: WarmupOpts,
-    /// Kernel ISA override: `None` auto-detects; `Some(isa)` forces the
-    /// choice for the whole run (unavailable ISAs degrade to scalar, and
-    /// the records report what actually ran).
-    pub isa: Option<Isa>,
-}
-
-impl Default for BenchOptions {
-    /// Two small corpus matrices (ids 3 and 26: MS and MS-vi picks), the
-    /// four formats, 1/2/4 threads, k 1/2/4/8, 16 iterations at 5% scale.
-    fn default() -> BenchOptions {
-        BenchOptions {
-            scale: 0.05,
-            iters: 16,
-            seed: 42,
-            matrix_ids: vec![3, 26],
-            thread_counts: vec![1, 2, 4],
-            k_values: vec![1, 2, 4, 8],
-            warmup: WarmupOpts::default(),
-            isa: None,
-        }
-    }
-}
-
-/// Parses a comma-separated panel-width list for the CLI (`--k 1,2,4`):
-/// every entry must be a positive integer; duplicates are collapsed and
-/// the result is sorted, so the emission order of records is canonical
-/// regardless of how the flag was spelled.
-pub fn parse_k_list(s: &str) -> Result<Vec<usize>, String> {
-    let mut ks = Vec::new();
-    for part in s.split(',') {
-        let part = part.trim();
-        let k: usize =
-            part.parse().map_err(|_| format!("--k entry {part:?} is not a positive integer"))?;
-        if k == 0 {
-            return Err("--k entries must be >= 1 (k = 0 means no right-hand sides)".into());
-        }
-        ks.push(k);
-    }
-    if ks.is_empty() {
-        return Err("--k needs at least one panel width".into());
-    }
-    ks.sort_unstable();
-    ks.dedup();
-    Ok(ks)
-}
-
-/// Plans the parallel executor for `format` (thread counts > 1).
-fn plan<'m>(
-    format: &str,
-    csr: &'m Csr<u32, f64>,
-    du: &'m CsrDu<f64>,
-    vi: &'m CsrVi<u32, f64>,
-    duvi: &'m CsrDuVi<f64>,
-    threads: usize,
-) -> Box<dyn ParSpMm<f64> + 'm> {
-    match format {
-        "csr" => Box::new(ParCsr::new(csr, threads)),
-        "csr-du" => Box::new(ParCsrDu::new(du, threads)),
-        "csr-vi" => Box::new(ParCsrVi::new(vi, threads)),
-        "csr-duvi" => Box::new(ParCsrDuVi::new(duvi, threads)),
-        other => unreachable!("unknown bench format {other}"),
-    }
-}
-
-/// Runs the full measurement matrix (corpus entries × formats × thread
-/// counts × panel widths) and returns the artifact. Every multithreaded
-/// plan is validated per-column against the CSR baseline (typed ULP
-/// comparison) *before* its timing is trusted. `k = 1` cells time the
-/// SpMM entry point at panel width 1, which is bit-identical to SpMV.
-pub fn collect_bench(opts: &BenchOptions) -> Result<BenchFile, SparseError> {
-    if opts.iters == 0 {
-        return Err(SparseError::InvalidArgument("bench requires iters >= 1".into()));
-    }
-    if opts.k_values.contains(&0) {
-        return Err(SparseError::InvalidArgument("bench requires every k >= 1".into()));
-    }
-    // Explicit entry point: a malformed SPMV_ISA is a typed error here,
-    // not the lenient warn-and-ignore fallback of the cached selector.
-    spmv_core::simd::env_isa_checked()?;
-    // Force the requested ISA for the whole run (serial kernels read the
-    // global selection; parallel plans snapshot it at construction); the
-    // guard restores the previous state on every exit path.
-    struct IsaForceGuard(Option<Isa>);
-    impl Drop for IsaForceGuard {
-        fn drop(&mut self) {
-            spmv_core::simd::force(self.0);
-        }
-    }
-    let _isa_guard = opts.isa.map(|isa| {
-        let prev = spmv_core::simd::forced();
-        spmv_core::simd::force(Some(isa));
-        IsaForceGuard(prev)
-    });
-    // What actually runs (a forced-but-unavailable ISA degrades here).
-    let kernel_isa = spmv_core::simd::selected();
-    let machine = MachineInfo::measure();
-    if machine.machine_bandwidth_gbs <= 0.0 || !machine.machine_bandwidth_gbs.is_finite() {
-        return Err(SparseError::InvalidArgument(format!(
-            "stream bandwidth measurement returned {} GB/s; no roofline ceiling available",
-            machine.machine_bandwidth_gbs
-        )));
-    }
-    let corpus = spmv_matgen::corpus::corpus_scaled(opts.scale);
-    let mut records = Vec::new();
-    for &id in &opts.matrix_ids {
-        let entry = corpus.iter().find(|e| e.id == id).ok_or_else(|| {
-            SparseError::InvalidArgument(format!("matrix id {id} is not in the corpus"))
-        })?;
-        let csr: Csr = entry.build().to_csr();
-        let du = CsrDu::from_csr(&csr, &DuOptions::default());
-        let vi = CsrVi::from_csr(&csr);
-        let duvi = CsrDuVi::from_csr(&csr, &DuOptions::default());
-        let csr_bytes = csr.working_set().matrix_bytes();
-        let cells: [(&str, &dyn SpMm<f64>, usize); 4] = [
-            ("csr", &csr, csr_bytes),
-            ("csr-du", &du, du.size_bytes()),
-            ("csr-vi", &vi, vi.size_bytes()),
-            ("csr-duvi", &duvi, duvi.size_bytes()),
-        ];
-        for (format, serial, fmt_bytes) in cells {
-            for &threads in &opts.thread_counts {
-                for &k in &opts.k_values {
-                    let (m, telemetry) = if threads <= 1 {
-                        (
-                            measure_serial_spmm_with(
-                                serial,
-                                k,
-                                opts.iters,
-                                opts.seed,
-                                &opts.warmup,
-                            )?,
-                            None,
-                        )
-                    } else {
-                        let mut par = plan(format, &csr, &du, &vi, &duvi, threads);
-                        validate_parallel_spmm(serial, &csr, &mut *par, k, opts.seed)?;
-                        let m = measure_parallel_spmm_with(
-                            serial,
-                            &mut *par,
-                            k,
-                            opts.iters,
-                            opts.seed,
-                            &opts.warmup,
-                        )?;
-                        let telemetry = par.take_telemetry().map(TelemetryRecord::from);
-                        (m, telemetry)
-                    };
-                    let median = m.stats.median_s;
-                    let effective = effective_bandwidth(fmt_bytes, 1, median) / 1e9;
-                    records.push(BenchRecord {
-                        matrix: entry.name.clone(),
-                        matrix_id: u64::from(id),
-                        format: format.to_string(),
-                        threads,
-                        k,
-                        nrows: csr.nrows(),
-                        ncols: csr.ncols(),
-                        nnz: csr.nnz(),
-                        matrix_bytes: fmt_bytes,
-                        csr_matrix_bytes: csr_bytes,
-                        traffic_per_nnz: fmt_bytes as f64 / csr.nnz().max(1) as f64,
-                        warmup_iterations: m.warmup_iterations,
-                        mflops: m.mflops,
-                        effective_bandwidth_gbs: effective,
-                        compression_adjusted_gbs: effective_bandwidth(csr_bytes, 1, median) / 1e9,
-                        per_vector_bandwidth_gbs: effective / k as f64,
-                        kernel_isa: kernel_isa.as_str().to_string(),
-                        roofline_fraction: roofline::roofline_fraction(
-                            effective,
-                            machine.machine_bandwidth_gbs,
-                        ),
-                        stats: m.stats,
-                        telemetry,
-                        planned: false,
-                        planner: None,
-                    });
-                }
-            }
-        }
-    }
-    Ok(BenchFile {
-        schema_version: BENCH_SCHEMA_VERSION,
-        machine,
-        scale: opts.scale,
-        iterations: opts.iters,
-        seed: opts.seed,
-        records,
-        service: None,
-        plan_cache: None,
-        spmspv: None,
-    })
 }
 
 // ---------------------------------------------------------------------
@@ -713,7 +459,6 @@ fn validate_service(service: &Json) -> Result<(), String> {
     let deadline_expired = count("deadline_expired")?;
     let completed = count("completed")?;
     let failed = count("failed")?;
-    count("retries")?;
     count("breaker_trips")?;
     if admitted + shed_overload + shed_quota != submitted {
         return Err(format!(
@@ -951,9 +696,9 @@ fn validate_graph(graph: &Json) -> Result<(), String> {
 
 /// Validates `text` as a current-schema `BENCH.json`: parses the JSON,
 /// checks the version stamp, and requires every field the schema promises
-/// with the right shape. Used by `reproduce check-bench` and the
-/// `bench-smoke` / `service-smoke` CI gates, and by the golden-file
-/// tests.
+/// with the right shape. Used by `reproduce check-bench` (the CI smoke
+/// gates), by `plan`, `graph` and `loadgen` before they write an
+/// artifact, and by the golden-file tests.
 pub fn validate_bench_text(text: &str) -> Result<(), String> {
     let root = Json::parse(text).map_err(|e| format!("BENCH.json does not parse: {e}"))?;
     if !root.is_obj() {
@@ -980,7 +725,7 @@ pub fn validate_bench_text(text: &str) -> Result<(), String> {
     }
     require_num(&root, "seed", "top level")?;
     let service = match root.get("service") {
-        None => return Err("top level: missing \"service\" (null for kernel benches)".into()),
+        None => return Err("top level: missing \"service\" (null outside loadgen)".into()),
         Some(s) if s.is_null() => None,
         Some(s) => {
             validate_service(s)?;
@@ -1064,70 +809,34 @@ pub fn validate_bench_text(text: &str) -> Result<(), String> {
         }
         let stats = rec.get("stats").ok_or_else(|| format!("{ctx}: missing \"stats\""))?;
         validate_stats(stats, &format!("{ctx}.stats"))?;
-        // v6: `planned` is a mandatory boolean and the `planner` block is
-        // present exactly when it is true.
-        let planned = rec
-            .get("planned")
-            .and_then(Json::as_bool)
-            .ok_or_else(|| format!("{ctx}: missing or non-boolean field \"planned\""))?;
-        match rec.get("planner") {
-            None => return Err(format!("{ctx}: missing \"planner\" (null when not planned)")),
-            Some(p) if p.is_null() => {
-                if planned {
-                    return Err(format!("{ctx}: planned record has a null \"planner\" block"));
-                }
-            }
-            Some(p) => {
-                if !planned {
-                    return Err(format!("{ctx}: unplanned record carries a \"planner\" block"));
-                }
-                let pctx = format!("{ctx}.planner");
-                let pfmt = p
-                    .get("format")
-                    .and_then(Json::as_str)
-                    .ok_or_else(|| format!("{pctx}: missing or non-string field \"format\""))?;
-                if !BENCH_FORMATS.contains(&pfmt) {
-                    return Err(format!("{pctx}: unknown format {pfmt:?}"));
-                }
-                for key in ["threads", "chunks"] {
-                    let v = require_num(p, key, &pctx)?;
-                    if v < 1.0 {
-                        return Err(format!("{pctx}: {key} {v} must be >= 1"));
-                    }
-                }
-                for key in ["predicted_time_s", "predicted_mflops"] {
-                    let v = require_num(p, key, &pctx)?;
-                    if v < 0.0 {
-                        return Err(format!("{pctx}: {key} {v} must be >= 0"));
-                    }
-                }
-                for key in ["memory_bound", "cache_hit"] {
-                    p.get(key)
-                        .and_then(Json::as_bool)
-                        .ok_or_else(|| format!("{pctx}: missing or non-boolean field {key:?}"))?;
-                }
+        let pctx = format!("{ctx}.planner");
+        let p = rec
+            .get("planner")
+            .filter(|p| p.is_obj())
+            .ok_or_else(|| format!("{ctx}: missing or non-object \"planner\""))?;
+        let pfmt = p
+            .get("format")
+            .and_then(Json::as_str)
+            .ok_or_else(|| format!("{pctx}: missing or non-string field \"format\""))?;
+        if !BENCH_FORMATS.contains(&pfmt) {
+            return Err(format!("{pctx}: unknown format {pfmt:?}"));
+        }
+        for key in ["threads", "chunks"] {
+            let v = require_num(p, key, &pctx)?;
+            if v < 1.0 {
+                return Err(format!("{pctx}: {key} {v} must be >= 1"));
             }
         }
-        match rec.get("telemetry") {
-            None => return Err(format!("{ctx}: missing \"telemetry\" (null when disabled)")),
-            Some(t) if t.is_null() => {}
-            Some(t) => {
-                let tctx = format!("{ctx}.telemetry");
-                for key in ["busy_ns", "chunks"] {
-                    let arr = t
-                        .get(key)
-                        .and_then(Json::as_arr)
-                        .ok_or_else(|| format!("{tctx}: missing or non-array {key:?}"))?;
-                    if arr.iter().any(|v| v.as_f64().is_none()) {
-                        return Err(format!("{tctx}: {key:?} has non-numeric entries"));
-                    }
-                }
-                require_num(t, "dispatches", &tctx)?;
-                let imb = require_num(t, "imbalance", &tctx)?;
-                if imb < 1.0 {
-                    return Err(format!("{tctx}: imbalance {imb} below the 1.0 floor"));
-                }
+        for key in ["predicted_time_s", "predicted_mflops"] {
+            let v = require_num(p, key, &pctx)?;
+            if v < 0.0 {
+                return Err(format!("{pctx}: {key} {v} must be >= 0"));
             }
+        }
+        for key in ["memory_bound", "cache_hit"] {
+            p.get(key)
+                .and_then(Json::as_bool)
+                .ok_or_else(|| format!("{pctx}: missing or non-boolean field {key:?}"))?;
         }
     }
     Ok(())
@@ -1137,102 +846,76 @@ pub fn validate_bench_text(text: &str) -> Result<(), String> {
 mod tests {
     use super::*;
 
-    fn tiny_opts() -> BenchOptions {
-        BenchOptions {
+    /// A hand-built `reproduce plan` record with the decision behind it.
+    fn planned_record(format: &str, cache_hit: bool) -> BenchRecord {
+        BenchRecord {
+            matrix: "band_026".into(),
+            matrix_id: 26,
+            format: format.into(),
+            threads: 2,
+            k: 1,
+            nrows: 1000,
+            ncols: 1000,
+            nnz: 8000,
+            matrix_bytes: 70_000,
+            csr_matrix_bytes: 100_004,
+            traffic_per_nnz: 8.75,
+            warmup_iterations: 3,
+            stats: TimingStats {
+                samples: 8,
+                min_s: 1.0e-4,
+                median_s: 1.25e-4,
+                mean_s: 1.3e-4,
+                mad_s: 5.0e-6,
+                p95_s: 2.0e-4,
+                p99_s: 2.4e-4,
+                cv: 0.07,
+            },
+            mflops: 128.0,
+            effective_bandwidth_gbs: 0.56,
+            compression_adjusted_gbs: 0.8,
+            per_vector_bandwidth_gbs: 0.56,
+            kernel_isa: "scalar".into(),
+            roofline_fraction: 0.056,
+            planner: PlannerDecisionRecord {
+                format: format.into(),
+                threads: 2,
+                chunks: 4,
+                predicted_time_s: 1.5e-4,
+                predicted_mflops: 900.0,
+                memory_bound: true,
+                cache_hit,
+            },
+        }
+    }
+
+    /// A hand-built `reproduce plan` artifact: two planned records and
+    /// the run's cache counters.
+    fn planned_file() -> BenchFile {
+        BenchFile {
+            schema_version: BENCH_SCHEMA_VERSION,
+            machine: MachineInfo { machine_bandwidth_gbs: 12.5, ..MachineInfo::detect() },
             scale: 0.002,
-            iters: 3,
-            matrix_ids: vec![3],
-            thread_counts: vec![1, 2],
-            k_values: vec![1, 4],
-            ..BenchOptions::default()
+            iterations: 2,
+            seed: 42,
+            records: vec![planned_record("csr-du", false), planned_record("csr-vi", true)],
+            service: None,
+            plan_cache: Some(PlanCacheSummary {
+                hits: 1,
+                misses: 1,
+                encodes: 3,
+                shape_rejects: 0,
+                entries: 1,
+            }),
+            spmspv: None,
         }
-    }
-
-    #[test]
-    fn collect_bench_covers_the_matrix_and_validates() {
-        let file = collect_bench(&tiny_opts()).unwrap();
-        assert_eq!(file.schema_version, BENCH_SCHEMA_VERSION);
-        // 1 matrix x 4 formats x 2 thread counts x 2 panel widths.
-        assert_eq!(file.records.len(), 16);
-        assert!(
-            file.machine.machine_bandwidth_gbs.is_finite()
-                && file.machine.machine_bandwidth_gbs > 0.0
-        );
-        for rec in &file.records {
-            assert!(BENCH_FORMATS.contains(&rec.format.as_str()));
-            assert!(rec.stats.median_s > 0.0, "{}/{}", rec.format, rec.threads);
-            assert!(rec.k >= 1);
-            assert!(rec.effective_bandwidth_gbs > 0.0);
-            // Roofline placement is the effective figure over the stamped
-            // ceiling, finite by construction.
-            assert!(rec.roofline_fraction.is_finite() && rec.roofline_fraction >= 0.0);
-            let want_roof = rec.effective_bandwidth_gbs / file.machine.machine_bandwidth_gbs;
-            assert!((rec.roofline_fraction - want_roof).abs() < 1e-12);
-            assert!(spmv_core::simd::Isa::parse(&rec.kernel_isa).is_some(), "{}", rec.kernel_isa);
-            // Both bandwidths divide the same median time, so their ratio
-            // must equal the byte ratio exactly.
-            let got = rec.compression_adjusted_gbs / rec.effective_bandwidth_gbs;
-            let want = rec.csr_matrix_bytes as f64 / rec.matrix_bytes as f64;
-            assert!((got - want).abs() < 1e-9, "{}/{}: {got} vs {want}", rec.format, rec.threads);
-            // Per-vector bandwidth is the effective figure split over k.
-            let amortized = rec.effective_bandwidth_gbs / rec.k as f64;
-            assert!((rec.per_vector_bandwidth_gbs - amortized).abs() < 1e-12);
-            assert!(rec.traffic_per_nnz > 0.0);
-            if rec.threads == 1 {
-                assert!(rec.telemetry.is_none(), "serial records carry no telemetry");
-            }
-        }
-        // The k dimension is fully covered for every format.
-        for format in BENCH_FORMATS {
-            for k in [1usize, 4] {
-                assert!(
-                    file.records.iter().any(|r| r.format == format && r.k == k),
-                    "missing {format} k={k}"
-                );
-            }
-        }
-        // Compressed formats stream fewer bytes than the CSR baseline, so
-        // their compression-adjusted figure exceeds their effective one.
-        let du = file.records.iter().find(|r| r.format == "csr-du").unwrap();
-        assert!(du.matrix_bytes < du.csr_matrix_bytes);
-        let text = serde_json::to_string_pretty(&file).unwrap();
-        validate_bench_text(&text).unwrap();
-    }
-
-    #[test]
-    fn telemetry_presence_tracks_the_feature() {
-        let file = collect_bench(&tiny_opts()).unwrap();
-        let parallel: Vec<_> = file.records.iter().filter(|r| r.threads > 1).collect();
-        assert!(!parallel.is_empty());
-        for rec in parallel {
-            #[cfg(feature = "telemetry")]
-            {
-                let t = rec.telemetry.as_ref().expect("telemetry feature is on");
-                assert!(t.imbalance >= 1.0);
-                assert_eq!(t.busy_ns.len(), t.chunks.len());
-                assert!(t.dispatches >= file.iterations as u64, "window covers the timed loop");
-                assert!(t.busy_ns.iter().sum::<u64>() > 0);
-            }
-            #[cfg(not(feature = "telemetry"))]
-            assert!(rec.telemetry.is_none());
-        }
-    }
-
-    #[test]
-    fn rejects_zero_iterations_and_unknown_matrices() {
-        let err = collect_bench(&BenchOptions { iters: 0, ..tiny_opts() }).unwrap_err();
-        assert!(matches!(err, SparseError::InvalidArgument(_)), "{err}");
-        let err =
-            collect_bench(&BenchOptions { matrix_ids: vec![9999], ..tiny_opts() }).unwrap_err();
-        assert!(matches!(err, SparseError::InvalidArgument(_)), "{err}");
-        let err = collect_bench(&BenchOptions { k_values: vec![0], ..tiny_opts() }).unwrap_err();
-        assert!(matches!(err, SparseError::InvalidArgument(_)), "{err}");
     }
 
     #[test]
     fn validator_rejects_broken_artifacts() {
-        let file = collect_bench(&tiny_opts()).unwrap();
+        let file = planned_file();
         let good = serde_json::to_string_pretty(&file).unwrap();
+        validate_bench_text(&good).unwrap();
         assert!(validate_bench_text("not json").is_err());
         assert!(validate_bench_text("{}").is_err());
         let wrong_version = good.replacen(
@@ -1252,7 +935,12 @@ mod tests {
             &format!("\"kernel_isa\": \"{}\"", file.records[0].kernel_isa),
             "\"kernel_isa\": \"mmx\"",
         );
+        assert_ne!(bad_isa, good, "replacement must hit the ISA field");
         assert!(validate_bench_text(&bad_isa).unwrap_err().contains("mmx"));
+        let neg_roof =
+            good.replacen("\"roofline_fraction\": 0.056", "\"roofline_fraction\": -1", 1);
+        assert_ne!(neg_roof, good, "replacement must hit the roofline field");
+        assert!(validate_bench_text(&neg_roof).unwrap_err().contains("roofline_fraction"));
         let no_ceiling = good.replacen(
             &format!("\"machine_bandwidth_gbs\": {}", file.machine.machine_bandwidth_gbs),
             "\"machine_bandwidth_gbs\": 0.0",
@@ -1263,7 +951,6 @@ mod tests {
     }
 
     fn service_file() -> BenchFile {
-        use crate::measured::TimingStats;
         BenchFile {
             schema_version: BENCH_SCHEMA_VERSION,
             machine: MachineInfo { machine_bandwidth_gbs: 10.0, ..MachineInfo::detect() },
@@ -1283,7 +970,6 @@ mod tests {
                 deadline_expired: 80,
                 completed: 3900,
                 failed: 20,
-                retries: 3,
                 breaker_trips: 1,
                 latency: TimingStats {
                     samples: 3900,
@@ -1405,36 +1091,21 @@ mod tests {
 
     #[test]
     fn validator_enforces_the_v6_planner_contract() {
-        // A planned artifact: one record carries the decision block and
-        // the top level carries the cache counters.
-        let mut file = collect_bench(&tiny_opts()).unwrap();
-        file.records[0].planned = true;
-        file.records[0].planner = Some(PlannerDecisionRecord {
-            format: file.records[0].format.clone(),
-            threads: file.records[0].threads,
-            chunks: 4,
-            predicted_time_s: 1.5e-4,
-            predicted_mflops: 900.0,
-            memory_bound: true,
-            cache_hit: false,
-        });
-        file.plan_cache =
-            Some(PlanCacheSummary { hits: 0, misses: 1, encodes: 3, shape_rejects: 0, entries: 1 });
-        let good = serde_json::to_string_pretty(&file).unwrap();
+        let good = serde_json::to_string_pretty(&planned_file()).unwrap();
         validate_bench_text(&good).unwrap();
 
         // The plan_cache key is mandatory even when null.
         let missing = good.replacen("\"plan_cache\"", "\"plancache\"", 1);
         assert_ne!(missing, good);
         assert!(validate_bench_text(&missing).unwrap_err().contains("plan_cache"));
-        // `planned` must be a real boolean.
-        let truthy = good.replacen("\"planned\": true", "\"planned\": 1", 1);
-        assert_ne!(truthy, good);
-        assert!(validate_bench_text(&truthy).unwrap_err().contains("planned"));
-        // A planned record without its decision block is rejected...
-        let headless = good.replacen("\"planned\": false", "\"planned\": true", 1);
+        // A record without its decision block is rejected, whether the
+        // key is gone or its value is null...
+        let headless = good.replacen("\"planner\"", "\"plan\"", 1);
         assert_ne!(headless, good);
         assert!(validate_bench_text(&headless).unwrap_err().contains("planner"));
+        let nulled = good.replacen("\"planner\": {", "\"planner\": null, \"x\": {", 1);
+        assert_ne!(nulled, good);
+        assert!(validate_bench_text(&nulled).unwrap_err().contains("planner"));
         // ...and the block itself is checked (format key, bool fields).
         let badfmt = good.replacen("\"chunks\": 4", "\"chunks\": 0", 1);
         assert_ne!(badfmt, good);
@@ -1530,22 +1201,5 @@ mod tests {
         empty.spmspv = Some(GraphSummary { matrices: Vec::new() });
         let empty = serde_json::to_string_pretty(&empty).unwrap();
         assert!(validate_bench_text(&empty).unwrap_err().contains("matrices"));
-    }
-
-    #[test]
-    fn forced_scalar_run_reports_scalar_and_restores_the_global() {
-        let before = spmv_core::simd::forced();
-        let file = collect_bench(&BenchOptions { isa: Some(Isa::Scalar), ..tiny_opts() }).unwrap();
-        assert!(file.records.iter().all(|r| r.kernel_isa == "scalar"));
-        assert_eq!(spmv_core::simd::forced(), before, "force guard must restore");
-    }
-
-    #[test]
-    fn parse_k_list_validates_sorts_and_dedups() {
-        assert_eq!(parse_k_list("1").unwrap(), vec![1]);
-        assert_eq!(parse_k_list("8, 2,4,2").unwrap(), vec![2, 4, 8]);
-        for bad in ["", "0", "1,0", "-2", "a", "1,,2", "1.5"] {
-            assert!(parse_k_list(bad).is_err(), "{bad:?} should fail");
-        }
     }
 }

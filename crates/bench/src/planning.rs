@@ -1,15 +1,14 @@
 //! Planner-driven measurement: the `reproduce plan` subcommand.
 //!
-//! Where `bench` sweeps every (format, threads, k) cell exhaustively,
 //! `plan` asks the [`Planner`] for *one* cell per corpus matrix — the
 //! cost model's pick — then measures exactly that cell and compares the
 //! prediction against reality. Plans are cached by matrix fingerprint
 //! and persisted next to the artifact ([`PLAN_CACHE_FILE`]), so a
 //! second (warm) run serves every decision from the cache, re-encodes
 //! nothing, and replays the cold run's measured medians instead of
-//! re-timing. The emitted `BENCH.json` is schema v6: every record is
-//! `planned` with a `planner` decision block, and the top level carries
-//! the run's `plan_cache` counters.
+//! re-timing. Every record of the emitted `BENCH.json` carries its
+//! `planner` decision block, and the top level carries the run's
+//! `plan_cache` counters.
 
 use crate::measured::{
     measure_parallel_spmm_with, measure_serial_spmm_with, validate_parallel_spmm, Measurement,
@@ -175,7 +174,7 @@ fn replay_stats(m: &MeasuredCost) -> TimingStats {
 }
 
 /// Plans and measures every M0 corpus matrix at `opts.scale` through
-/// `planner`, returning the schema-v6 artifact plus per-matrix outcomes
+/// `planner`, returning the artifact plus per-matrix outcomes
 /// (same order as the corpus). Cold plans are encoded, checked against
 /// the CSR baseline, timed, and their measured cost is recorded back
 /// into the planner's cache; warm plans (cache hit with a recorded
@@ -249,9 +248,7 @@ pub fn run_planned(
                 machine.machine_bandwidth_gbs,
             ),
             stats,
-            telemetry: None,
-            planned: true,
-            planner: Some(PlannerDecisionRecord {
+            planner: PlannerDecisionRecord {
                 format: bench_key(plan.format)?.to_string(),
                 threads: plan.threads,
                 chunks: plan.chunks,
@@ -259,7 +256,7 @@ pub fn run_planned(
                 predicted_mflops: plan.predicted_mflops,
                 memory_bound: plan.memory_bound,
                 cache_hit: plan.cache_hit,
-            }),
+            },
         };
         let outcome = PlannedOutcome { plan, replayed, record: records.len() };
         progress(&outcome, &record);
@@ -352,7 +349,7 @@ mod tests {
             assert_eq!(c.format, w.format);
             assert_eq!(c.threads, w.threads);
             assert_eq!(c.stats.median_s, w.stats.median_s);
-            assert!(w.planner.as_ref().unwrap().cache_hit);
+            assert!(w.planner.cache_hit);
         }
         let pc = warm.plan_cache.as_ref().unwrap();
         assert_eq!(pc.misses + pc.hits, 2 * cold.records.len() as u64);
@@ -363,8 +360,37 @@ mod tests {
     fn planned_artifact_is_schema_valid() {
         let planner = Planner::new(PlannerConfig::default());
         let (file, _) = run_planned(&planner, &tiny_opts(), |_, _| {}).unwrap();
+        let ceiling = file.machine.machine_bandwidth_gbs;
+        assert!(ceiling.is_finite() && ceiling > 0.0);
+        for rec in &file.records {
+            assert!(spmv_core::simd::Isa::parse(&rec.kernel_isa).is_some(), "{}", rec.kernel_isa);
+            assert_eq!(rec.k, 1);
+            // Roofline placement is the effective figure over the stamped
+            // ceiling, and at k = 1 one vector carries the whole matrix.
+            assert!((rec.roofline_fraction - rec.effective_bandwidth_gbs / ceiling).abs() < 1e-12);
+            assert_eq!(rec.per_vector_bandwidth_gbs, rec.effective_bandwidth_gbs);
+            // Both bandwidths divide the same median time, so their ratio
+            // must equal the byte ratio.
+            if rec.effective_bandwidth_gbs > 0.0 {
+                let got = rec.compression_adjusted_gbs / rec.effective_bandwidth_gbs;
+                let want = rec.csr_matrix_bytes as f64 / rec.matrix_bytes as f64;
+                assert!((got - want).abs() < 1e-9, "{}: {got} vs {want}", rec.matrix);
+            }
+            assert_eq!(rec.planner.format, rec.format);
+            assert_eq!(rec.planner.threads, rec.threads);
+        }
         let text = serde_json::to_string_pretty(&file).unwrap();
         crate::metrics::validate_bench_text(&text).unwrap();
+    }
+
+    #[test]
+    fn zero_iterations_are_rejected() {
+        let planner = Planner::new(PlannerConfig::default());
+        let opts = PlanRunOptions { iters: 0, ..tiny_opts() };
+        let err = run_planned(&planner, &opts, |_, _| {}).unwrap_err();
+        assert!(matches!(err, SparseError::InvalidArgument(_)), "{err}");
+        let s = planner.stats();
+        assert_eq!((s.hits, s.misses, s.encodes), (0, 0, 0), "rejected before planning");
     }
 
     #[test]

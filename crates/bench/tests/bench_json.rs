@@ -1,13 +1,15 @@
 //! The BENCH.json contract: serialize -> parse -> field-by-field
-//! agreement (golden schema), determinism of non-timing fields across
-//! runs, and telemetry presence tracking the feature flag.
+//! agreement (golden schema), and determinism of non-timing fields
+//! across two cold `reproduce plan` runs.
 
 use spmv_bench::jsonv::Json;
 use spmv_bench::measured::TimingStats;
 use spmv_bench::metrics::{
-    collect_bench, validate_bench_text, BenchFile, BenchOptions, BenchRecord, MachineInfo,
-    PlanCacheSummary, PlannerDecisionRecord, TelemetryRecord, BENCH_SCHEMA_VERSION,
+    validate_bench_text, BenchFile, BenchRecord, MachineInfo, PlanCacheSummary,
+    PlannerDecisionRecord, BENCH_SCHEMA_VERSION,
 };
+use spmv_bench::planning::{run_planned, PlanRunOptions};
+use spmv_memsim::{Planner, PlannerConfig};
 
 /// A hand-built artifact with every field at a distinctive value, so the
 /// roundtrip test notices a dropped, renamed, or reordered field.
@@ -52,14 +54,7 @@ fn golden_file() -> BenchFile {
             per_vector_bandwidth_gbs: 0.14,
             kernel_isa: "avx2".into(),
             roofline_fraction: 0.56 / 12.5,
-            telemetry: Some(TelemetryRecord {
-                busy_ns: vec![400, 300, 500, 200],
-                chunks: vec![12, 12, 12, 12],
-                dispatches: 12,
-                imbalance: 500.0 / 350.0,
-            }),
-            planned: true,
-            planner: Some(PlannerDecisionRecord {
+            planner: PlannerDecisionRecord {
                 format: "csr-du".into(),
                 threads: 4,
                 chunks: 8,
@@ -67,7 +62,7 @@ fn golden_file() -> BenchFile {
                 predicted_mflops: 115.0,
                 memory_bound: true,
                 cache_hit: false,
-            }),
+            },
         }],
         service: None,
         plan_cache: Some(PlanCacheSummary {
@@ -134,19 +129,10 @@ fn golden_schema_roundtrips_field_by_field() {
     assert_eq!(num(stats, "p99_s"), 2.4e-4);
     assert_eq!(num(stats, "cv"), 0.07);
     assert!(root.get("service").expect("service field always present").is_null());
-
-    let t = r.get("telemetry").expect("telemetry field");
-    let busy: Vec<f64> =
-        t.get("busy_ns").unwrap().as_arr().unwrap().iter().map(|v| v.as_f64().unwrap()).collect();
-    assert_eq!(busy, vec![400.0, 300.0, 500.0, 200.0]);
-    let chunks: Vec<f64> =
-        t.get("chunks").unwrap().as_arr().unwrap().iter().map(|v| v.as_f64().unwrap()).collect();
-    assert_eq!(chunks, vec![12.0; 4]);
-    assert_eq!(num(t, "dispatches"), 12.0);
-    assert!((num(t, "imbalance") - 500.0 / 350.0).abs() < 1e-12);
+    // v8 dropped the exhaustive sweep's per-record fields.
+    assert!(r.get("telemetry").is_none() && r.get("planned").is_none());
 
     // v6 planner layer.
-    assert_eq!(r.get("planned").unwrap().as_bool(), Some(true));
     let p = r.get("planner").expect("planner block");
     assert_eq!(p.get("format").unwrap().as_str(), Some("csr-du"));
     assert_eq!(num(p, "threads"), 4.0);
@@ -169,7 +155,7 @@ fn golden_schema_detects_field_removal() {
     let text = serde_json::to_string_pretty(&golden_file()).unwrap();
     for field in [
         "\"median_s\"",
-        "\"imbalance\"",
+        "\"planner\"",
         "\"machine\"",
         "\"format\"",
         "\"k\"",
@@ -188,16 +174,12 @@ fn golden_schema_detects_field_removal() {
 
 #[test]
 fn two_runs_agree_on_all_non_timing_fields() {
-    let opts = BenchOptions {
-        scale: 0.002,
-        iters: 2,
-        matrix_ids: vec![3],
-        thread_counts: vec![1, 2],
-        k_values: vec![1, 2],
-        ..BenchOptions::default()
-    };
-    let a = collect_bench(&opts).unwrap();
-    let b = collect_bench(&opts).unwrap();
+    // Two cold runs, each on a fresh planner: the model's decisions and
+    // every size and shape field must repeat exactly.
+    let opts = PlanRunOptions { scale: 0.002, iters: 2, ..PlanRunOptions::default() };
+    let run = || run_planned(&Planner::new(PlannerConfig::default()), &opts, |_, _| {}).unwrap().0;
+    let a = run();
+    let b = run();
     assert_eq!(a.schema_version, b.schema_version);
     // The machine description is deterministic, but the measured
     // bandwidth ceiling is a timing and may differ between runs.
@@ -209,6 +191,7 @@ fn two_runs_agree_on_all_non_timing_fields() {
     assert_eq!(a.scale, b.scale);
     assert_eq!(a.iterations, b.iterations);
     assert_eq!(a.seed, b.seed);
+    assert!(!a.records.is_empty());
     assert_eq!(a.records.len(), b.records.len());
     for (ra, rb) in a.records.iter().zip(&b.records) {
         assert_eq!(ra.matrix, rb.matrix);
@@ -223,35 +206,9 @@ fn two_runs_agree_on_all_non_timing_fields() {
         assert_eq!(ra.csr_matrix_bytes, rb.csr_matrix_bytes);
         assert_eq!(ra.traffic_per_nnz, rb.traffic_per_nnz);
         assert_eq!(ra.kernel_isa, rb.kernel_isa);
-        // Timing fields (stats, mflops, bandwidths, roofline fraction,
-        // warmup count, and telemetry busy times) legitimately differ
-        // between runs.
+        assert_eq!(ra.planner, rb.planner);
+        // Timing fields (stats, mflops, bandwidths, roofline fraction
+        // and warmup count) legitimately differ between runs.
     }
-}
-
-#[test]
-fn emitted_artifact_telemetry_matches_feature() {
-    let opts = BenchOptions {
-        scale: 0.002,
-        iters: 2,
-        matrix_ids: vec![3],
-        thread_counts: vec![1, 2],
-        k_values: vec![1, 2],
-        ..BenchOptions::default()
-    };
-    let file = collect_bench(&opts).unwrap();
-    let text = serde_json::to_string_pretty(&file).unwrap();
-    validate_bench_text(&text).unwrap();
-    let root = Json::parse(&text).unwrap();
-    for rec in root.get("records").and_then(Json::as_arr).unwrap() {
-        let threads = num(rec, "threads");
-        let t = rec.get("telemetry").expect("field always present");
-        if threads <= 1.0 {
-            assert!(t.is_null(), "serial records have null telemetry");
-        } else if cfg!(feature = "telemetry") {
-            assert!(t.is_obj(), "parallel records carry telemetry when the feature is on");
-        } else {
-            assert!(t.is_null(), "telemetry is null with the feature off");
-        }
-    }
+    assert_eq!(a.plan_cache, b.plan_cache);
 }

@@ -10,16 +10,14 @@
 //!
 //! Selection policy, in priority order:
 //!
-//! 1. a process-wide override installed with [`force`] (the
-//!    `reproduce bench --isa` flag);
-//! 2. the `SPMV_ISA` environment variable (`scalar`/`avx2`/`auto`),
+//! 1. the `SPMV_ISA` environment variable (`scalar`/`avx2`/`auto`),
 //!    read once and cached — the CI `simd-smoke` gate uses this;
-//! 3. CPUID feature detection ([`Isa::detect`], cached).
+//! 2. CPUID feature detection ([`Isa::detect`], cached).
 //!
 //! Requesting [`Isa::Avx2`] on a machine without AVX2 silently degrades
 //! to [`Isa::Scalar`] at every dispatch site (checked against the cached
-//! detection result), so no combination of overrides can execute an
-//! unsupported instruction.
+//! detection result), so no setting can execute an unsupported
+//! instruction.
 //!
 //! # Bit-identical by construction
 //!
@@ -58,8 +56,6 @@ const CODE_AVX2: u8 = 2;
 
 /// Cached CPUID detection result (0 = not yet probed).
 static DETECTED: AtomicU8 = AtomicU8::new(0);
-/// Process-wide override installed by [`force`] (0 = none).
-static FORCED: AtomicU8 = AtomicU8::new(0);
 /// `SPMV_ISA` environment variable, read once.
 static ENV_CHOICE: OnceLock<Option<Isa>> = OnceLock::new();
 
@@ -122,14 +118,6 @@ impl Isa {
             Isa::Avx2 => CODE_AVX2,
         }
     }
-
-    fn from_code(code: u8) -> Option<Isa> {
-        match code {
-            CODE_SCALAR => Some(Isa::Scalar),
-            CODE_AVX2 => Some(Isa::Avx2),
-            _ => None,
-        }
-    }
 }
 
 impl std::fmt::Display for Isa {
@@ -138,9 +126,9 @@ impl std::fmt::Display for Isa {
     }
 }
 
-/// Parses an ISA *choice* as accepted by `reproduce bench --isa` and the
-/// `SPMV_ISA` environment variable: `"auto"` means "pick the best
-/// supported ISA" (`Ok(None)`); a concrete name pins it.
+/// Parses an ISA *choice* as accepted by the `SPMV_ISA` environment
+/// variable: `"auto"` means "pick the best supported ISA" (`Ok(None)`); a
+/// concrete name pins it.
 pub fn parse_choice(s: &str) -> Result<Option<Isa>, String> {
     match s {
         "auto" => Ok(None),
@@ -148,19 +136,6 @@ pub fn parse_choice(s: &str) -> Result<Option<Isa>, String> {
             .map(Some)
             .ok_or_else(|| format!("unknown ISA {other:?} (expected auto, scalar or avx2)")),
     }
-}
-
-/// Installs (or with `None` clears) a process-wide ISA override. Takes
-/// precedence over `SPMV_ISA` and auto-detection. Kernels constructed or
-/// called afterwards use the override; plans built earlier keep the ISA
-/// they snapshotted.
-pub fn force(choice: Option<Isa>) {
-    FORCED.store(choice.map_or(0, Isa::code), Ordering::Relaxed);
-}
-
-/// The currently installed [`force`] override, if any.
-pub fn forced() -> Option<Isa> {
-    Isa::from_code(FORCED.load(Ordering::Relaxed))
 }
 
 fn env_choice() -> Option<Isa> {
@@ -180,7 +155,7 @@ fn env_choice() -> Option<Isa> {
 }
 
 /// Strict form of the `SPMV_ISA` reader for explicit API paths
-/// (`collect_bench`, the service builder): re-reads the environment and
+/// (`run_planned`, the service builder): re-reads the environment and
 /// returns [`SparseError::InvalidArgument`] for a malformed value
 /// instead of the warn-and-ignore fallback the cached [`selected`] path
 /// uses. `Ok(None)` means unset or `auto`.
@@ -195,11 +170,11 @@ pub fn env_isa_checked() -> Result<Option<Isa>, SparseError> {
     }
 }
 
-/// The ISA new kernel calls and plans will use right now:
-/// [`force`] override, else `SPMV_ISA`, else [`Isa::detect`] — degraded
-/// to [`Isa::Scalar`] whenever the choice is not actually available.
+/// The ISA new kernel calls and plans use: `SPMV_ISA`, else
+/// [`Isa::detect`] — degraded to [`Isa::Scalar`] whenever the choice is
+/// not actually available.
 pub fn selected() -> Isa {
-    let choice = forced().or_else(env_choice).unwrap_or_else(Isa::detect);
+    let choice = env_choice().unwrap_or_else(Isa::detect);
     if choice.available() {
         choice
     } else {
@@ -283,16 +258,6 @@ mod tests {
         assert_eq!(parse_choice("avx2"), Ok(Some(Isa::Avx2)));
         assert!(parse_choice("AVX2").is_err());
         assert!(parse_choice("").is_err());
-    }
-
-    #[test]
-    fn force_overrides_and_clears() {
-        let prev = forced();
-        force(Some(Isa::Scalar));
-        assert_eq!(forced(), Some(Isa::Scalar));
-        assert_eq!(selected(), Isa::Scalar);
-        force(prev);
-        assert_eq!(forced(), prev);
     }
 
     #[test]

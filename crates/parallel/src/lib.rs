@@ -95,16 +95,12 @@
 //!
 //! ## Observability
 //!
-//! The `telemetry` feature compiles per-worker busy-time and work-item
-//! counters ([`telemetry::PoolTelemetry`]) into the pool dispatch path
-//! and the supervised executor, recorded lock-free into cache-line-
-//! aligned relaxed atomics that each thread writes alone. Drain a window
-//! with [`pool::WorkerPool::take_telemetry`] / [`ParSpMv::take_telemetry`]
-//! or read [`supervised::HealthReport::telemetry`]; the derived
-//! [`telemetry::PoolTelemetry::imbalance`] ratio (busiest thread over the
-//! mean) is what the benchmark harness stores in `BENCH.json`. With the
-//! feature off the types still compile (so signatures never change) but
-//! every recording site is compiled out and the queries return `None`.
+//! The executors record no timings of their own. A supervised call
+//! reports what went wrong in its [`supervised::HealthReport`]; how fast
+//! the kernels, the pool dispatch and the supervision run is measured
+//! from outside, by the `perfbench` package at the repository root (the
+//! paper's §VI-A protocol on the `Par*` executors, and the dispatch and
+//! supervision overheads in its traced ladder).
 
 #![deny(clippy::undocumented_unsafe_blocks)]
 
@@ -115,7 +111,6 @@ pub mod partition;
 pub mod pool;
 pub mod spmspv;
 pub mod supervised;
-pub mod telemetry;
 
 pub use par::{
     ParChunks, ParCscColumns, ParCsr, ParCsrBlock2d, ParCsrDu, ParCsrDuVi, ParCsrVi, ParSpMm,
@@ -129,4 +124,3 @@ pub use supervised::{
     CsrChunks, CsrDuChunks, CsrDuViChunks, CsrViChunks, FaultEvent, HealthReport, SupervisedSpMv,
     WatchdogOpts, DEFAULT_WATCHDOG,
 };
-pub use telemetry::PoolTelemetry;

@@ -25,7 +25,6 @@ use crate::partition::{ColPartition, Grid2d, RowPartition};
 use crate::pool::{chunk, Parts, WorkerPool};
 use crate::supervised::{zero_uncovered, ChunkKernel};
 use crate::supervised::{CsrChunks, CsrDuChunks, CsrDuViChunks, CsrViChunks};
-use crate::telemetry::PoolTelemetry;
 use spmv_core::csr_du::CsrDu;
 use spmv_core::csr_duvi::CsrDuVi;
 use spmv_core::csr_vi::CsrVi;
@@ -42,13 +41,6 @@ pub trait ParSpMv<V: Scalar>: Send {
     fn nthreads(&self) -> usize;
     /// Computes `y = A·x` using the planned partition.
     fn par_spmv(&mut self, x: &[V], y: &mut [V]);
-    /// Drains this plan's per-worker telemetry accumulated since the last
-    /// drain (see [`WorkerPool::take_telemetry`]). Returns `None` when the
-    /// crate's `telemetry` feature is off. The default exists for external
-    /// implementors; every executor in this module forwards to its pool.
-    fn take_telemetry(&mut self) -> Option<PoolTelemetry> {
-        None
-    }
 }
 
 /// Multi-vector extension of [`ParSpMv`]: `Y = A·X` for a row-major panel
@@ -111,10 +103,6 @@ impl<K> ParChunks<K> {
 impl<V: Scalar, K: ChunkKernel<V>> ParSpMv<V> for ParChunks<K> {
     fn nthreads(&self) -> usize {
         self.rows.len()
-    }
-
-    fn take_telemetry(&mut self) -> Option<PoolTelemetry> {
-        self.pool.take_telemetry()
     }
 
     fn par_spmv(&mut self, x: &[V], y: &mut [V]) {
@@ -246,10 +234,6 @@ impl<I: SpIndex, V: Scalar> ParSpMv<V> for ParCscColumns<'_, I, V> {
         self.partition.nparts()
     }
 
-    fn take_telemetry(&mut self) -> Option<PoolTelemetry> {
-        self.pool.take_telemetry()
-    }
-
     fn par_spmv(&mut self, x: &[V], y: &mut [V]) {
         assert_eq!(x.len(), self.matrix.ncols(), "x length must equal ncols");
         assert_eq!(y.len(), self.matrix.nrows(), "y length must equal nrows");
@@ -352,10 +336,6 @@ impl<'m, I: SpIndex, V: Scalar> ParCsrBlock2d<'m, I, V> {
 impl<I: SpIndex, V: Scalar> ParSpMv<V> for ParCsrBlock2d<'_, I, V> {
     fn nthreads(&self) -> usize {
         self.grid.len()
-    }
-
-    fn take_telemetry(&mut self) -> Option<PoolTelemetry> {
-        self.pool.take_telemetry()
     }
 
     fn par_spmv(&mut self, x: &[V], y: &mut [V]) {

@@ -126,6 +126,22 @@ fn par_csc_columns_matches_reference_numerically() {
 }
 
 #[test]
+fn checked_comparator_accepts_reordered_reductions() {
+    // The column-partitioned executor sums per-thread private vectors
+    // — a reordering a raw == 0.0 comparison would spuriously fail on
+    // general inputs; the ULP comparator must accept it over every row.
+    use spmv_core::checked::{CheckOptions, CheckedSpMv};
+    let csr = spmv_matgen::gen::banded(500, 6, 1.0, 3).to_csr();
+    let csc = Csc::from_csr(&csr).unwrap();
+    let x: Vec<f64> = (0..500).map(|i| ((i * 7919) % 1009) as f64 / 503.0 - 1.0).collect();
+    let mut par = ParCscColumns::new(&csc, 4);
+    let mut y = vec![0.0; 500];
+    par.par_spmv(&x, &mut y);
+    let opts = CheckOptions { sample_rows: 0, ..CheckOptions::default() };
+    CheckedSpMv::with_options(&csc, &csr, opts).unwrap().verify_against(&x, &y).unwrap();
+}
+
+#[test]
 fn par_csr_block2d_matches_reference_numerically() {
     let coo = irregular(100, 140, 6);
     let csr = coo.to_csr();

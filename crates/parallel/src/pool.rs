@@ -30,7 +30,6 @@
 //! writes a shared buffer from the pool goes through it, so the
 //! disjointness argument is made once, here.
 
-use crate::telemetry::PoolTelemetry;
 use std::any::Any;
 use std::ops::Range;
 use std::panic::{self, AssertUnwindSafe};
@@ -76,28 +75,6 @@ struct Shared {
     work_cv: Condvar,
     /// The dispatching caller parks here until `active` drains to zero.
     done_cv: Condvar,
-    /// Per-thread busy-time/job counters (slot 0 = caller); drained by
-    /// [`WorkerPool::take_telemetry`].
-    #[cfg(feature = "telemetry")]
-    telemetry: crate::telemetry::TelemetrySink,
-}
-
-/// Runs `f`, crediting its wall time to `tid`'s telemetry slot. Compiles
-/// to a plain call without the `telemetry` feature.
-#[inline]
-fn record_busy<R>(shared: &Shared, tid: usize, f: impl FnOnce() -> R) -> R {
-    #[cfg(feature = "telemetry")]
-    {
-        let t0 = std::time::Instant::now();
-        let r = f();
-        shared.telemetry.record(tid, t0.elapsed());
-        r
-    }
-    #[cfg(not(feature = "telemetry"))]
-    {
-        let _ = (shared, tid);
-        f()
-    }
 }
 
 /// Locks the pool state, ignoring poison: no code path holds the lock
@@ -171,8 +148,6 @@ impl WorkerPool {
             }),
             work_cv: Condvar::new(),
             done_cv: Condvar::new(),
-            #[cfg(feature = "telemetry")]
-            telemetry: crate::telemetry::TelemetrySink::new(nthreads),
         });
         let handles = (1..nthreads).map(|tid| spawn_worker(&shared, tid)).collect();
         WorkerPool { shared, handles, nthreads }
@@ -182,22 +157,6 @@ impl WorkerPool {
     /// caller).
     pub fn nthreads(&self) -> usize {
         self.nthreads
-    }
-
-    /// Drains per-thread telemetry (busy time, job counts, dispatch
-    /// count) accumulated since construction or the last drain. Returns
-    /// `None` unless the crate's `telemetry` feature is enabled —
-    /// recording code is compiled out entirely when off, so the method
-    /// exists (and types check) in both configurations at zero cost.
-    pub fn take_telemetry(&mut self) -> Option<PoolTelemetry> {
-        #[cfg(feature = "telemetry")]
-        {
-            Some(self.shared.telemetry.snapshot_and_reset())
-        }
-        #[cfg(not(feature = "telemetry"))]
-        {
-            None
-        }
     }
 
     /// Runs `f(tid)` once per thread, `tid` in `0..nthreads`, and returns
@@ -212,13 +171,9 @@ impl WorkerPool {
     {
         if self.nthreads == 1 {
             // Serial fast path: no handshake at all.
-            #[cfg(feature = "telemetry")]
-            self.shared.telemetry.record_dispatch();
-            record_busy(&self.shared, 0, || f(0));
+            f(0);
             return;
         }
-        #[cfg(feature = "telemetry")]
-        self.shared.telemetry.record_dispatch();
         let f_ref: &(dyn Fn(usize) + Sync) = &f;
         // SAFETY: only the borrow's lifetime is erased. `f` outlives every
         // use of the pointer: the drain guard below waits for all workers
@@ -239,7 +194,7 @@ impl WorkerPool {
         // of `f(0)` below, so the borrow never dangles; it also re-raises
         // a worker panic once the drain completes.
         let guard = DrainGuard { shared: &self.shared };
-        record_busy(&self.shared, 0, || f(0));
+        f(0);
         drop(guard);
     }
 
@@ -342,14 +297,11 @@ fn worker_loop(shared: &Shared, tid: usize) {
         // A panic in the job must not unwind past the decrement below — it
         // would strand `active` and deadlock the caller forever — so it is
         // caught here and re-raised by `run` on the caller's stack instead.
-        let outcome = record_busy(shared, tid, || {
-            panic::catch_unwind(AssertUnwindSafe(|| {
-                // SAFETY: `run` keeps the closure alive until `active`
-                // drains to zero, which happens only after this call
-                // returns.
-                unsafe { (*job.0)(tid) }
-            }))
-        });
+        let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
+            // SAFETY: `run` keeps the closure alive until `active` drains
+            // to zero, which happens only after this call returns.
+            unsafe { (*job.0)(tid) }
+        }));
         let mut st = lock_state(shared);
         if let Err(payload) = outcome {
             // Keep the first panic; later ones add nothing for the caller.
@@ -546,42 +498,6 @@ mod tests {
             count.fetch_add(1, Ordering::SeqCst);
         });
         assert_eq!(count.load(Ordering::SeqCst), 4);
-    }
-
-    #[test]
-    fn take_telemetry_matches_feature_state() {
-        let mut pool = WorkerPool::new(3);
-        for _ in 0..5 {
-            pool.run(|_tid| {
-                std::hint::black_box(0u64);
-            });
-        }
-        let t = pool.take_telemetry();
-        #[cfg(feature = "telemetry")]
-        {
-            let t = t.expect("telemetry feature enabled");
-            assert_eq!(t.busy_ns.len(), 3);
-            assert_eq!(t.dispatches, 5);
-            // Every thread ran exactly one job per dispatch.
-            assert_eq!(t.chunks, vec![5, 5, 5]);
-            assert!(t.imbalance() >= 1.0);
-            // The drain resets the window.
-            assert_eq!(pool.take_telemetry().expect("still enabled").dispatches, 0);
-        }
-        #[cfg(not(feature = "telemetry"))]
-        assert!(t.is_none(), "telemetry must be absent when the feature is off");
-    }
-
-    #[cfg(feature = "telemetry")]
-    #[test]
-    fn telemetry_covers_serial_fast_path() {
-        let mut pool = WorkerPool::new(1);
-        pool.run(|_tid| {
-            std::hint::black_box(0u64);
-        });
-        let t = pool.take_telemetry().expect("telemetry feature enabled");
-        assert_eq!(t.dispatches, 1);
-        assert_eq!(t.chunks, vec![1]);
     }
 
     fn panic_message(payload: &(dyn Any + Send)) -> &str {

@@ -63,7 +63,6 @@
 use crate::par::split_row_bounds;
 use crate::partition::RowPartition;
 use crate::pool::Parts;
-use crate::telemetry::PoolTelemetry;
 use spmv_core::csr_du::{CsrDu, DuSplit};
 use spmv_core::csr_duvi::CsrDuVi;
 use spmv_core::csr_vi::CsrVi;
@@ -72,8 +71,6 @@ use std::convert::Infallible;
 use std::marker::PhantomData;
 use std::ops::{Deref, Range};
 use std::panic::{self, AssertUnwindSafe};
-#[cfg(feature = "telemetry")]
-use std::sync::atomic::AtomicU64;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
@@ -449,10 +446,6 @@ pub struct HealthReport {
     pub events: Vec<FaultEvent>,
     /// Chunks the caller re-executed serially (recovery work).
     pub recovered_chunks: usize,
-    /// Per-thread busy time and chunk counts for this call (`dispatches`
-    /// is always 1). `None` unless the crate's `telemetry` feature is
-    /// enabled; recording is compiled out entirely when off.
-    pub telemetry: Option<PoolTelemetry>,
 }
 
 impl HealthReport {
@@ -648,35 +641,12 @@ struct CallState<V: Scalar> {
     results: Vec<Mutex<Slot<V>>>,
     progress: Mutex<Progress>,
     done_cv: Condvar,
-    /// Per-thread busy nanoseconds (index = tid); each thread adds only
-    /// to its own counter, relaxed ordering (diagnostics, not
-    /// synchronization).
-    #[cfg(feature = "telemetry")]
-    busy_ns: Vec<AtomicU64>,
     #[cfg(feature = "fault-injection")]
     fault: crate::faults::FaultHandle,
 }
 
 fn lock<'a, T>(m: &'a Mutex<T>) -> MutexGuard<'a, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Runs `f`, crediting its wall time to `tid`'s busy counter. Compiles to
-/// a plain call without the `telemetry` feature.
-#[inline]
-fn timed<V: Scalar, R>(state: &CallState<V>, tid: usize, f: impl FnOnce() -> R) -> R {
-    #[cfg(feature = "telemetry")]
-    {
-        let t0 = Instant::now();
-        let r = f();
-        state.busy_ns[tid].fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        r
-    }
-    #[cfg(not(feature = "telemetry"))]
-    {
-        let _ = (state, tid);
-        f()
-    }
 }
 
 impl<V: Scalar> CallState<V> {
@@ -795,7 +765,7 @@ fn sup_worker_loop<V: Scalar>(
                 break;
             };
             job.claims[c].store(tid, Ordering::Release);
-            timed(&job, tid, || worker_chunk(&job, &*kernel, c, piece, tid));
+            worker_chunk(&job, &*kernel, c, piece, tid);
         }
     }
 }
@@ -933,8 +903,6 @@ impl<V: Scalar> SupervisedSpMv<V> {
             results: (0..nchunks).map(|_| Mutex::new(Slot::Pending)).collect(),
             progress: Mutex::new(Progress { done: 0, failed: Vec::new() }),
             done_cv: Condvar::new(),
-            #[cfg(feature = "telemetry")]
-            busy_ns: (0..self.nthreads).map(|_| AtomicU64::new(0)).collect(),
             #[cfg(feature = "fault-injection")]
             fault: crate::faults::FaultHandle::capture(),
         });
@@ -951,7 +919,7 @@ impl<V: Scalar> SupervisedSpMv<V> {
         if self.opts.caller_participates {
             while let Some((c, piece)) = state.out.claim() {
                 state.claims[c].store(0, Ordering::Release);
-                timed(&state, 0, || self.kernel.compute_block(c, &state.x, k, &mut *piece.rows));
+                self.kernel.compute_block(c, &state.x, k, &mut *piece.rows);
                 drop(piece);
                 state.publish(c, Slot::InPlace);
             }
@@ -959,24 +927,6 @@ impl<V: Scalar> SupervisedSpMv<V> {
         self.supervise(&state, &mut report);
         if self.opts.verify_every > 0 {
             self.self_check(&state, &mut report);
-        }
-        #[cfg(feature = "telemetry")]
-        {
-            // Chunk counts come from the claim ledger: who *claimed* each
-            // chunk (recovery re-executions are credited to tid 0's busy
-            // time but not double-counted as chunks).
-            let mut chunks = vec![0u64; self.nthreads];
-            for claim in &state.claims {
-                let tid = claim.load(Ordering::Acquire);
-                if tid != UNCLAIMED {
-                    chunks[tid] += 1;
-                }
-            }
-            report.telemetry = Some(PoolTelemetry {
-                busy_ns: state.busy_ns.iter().map(|b| b.load(Ordering::Relaxed)).collect(),
-                chunks,
-                dispatches: 1,
-            });
         }
         if self.nthreads > 1 {
             // Drop the workers' handle on the call state now, not at the
@@ -1086,7 +1036,7 @@ impl<V: Scalar> SupervisedSpMv<V> {
     /// discarded).
     fn recover_chunk(&self, state: &Arc<CallState<V>>, chunk: usize, report: &mut HealthReport) {
         // Recovery runs on the caller: credit its busy time to tid 0.
-        let out = timed(state, 0, || self.compute_own(state, chunk));
+        let out = self.compute_own(state, chunk);
         state.publish(chunk, Slot::Own(out));
         report.recovered_chunks += 1;
     }
@@ -1575,28 +1525,6 @@ mod tests {
             let mut y = vec![0.0; 150];
             sup.spmv(&x, &mut y).expect("supervised calls never fail");
             assert_eq!(y, y_serial);
-        }
-    }
-
-    #[test]
-    fn report_telemetry_matches_feature_state() {
-        let coo = irregular(100, 80, 4);
-        let csr: Csr<u32, f64> = coo.to_csr();
-        let x = x_for(80);
-        let mut sup =
-            SupervisedSpMv::with_opts(Arc::new(CsrChunks::new(Arc::new(csr), 8)), 3, calm());
-        let mut y = vec![0.0; 100];
-        let report = sup.spmv(&x, &mut y).expect("healthy run");
-        #[cfg(not(feature = "telemetry"))]
-        assert!(report.telemetry.is_none());
-        #[cfg(feature = "telemetry")]
-        {
-            let t = report.telemetry.expect("telemetry on");
-            assert_eq!(t.busy_ns.len(), 3);
-            assert_eq!(t.dispatches, 1);
-            // Every chunk was claimed by exactly one thread.
-            assert_eq!(t.chunks.iter().sum::<u64>(), 8);
-            assert!(t.imbalance() >= 1.0);
         }
     }
 }

@@ -12,7 +12,7 @@ cargo fmt --all -- --check
 echo "== cargo clippy (workspace, warnings are errors) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "== cargo clippy --all-features (code behind fault-injection and telemetry) =="
+echo "== cargo clippy --all-features (code behind fault-injection) =="
 cargo clippy --workspace --all-targets --all-features -- -D warnings
 
 echo "== cargo build --release =="
@@ -64,43 +64,17 @@ echo "== tier-1 under a 5 ms watchdog deadline =="
 SPMV_WATCHDOG_MS=5 cargo test -q --test fault_tolerance
 SPMV_WATCHDOG_MS=5 taskset -c 0 cargo test -q --test fault_tolerance
 
-echo "== telemetry feature matrix =="
-# The telemetry feature must not change results, only observability:
-# both crates that gate on it are tested with it enabled.
-cargo test -q -p spmv-parallel --features telemetry
-cargo test -q -p spmv-bench --features telemetry
-
-echo "== bench-smoke (BENCH.json emission + schema gate) =="
-# Emit a tiny-but-real benchmark artifact with per-worker telemetry and
-# re-validate it through the independent jsonv reader; a schema drift or
-# a non-finite metric fails the gate.
-cargo run -q --release -p spmv-bench --features telemetry --bin reproduce -- \
-    --scale 0.002 --iters 6 --out target/bench-smoke bench
-cargo run -q --release -p spmv-bench --features telemetry --bin reproduce -- \
-    check-bench target/bench-smoke/BENCH.json
-
-echo "== spmm-smoke (multi-vector kernel differential matrix + k records) =="
+echo "== spmm-smoke (multi-vector kernel differential matrix) =="
 # The SpMM differential matrix (formats x k x threads, ULP-compared per
-# column) plus a tiny k=4 bench run whose artifact must carry k and
-# per-vector bandwidth fields and re-validate through check-bench.
+# column) and its property suite.
 cargo test -q --test spmm_equivalence
 cargo test -q --test proptest_spmm
-cargo run -q --release -p spmv-bench --features telemetry --bin reproduce -- \
-    --scale 0.002 --iters 4 --k 4 --out target/spmm-smoke bench
-cargo run -q --release -p spmv-bench --features telemetry --bin reproduce -- \
-    check-bench target/spmm-smoke/BENCH.json
 
-echo "== simd-smoke (cross-ISA bit-identity + roofline artifact) =="
+echo "== simd-smoke (cross-ISA bit-identity) =="
 # The SIMD differential matrix (formats x k x threads, bit-compared) must
-# hold with the dispatcher forced to scalar and left on auto-detect; then
-# a tiny --isa auto bench artifact must carry finite roofline fields and
-# a recognized kernel_isa, re-validated through check-bench.
+# hold with the dispatcher forced to scalar and left on auto-detect.
 SPMV_ISA=scalar cargo test -q --test simd_equivalence
 SPMV_ISA=auto cargo test -q --test simd_equivalence
-cargo run -q --release -p spmv-bench --features telemetry --bin reproduce -- \
-    --scale 0.002 --iters 4 --isa auto --out target/simd-smoke bench
-cargo run -q --release -p spmv-bench --features telemetry --bin reproduce -- \
-    check-bench target/simd-smoke/BENCH.json
 
 echo "== service-smoke (overload-safe serving layer) =="
 # The serving layer's own matrix, with and without fault injection:
@@ -133,8 +107,8 @@ cargo test -q -p spmv-service --test shard_chaos
 # Then the load generator as a supervision drill: 4 shards, a killer
 # thread murdering them round-robin, deterministic worker faults armed
 # underneath (the run fails if no pool fault was counted), and the
-# schema-v5 artifact — whose per-shard counter mirrors must sum exactly
-# to the globals — re-validated through the independent jsonv reader.
+# artifact — whose per-shard counter mirrors must sum exactly to the
+# globals — re-validated through the independent jsonv reader.
 timeout 300 cargo run -q --release -p spmv-bench --features fault-injection --bin loadgen -- \
     --duration 2 --deadline-ms 25 --queue-capacity 8 --clients 32 \
     --shards 4 --kill-shard --inject-faults --load-factor 2 \
@@ -147,7 +121,9 @@ echo "== plan-smoke (adaptive planner + fingerprint-keyed plan cache) =="
 # encodes, and measures every M0 matrix and persists the plan cache; the
 # warm run must serve every decision from that cache — zero misses, zero
 # new encodes (checked on the stable plan-cache counter line) — and its
-# schema-v6 artifact must re-validate through the independent reader.
+# artifact, whose planned records carry the kernel_isa and
+# roofline_fraction fields, must re-validate through the independent
+# reader.
 rm -rf target/plan-smoke
 cargo run -q --release -p spmv-bench --bin reproduce -- \
     --scale 0.002 --iters 2 --out target/plan-smoke plan
@@ -167,9 +143,9 @@ echo "== graph-smoke (SpMSpV drivers + differential matrix) =="
 # against the densify-then-SpMV baseline), the property suites (bucket
 # == scatter, parallel == serial, BFS level-set identity, CSC
 # round-trips), the PageRank determinism regression, then a short
-# BFS/PageRank run over the small power-law corpus whose schema-v7
-# artifact — bit-identity checked inside the run itself — must
-# re-validate through the independent jsonv reader.
+# BFS/PageRank run over the small power-law corpus whose artifact —
+# bit-identity checked inside the run itself — must re-validate through
+# the independent jsonv reader.
 cargo test -q --test spmspv_equivalence
 cargo test -q --test proptest_spmspv
 cargo test -q --test graph_determinism
