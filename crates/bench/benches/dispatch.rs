@@ -21,6 +21,7 @@ fn benches(c: &mut Criterion) {
     let csr: Csr = coo.to_csr();
     let x = random_x::<f64>(csr.ncols(), 3);
     let mut y = vec![0.0f64; csr.nrows()];
+    let isa = spmv_core::simd::selected();
 
     let threads: Vec<usize> = [2usize, 4].into_iter().filter(|&t| t <= 2 * num_cpus()).collect();
 
@@ -37,7 +38,9 @@ fn benches(c: &mut Criterion) {
                 std::thread::scope(|s| {
                     for (tid, y_local) in pieces.into_iter().enumerate() {
                         let r = part.part(tid);
-                        s.spawn(move || csr.spmv_rows_local(r.start, r.end, x, y_local));
+                        s.spawn(move || {
+                            csr.spmm_rows_local_isa(isa, r.start, r.end, x, 1, y_local)
+                        });
                     }
                 });
             })
@@ -50,7 +53,7 @@ fn benches(c: &mut Criterion) {
             b.iter(|| {
                 pool.run_split(black_box(&mut y), &parts, 1, |tid, y_local| {
                     let r = part.part(tid);
-                    csr.spmv_rows_local(r.start, r.end, x, y_local);
+                    csr.spmm_rows_local_isa(isa, r.start, r.end, x, 1, y_local);
                 });
             })
         });

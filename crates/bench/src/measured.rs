@@ -14,8 +14,8 @@
 
 use serde::Serialize;
 use spmv_core::checked::{CheckOptions, CheckedSpMv};
-use spmv_core::{Csr, DenseBlock, DenseBlockMut, Scalar, SpIndex, SpMm, SpMv, SparseError};
-use spmv_parallel::ParSpMm;
+use spmv_core::{Csr, Scalar, SpIndex, SpMv, SparseError};
+use spmv_parallel::ParSpMv;
 use std::time::Instant;
 
 /// Deterministic pseudo-random x vector ("randomly created x vertices",
@@ -185,100 +185,84 @@ pub struct Measurement {
     pub stats: TimingStats,
 }
 
-/// Measures `iters` serial SpMM iterations of `m` with a `k`-wide
-/// row-major x panel. FLOPs per iteration are `2 * nnz * k` (one
-/// multiply-add per non-zero per vector); the matrix bytes stream once
-/// per iteration regardless of `k` — that amortization is the point.
-pub fn measure_serial_spmm_with<V: Scalar>(
-    m: &dyn SpMm<V>,
-    k: usize,
+/// Measures `iters` serial SpMV iterations of `m`. FLOPs per iteration
+/// are `2 * nnz` (one multiply-add per non-zero).
+pub fn measure_serial_spmv<V: Scalar>(
+    m: &dyn SpMv<V>,
     iters: usize,
     seed: u64,
     warmup: &WarmupOpts,
 ) -> Result<Measurement, SparseError> {
     if iters == 0 {
         return Err(SparseError::InvalidArgument(
-            "measure_serial_spmm requires iters >= 1 (a zero-iteration measurement has no data)"
+            "measure_serial_spmv requires iters >= 1 (a zero-iteration measurement has no data)"
                 .into(),
         ));
     }
-    let x = random_x::<V>(m.ncols() * k, seed);
-    let mut y = vec![V::zero(); m.nrows() * k];
+    let x = random_x::<V>(m.ncols(), seed);
+    let mut y = vec![V::zero(); m.nrows()];
     // First warm-up iteration is shape-checked; the rest (and the timed
     // loop) use the unchecked entry point.
-    m.try_spmm(DenseBlock::new(m.ncols(), k, &x), DenseBlockMut::new(m.nrows(), k, &mut y))?;
+    m.try_spmv(&x, &mut y)?;
     let warmed = 1 + adaptive_warmup(warmup, || {
-        m.spmm(DenseBlock::new(m.ncols(), k, &x), DenseBlockMut::new(m.nrows(), k, &mut y));
+        m.spmv(&x, &mut y);
         std::hint::black_box(&mut y);
     });
     let samples = collect_samples(iters, || {
-        m.spmm(DenseBlock::new(m.ncols(), k, &x), DenseBlockMut::new(m.nrows(), k, &mut y));
+        m.spmv(&x, &mut y);
         std::hint::black_box(&mut y);
     });
-    summarize(m.flops() * k, warmed, &samples)
+    summarize(m.flops(), warmed, &samples)
 }
 
-/// Measures `iters` multithreaded SpMM iterations of a planned executor.
+/// Measures `iters` multithreaded SpMV iterations of a planned executor.
 /// The plan's persistent worker pool was spawned at plan time (the
 /// paper's spawn-once protocol), so the timed loop contains only pool
 /// dispatches.
-pub fn measure_parallel_spmm_with<V: Scalar>(
+pub fn measure_parallel_spmv<V: Scalar>(
     m: &dyn SpMv<V>,
-    par: &mut dyn ParSpMm<V>,
-    k: usize,
+    par: &mut dyn ParSpMv<V>,
     iters: usize,
     seed: u64,
     warmup: &WarmupOpts,
 ) -> Result<Measurement, SparseError> {
     if iters == 0 {
         return Err(SparseError::InvalidArgument(
-            "measure_parallel_spmm requires iters >= 1 (a zero-iteration measurement has no data)"
+            "measure_parallel_spmv requires iters >= 1 (a zero-iteration measurement has no data)"
                 .into(),
         ));
     }
-    if k == 0 {
-        return Err(SparseError::InvalidArgument("spmm requires k >= 1".into()));
-    }
-    let x = random_x::<V>(m.ncols() * k, seed);
-    let mut y = vec![V::zero(); m.nrows() * k];
+    let x = random_x::<V>(m.ncols(), seed);
+    let mut y = vec![V::zero(); m.nrows()];
     let warmed = adaptive_warmup(warmup, || {
-        par.par_spmm(&x, k, &mut y);
+        par.par_spmv(&x, &mut y);
         std::hint::black_box(&mut y);
     });
     let samples = collect_samples(iters, || {
-        par.par_spmm(&x, k, &mut y);
+        par.par_spmv(&x, &mut y);
         std::hint::black_box(&mut y);
     });
-    summarize(m.flops() * k, warmed, &samples)
+    summarize(m.flops(), warmed, &samples)
 }
 
-/// Verifies a parallel SpMM panel against the serial CSR reference
-/// before its timing is trusted, column by column, through the ULP/L1
-/// comparator of [`spmv_core::checked`] over **every** row
-/// (`sample_rows: 0`) — never a raw `==`: parallel reductions
-/// legitimately reorder sums. `baseline` is the CSR form of the same
-/// matrix; a mismatch returns the typed
+/// Verifies a parallel SpMV result against the serial CSR reference
+/// before its timing is trusted, through the ULP/L1 comparator of
+/// [`spmv_core::checked`] over **every** row (`sample_rows: 0`) — never a
+/// raw `==`: parallel reductions legitimately reorder sums. `baseline`
+/// is the CSR form of the same matrix; a mismatch returns the typed
 /// [`SparseError::VerificationFailed`] naming the row and the ULP
-/// distances. Each of the `k` columns of the panel is extracted and
-/// checked as an independent SpMV result.
-pub fn validate_parallel_spmm<I: SpIndex, V: Scalar>(
+/// distances.
+pub fn validate_parallel_spmv<I: SpIndex, V: Scalar>(
     m: &dyn SpMv<V>,
     baseline: &Csr<I, V>,
-    par: &mut dyn ParSpMm<V>,
-    k: usize,
+    par: &mut dyn ParSpMv<V>,
     seed: u64,
 ) -> Result<(), SparseError> {
-    let x = random_x::<V>(m.ncols() * k, seed);
-    let mut y = vec![V::zero(); m.nrows() * k];
-    par.par_spmm(&x, k, &mut y);
+    let x = random_x::<V>(m.ncols(), seed);
+    let mut y = vec![V::zero(); m.nrows()];
+    par.par_spmv(&x, &mut y);
     let opts = CheckOptions { sample_rows: 0, ..CheckOptions::default() };
-    let checked = CheckedSpMv::with_options(m, baseline, opts)?;
-    for v in 0..k {
-        let xv: Vec<V> = (0..m.ncols()).map(|c| x[c * k + v]).collect();
-        let yv: Vec<V> = (0..m.nrows()).map(|r| y[r * k + v]).collect();
-        checked.verify_against(&xv, &yv)?;
-    }
-    Ok(())
+    CheckedSpMv::with_options(m, baseline, opts)?.verify_against(&x, &y)
 }
 
 /// Times `iters` calls of `iter`, one sample per call.
@@ -322,7 +306,7 @@ mod tests {
     #[test]
     fn serial_measurement_is_sane() {
         let csr: Csr = spmv_matgen::gen::banded(5000, 4, 1.0, 1).to_csr();
-        let m = measure_serial_spmm_with(&csr, 1, 4, 42, &WarmupOpts::default()).unwrap();
+        let m = measure_serial_spmv(&csr, 4, 42, &WarmupOpts::default()).unwrap();
         assert!(m.mflops > 1.0, "mflops {}", m.mflops);
         assert!(m.warmup_iterations >= WarmupOpts::default().min_iters);
         assert!(m.warmup_iterations <= 1 + WarmupOpts::default().max_iters);
@@ -335,12 +319,11 @@ mod tests {
     #[test]
     fn zero_iterations_are_rejected_not_divided() {
         let csr: Csr = spmv_matgen::gen::banded(100, 2, 1.0, 1).to_csr();
-        let err = measure_serial_spmm_with(&csr, 1, 0, 1, &WarmupOpts::default()).unwrap_err();
+        let err = measure_serial_spmv(&csr, 0, 1, &WarmupOpts::default()).unwrap_err();
         assert!(matches!(err, SparseError::InvalidArgument(_)), "{err}");
         let du = CsrDu::from_csr(&csr, &DuOptions::default());
         let mut par = ParCsrDu::new(&du, 2);
-        let err =
-            measure_parallel_spmm_with(&du, &mut par, 1, 0, 1, &WarmupOpts::default()).unwrap_err();
+        let err = measure_parallel_spmv(&du, &mut par, 0, 1, &WarmupOpts::default()).unwrap_err();
         assert!(matches!(err, SparseError::InvalidArgument(_)), "{err}");
     }
 
@@ -354,35 +337,22 @@ mod tests {
         perturbed.values_mut()[7] += 100.0;
         let du = CsrDu::from_csr(&perturbed, &DuOptions::default());
         let mut par = ParCsrDu::new(&du, 2);
-        let err = validate_parallel_spmm(&du, &csr, &mut par, 2, 3).unwrap_err();
+        let err = validate_parallel_spmv(&du, &csr, &mut par, 3).unwrap_err();
         assert!(matches!(err, SparseError::VerificationFailed { .. }), "{err}");
     }
 
     #[test]
-    fn spmm_measurement_and_validation_work() {
+    fn parallel_measurement_and_validation_work() {
         let csr: Csr = spmv_matgen::gen::banded(2000, 4, 1.0, 2).to_csr();
-        let m = measure_serial_spmm_with(&csr, 4, 3, 42, &WarmupOpts::default()).unwrap();
-        assert_eq!(m.stats.samples, 3);
-        assert!(m.mflops > 0.0);
         let du = CsrDu::from_csr(&csr, &DuOptions::default());
         let mut par = ParCsrDu::new(&du, 3);
-        validate_parallel_spmm(&du, &csr, &mut par, 4, 7).unwrap();
-        let mp =
-            measure_parallel_spmm_with(&du, &mut par, 4, 3, 7, &WarmupOpts::default()).unwrap();
+        validate_parallel_spmv(&du, &csr, &mut par, 7).unwrap();
+        let mp = measure_parallel_spmv(&du, &mut par, 3, 7, &WarmupOpts::default()).unwrap();
         assert!(mp.stats.median_s > 0.0);
         assert_eq!(mp.stats.samples, 3);
-    }
-
-    #[test]
-    fn spmm_flops_scale_with_panel_width() {
-        // FLOPs per iteration must be 2 * nnz * k: the k = 4 measurement
-        // reports 4x the per-iteration work of the k = 1 one.
-        let csr: Csr = spmv_matgen::gen::banded(50, 2, 1.0, 1).to_csr();
-        let flops = csr.flops();
-        let m1 = measure_serial_spmm_with(&csr, 1, 2, 1, &WarmupOpts::default()).unwrap();
-        let m4 = measure_serial_spmm_with(&csr, 4, 2, 1, &WarmupOpts::default()).unwrap();
-        assert!((m1.mflops * m1.stats.median_s * 1e6 - flops as f64).abs() < 1e-6);
-        assert!((m4.mflops * m4.stats.median_s * 1e6 - (flops * 4) as f64).abs() < 1e-6);
+        // MFLOP/s at the median is `2 * nnz` per iteration.
+        let flops = mp.mflops * mp.stats.median_s * 1e6;
+        assert!((flops - du.flops() as f64).abs() < 1e-6, "{flops} vs {}", du.flops());
     }
 
     #[test]

@@ -67,7 +67,10 @@ use serde::Serialize;
 /// Version 8 dropped what the retired exhaustive `bench` sweep alone
 /// wrote: the per-record `telemetry` and `planned` fields (every record
 /// is planned, so `planner` is mandatory) and `service.retries`.
-pub const BENCH_SCHEMA_VERSION: u64 = 8;
+/// Version 9 dropped the per-record `k` and `per_vector_bandwidth_gbs`:
+/// every record times SpMV, so they always read 1 and the effective
+/// bandwidth.
+pub const BENCH_SCHEMA_VERSION: u64 = 9;
 
 /// The format keys a record (and its planner block) may carry.
 pub const BENCH_FORMATS: [&str; 4] = ["csr", "csr-du", "csr-vi", "csr-duvi"];
@@ -314,7 +317,7 @@ pub struct GraphSummary {
 }
 
 /// One planned-and-measured corpus matrix: the (format, thread count)
-/// cell the planner chose, timed at panel width `k`.
+/// cell the planner chose, its SpMV timed.
 #[derive(Debug, Clone, Serialize)]
 pub struct BenchRecord {
     /// Corpus matrix name.
@@ -325,9 +328,6 @@ pub struct BenchRecord {
     pub format: String,
     /// Threads used (1 = the serial kernel, no pool).
     pub threads: usize,
-    /// Right-hand-side panel width (1 = plain SpMV; > 1 = SpMM, which
-    /// streams the matrix once and reuses each decoded value `k` times).
-    pub k: usize,
     /// Matrix rows.
     pub nrows: usize,
     /// Matrix columns.
@@ -351,11 +351,6 @@ pub struct BenchRecord {
     /// `csr_matrix_bytes / median_s`, in GB/s — the bandwidth an
     /// uncompressed CSR kernel would need to match this time.
     pub compression_adjusted_gbs: f64,
-    /// `effective_bandwidth_gbs / k` — the matrix traffic charged to each
-    /// of the `k` output vectors. SpMM amortization shows up here: the
-    /// matrix streams once per iteration, so doubling `k` roughly halves
-    /// the per-vector cost.
-    pub per_vector_bandwidth_gbs: f64,
     /// Kernel instruction set this record was measured with (`"scalar"`
     /// or `"avx2"`), resolved once at plan time.
     pub kernel_isa: String,
@@ -779,10 +774,6 @@ pub fn validate_bench_text(text: &str) -> Result<(), String> {
         if threads < 1.0 {
             return Err(format!("{ctx}: threads {threads} must be >= 1"));
         }
-        let k = require_num(rec, "k", &ctx)?;
-        if k < 1.0 {
-            return Err(format!("{ctx}: k {k} must be >= 1"));
-        }
         for key in ["matrix_id", "nrows", "ncols", "nnz", "matrix_bytes", "csr_matrix_bytes"] {
             require_num(rec, key, &ctx)?;
         }
@@ -792,7 +783,6 @@ pub fn validate_bench_text(text: &str) -> Result<(), String> {
             "mflops",
             "effective_bandwidth_gbs",
             "compression_adjusted_gbs",
-            "per_vector_bandwidth_gbs",
         ] {
             require_num(rec, key, &ctx)?;
         }
@@ -853,7 +843,6 @@ mod tests {
             matrix_id: 26,
             format: format.into(),
             threads: 2,
-            k: 1,
             nrows: 1000,
             ncols: 1000,
             nnz: 8000,
@@ -874,7 +863,6 @@ mod tests {
             mflops: 128.0,
             effective_bandwidth_gbs: 0.56,
             compression_adjusted_gbs: 0.8,
-            per_vector_bandwidth_gbs: 0.56,
             kernel_isa: "scalar".into(),
             roofline_fraction: 0.056,
             planner: PlannerDecisionRecord {

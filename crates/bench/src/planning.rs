@@ -11,8 +11,8 @@
 //! `plan_cache` counters.
 
 use crate::measured::{
-    measure_parallel_spmm_with, measure_serial_spmm_with, validate_parallel_spmm, Measurement,
-    TimingStats, WarmupOpts,
+    measure_parallel_spmv, measure_serial_spmv, validate_parallel_spmv, Measurement, TimingStats,
+    WarmupOpts,
 };
 use crate::metrics::{
     BenchFile, BenchRecord, MachineInfo, PlanCacheSummary, PlannerDecisionRecord,
@@ -99,7 +99,7 @@ fn check_serial_identity(
 }
 
 /// Executes one cold plan: encode the chosen format, check it against
-/// the CSR baseline, and time it at the planned thread count (k = 1).
+/// the CSR baseline, and time its SpMV at the planned thread count.
 fn measure_plan(
     plan: &Plan,
     csr: &Csr<u32, f64>,
@@ -109,44 +109,44 @@ fn measure_plan(
     match plan.format {
         FormatKind::Csr => {
             if threads == 1 {
-                measure_serial_spmm_with(csr, 1, opts.iters, opts.seed, &opts.warmup)
+                measure_serial_spmv(csr, opts.iters, opts.seed, &opts.warmup)
             } else {
                 let mut par = ParCsr::new(csr, threads);
-                validate_parallel_spmm(csr, csr, &mut par, 1, opts.seed)?;
-                measure_parallel_spmm_with(csr, &mut par, 1, opts.iters, opts.seed, &opts.warmup)
+                validate_parallel_spmv(csr, csr, &mut par, opts.seed)?;
+                measure_parallel_spmv(csr, &mut par, opts.iters, opts.seed, &opts.warmup)
             }
         }
         FormatKind::CsrDu => {
             let du = CsrDu::from_csr(csr, &DuOptions::default());
             check_serial_identity(&du, csr, "CSR-DU")?;
             if threads == 1 {
-                measure_serial_spmm_with(&du, 1, opts.iters, opts.seed, &opts.warmup)
+                measure_serial_spmv(&du, opts.iters, opts.seed, &opts.warmup)
             } else {
                 let mut par = ParCsrDu::new(&du, threads);
-                validate_parallel_spmm(&du, csr, &mut par, 1, opts.seed)?;
-                measure_parallel_spmm_with(&du, &mut par, 1, opts.iters, opts.seed, &opts.warmup)
+                validate_parallel_spmv(&du, csr, &mut par, opts.seed)?;
+                measure_parallel_spmv(&du, &mut par, opts.iters, opts.seed, &opts.warmup)
             }
         }
         FormatKind::CsrVi => {
             let vi = CsrVi::from_csr(csr);
             check_serial_identity(&vi, csr, "CSR-VI")?;
             if threads == 1 {
-                measure_serial_spmm_with(&vi, 1, opts.iters, opts.seed, &opts.warmup)
+                measure_serial_spmv(&vi, opts.iters, opts.seed, &opts.warmup)
             } else {
                 let mut par = ParCsrVi::new(&vi, threads);
-                validate_parallel_spmm(&vi, csr, &mut par, 1, opts.seed)?;
-                measure_parallel_spmm_with(&vi, &mut par, 1, opts.iters, opts.seed, &opts.warmup)
+                validate_parallel_spmv(&vi, csr, &mut par, opts.seed)?;
+                measure_parallel_spmv(&vi, &mut par, opts.iters, opts.seed, &opts.warmup)
             }
         }
         FormatKind::CsrDuVi => {
             let duvi = CsrDuVi::from_csr(csr, &DuOptions::default());
             check_serial_identity(&duvi, csr, "CSR-DU-VI")?;
             if threads == 1 {
-                measure_serial_spmm_with(&duvi, 1, opts.iters, opts.seed, &opts.warmup)
+                measure_serial_spmv(&duvi, opts.iters, opts.seed, &opts.warmup)
             } else {
                 let mut par = ParCsrDuVi::new(&duvi, threads);
-                validate_parallel_spmm(&duvi, csr, &mut par, 1, opts.seed)?;
-                measure_parallel_spmm_with(&duvi, &mut par, 1, opts.iters, opts.seed, &opts.warmup)
+                validate_parallel_spmv(&duvi, csr, &mut par, opts.seed)?;
+                measure_parallel_spmv(&duvi, &mut par, opts.iters, opts.seed, &opts.warmup)
             }
         }
         other => Err(SparseError::InvalidArgument(format!(
@@ -230,7 +230,6 @@ pub fn run_planned(
             matrix_id: u64::from(entry.id),
             format: bench_key(plan.format)?.to_string(),
             threads: plan.threads,
-            k: 1,
             nrows: csr.nrows(),
             ncols: csr.ncols(),
             nnz: csr.nnz(),
@@ -241,7 +240,6 @@ pub fn run_planned(
             mflops: measurement.mflops,
             effective_bandwidth_gbs: effective,
             compression_adjusted_gbs: effective_bandwidth(csr_bytes, 1, median) / 1e9,
-            per_vector_bandwidth_gbs: effective,
             kernel_isa: kernel_isa.as_str().to_string(),
             roofline_fraction: roofline::roofline_fraction(
                 effective,
@@ -364,11 +362,9 @@ mod tests {
         assert!(ceiling.is_finite() && ceiling > 0.0);
         for rec in &file.records {
             assert!(spmv_core::simd::Isa::parse(&rec.kernel_isa).is_some(), "{}", rec.kernel_isa);
-            assert_eq!(rec.k, 1);
             // Roofline placement is the effective figure over the stamped
-            // ceiling, and at k = 1 one vector carries the whole matrix.
+            // ceiling.
             assert!((rec.roofline_fraction - rec.effective_bandwidth_gbs / ceiling).abs() < 1e-12);
-            assert_eq!(rec.per_vector_bandwidth_gbs, rec.effective_bandwidth_gbs);
             // Both bandwidths divide the same median time, so their ratio
             // must equal the byte ratio.
             if rec.effective_bandwidth_gbs > 0.0 {

@@ -30,7 +30,6 @@ fn golden_file() -> BenchFile {
             matrix_id: 26,
             format: "csr-du".into(),
             threads: 4,
-            k: 4,
             nrows: 1000,
             ncols: 1000,
             nnz: 8000,
@@ -51,7 +50,6 @@ fn golden_file() -> BenchFile {
             mflops: 128.0,
             effective_bandwidth_gbs: 0.56,
             compression_adjusted_gbs: 0.8,
-            per_vector_bandwidth_gbs: 0.14,
             kernel_isa: "avx2".into(),
             roofline_fraction: 0.56 / 12.5,
             planner: PlannerDecisionRecord {
@@ -104,7 +102,6 @@ fn golden_schema_roundtrips_field_by_field() {
     assert_eq!(r.get("format").unwrap().as_str(), Some("csr-du"));
     assert_eq!(num(r, "matrix_id"), 26.0);
     assert_eq!(num(r, "threads"), 4.0);
-    assert_eq!(num(r, "k"), 4.0);
     assert_eq!(num(r, "nrows"), 1000.0);
     assert_eq!(num(r, "ncols"), 1000.0);
     assert_eq!(num(r, "nnz"), 8000.0);
@@ -115,7 +112,6 @@ fn golden_schema_roundtrips_field_by_field() {
     assert_eq!(num(r, "mflops"), 128.0);
     assert_eq!(num(r, "effective_bandwidth_gbs"), 0.56);
     assert_eq!(num(r, "compression_adjusted_gbs"), 0.8);
-    assert_eq!(num(r, "per_vector_bandwidth_gbs"), 0.14);
     assert_eq!(r.get("kernel_isa").unwrap().as_str(), Some("avx2"));
     assert_eq!(num(r, "roofline_fraction"), 0.56 / 12.5);
 
@@ -158,8 +154,6 @@ fn golden_schema_detects_field_removal() {
         "\"planner\"",
         "\"machine\"",
         "\"format\"",
-        "\"k\"",
-        "\"per_vector_bandwidth_gbs\"",
         "\"machine_bandwidth_gbs\"",
         "\"kernel_isa\"",
         "\"roofline_fraction\"",
@@ -198,7 +192,6 @@ fn two_runs_agree_on_all_non_timing_fields() {
         assert_eq!(ra.matrix_id, rb.matrix_id);
         assert_eq!(ra.format, rb.format);
         assert_eq!(ra.threads, rb.threads);
-        assert_eq!(ra.k, rb.k);
         assert_eq!(ra.nrows, rb.nrows);
         assert_eq!(ra.ncols, rb.ncols);
         assert_eq!(ra.nnz, rb.nnz);

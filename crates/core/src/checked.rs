@@ -127,11 +127,12 @@ impl<'a, I: SpIndex, V: Scalar> CheckedSpMv<'a, I, V> {
         let samples =
             if self.opts.sample_rows == 0 { nrows } else { self.opts.sample_rows.min(nrows) };
         let mut y_row = [V::zero()];
+        let isa = crate::simd::selected();
         for s in 0..samples {
             // Even spread including row 0; integer arithmetic keeps the
             // selection deterministic across platforms.
             let row = if samples == nrows { s } else { s * nrows / samples };
-            self.baseline.spmv_rows_local(row, row + 1, x, &mut y_row);
+            self.baseline.spmm_rows_local_isa(isa, row, row + 1, x, 1, &mut y_row);
             let dist = y[row].ulp_distance(y_row[0]);
             if dist > self.opts.max_ulps {
                 // Cancellation case: re-measure the difference in ULPs of

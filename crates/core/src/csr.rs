@@ -110,98 +110,6 @@ impl<I: SpIndex, V: Scalar> Csr<I, V> {
         (0..self.nrows).flat_map(move |r| self.row_iter(r).map(move |(c, v)| (r, c, v)))
     }
 
-    /// Serial SpMV over the half-open row range `[row_begin, row_end)`,
-    /// writing only `y[row_begin..row_end]`. This is the building block the
-    /// multithreaded row-partitioned kernel uses (§II-C): each thread owns a
-    /// disjoint row block and therefore a disjoint slice of `y`.
-    ///
-    /// The kernel follows the paper's optimization of accumulating into a
-    /// register and storing `y[i]` once per row (§VI-A). The ISA is
-    /// re-selected per call ([`crate::simd::selected`]); parallel plans
-    /// use [`Csr::spmv_rows_local_isa`] with a snapshot instead.
-    #[inline]
-    pub fn spmv_rows(&self, row_begin: usize, row_end: usize, x: &[V], y: &mut [V]) {
-        self.spmv_rows_dispatch(crate::simd::selected(), row_begin, row_end, 0, x, y);
-    }
-
-    /// Like [`Csr::spmv_rows`], but writes into a *local* slice whose
-    /// element 0 corresponds to `row_begin` — the shape needed when a
-    /// parallel driver hands each thread a disjoint sub-slice of `y`.
-    #[inline]
-    pub fn spmv_rows_local(&self, row_begin: usize, row_end: usize, x: &[V], y_local: &mut [V]) {
-        self.spmv_rows_local_isa(crate::simd::selected(), row_begin, row_end, x, y_local);
-    }
-
-    /// [`Csr::spmv_rows_local`] with an explicit, pre-selected [`Isa`] —
-    /// the entry point for parallel plans that snapshot the ISA once at
-    /// construction. An unavailable ISA degrades to the scalar path.
-    #[inline]
-    pub fn spmv_rows_local_isa(
-        &self,
-        isa: Isa,
-        row_begin: usize,
-        row_end: usize,
-        x: &[V],
-        y_local: &mut [V],
-    ) {
-        debug_assert_eq!(y_local.len(), row_end - row_begin);
-        self.spmv_rows_dispatch(isa, row_begin, row_end, row_begin, x, y_local);
-    }
-
-    /// Row-range SpMV with explicit ISA and output rebasing
-    /// (`y[i - y_base]` receives row `i`).
-    #[inline]
-    fn spmv_rows_dispatch(
-        &self,
-        isa: Isa,
-        row_begin: usize,
-        row_end: usize,
-        y_base: usize,
-        x: &[V],
-        y: &mut [V],
-    ) {
-        debug_assert!(row_end <= self.nrows);
-        // The AVX2 kernel gathers from `x` unchecked.
-        assert_eq!(x.len(), self.ncols, "x length must equal ncols");
-        #[cfg(target_arch = "x86_64")]
-        if crate::simd::avx2_ok(isa) && self.ncols <= i32::MAX as usize {
-            use crate::simd::{as_f64s, as_f64s_mut, as_u32s, avx2};
-            if let (Some(rp), Some(ci), Some(vs)) =
-                (as_u32s(&self.row_ptr), as_u32s(&self.col_ind), as_f64s(&self.values))
-            {
-                let (xs, ys) = (as_f64s(x).expect("V is f64"), as_f64s_mut(y).expect("V is f64"));
-                // SAFETY: AVX2 verified by avx2_ok; CSR invariants give
-                // columns < ncols == x.len() / k (asserted above); ncols
-                // fits the i32 gather lanes.
-                unsafe {
-                    avx2::rows_k1(
-                        rp,
-                        ci,
-                        avx2::ValSrc::Direct(vs),
-                        row_begin,
-                        row_end,
-                        y_base,
-                        xs,
-                        ys,
-                    );
-                }
-                return;
-            }
-        }
-        let _ = isa;
-        let col_ind = &self.col_ind[..];
-        let values = &self.values[..];
-        for i in row_begin..row_end {
-            let lo = self.row_ptr[i].index();
-            let hi = self.row_ptr[i + 1].index();
-            let mut acc = V::zero();
-            for j in lo..hi {
-                acc += values[j] * x[col_ind[j].index()];
-            }
-            y[i - y_base] = acc;
-        }
-    }
-
     /// Transpose SpMV: `y = Aᵀ·x` without materializing the transpose
     /// (`x.len() == nrows`, `y.len() == ncols`). Scatters along rows —
     /// the access-pattern mirror of the CSC kernel. Used by
@@ -226,38 +134,31 @@ impl<I: SpIndex, V: Scalar> Csr<I, V> {
     /// matrix element over `k` FMAs — the classic remedy for SpMV's
     /// bandwidth-boundedness when multiple vectors are available (block
     /// solvers), complementary to the paper's compression. Raw-slice
-    /// convenience wrapper over [`Csr::spmm_rows_local`]; the trait-level
-    /// panel entry point is [`crate::SpMm::spmm`].
+    /// convenience wrapper over [`Csr::spmm_rows_local_isa`]; the
+    /// trait-level panel entry point is [`crate::SpMm::spmm`].
     pub fn spmm(&self, x: &[V], k: usize, y: &mut [V]) {
         assert!(k >= 1, "need at least one right-hand side");
         assert_eq!(x.len(), self.ncols * k, "x must be ncols x k row-major");
         assert_eq!(y.len(), self.nrows * k, "y must be nrows x k row-major");
-        self.spmm_rows_local(0, self.nrows, x, k, y);
+        self.spmm_rows_local_isa(crate::simd::selected(), 0, self.nrows, x, k, y);
     }
 
-    /// SpMM over the half-open row range `[row_begin, row_end)`, writing
-    /// into a *local* panel whose row 0 corresponds to `row_begin`
-    /// (`y_local[(i - row_begin) * k + v]`) — the multi-vector analogue of
-    /// [`Csr::spmv_rows_local`] used by the parallel drivers. Register
-    /// blocked: `k ∈ {1, 2, 4, 8}` run with a fixed-size in-register
-    /// accumulator, other widths with a generic fallback. `k = 1` performs
-    /// exactly the [`Csr::spmv_rows_local`] operations (bit-identical).
-    #[inline]
-    pub fn spmm_rows_local(
-        &self,
-        row_begin: usize,
-        row_end: usize,
-        x: &[V],
-        k: usize,
-        y_local: &mut [V],
-    ) {
-        self.spmm_rows_local_isa(crate::simd::selected(), row_begin, row_end, x, k, y_local);
-    }
-
-    /// [`Csr::spmm_rows_local`] with an explicit, pre-selected [`Isa`]
-    /// (see [`Csr::spmv_rows_local_isa`]). `k ∈ {1, 2, 4, 8}` with
-    /// `u32`/`f64` arrays run the AVX2 panel kernels when available;
-    /// everything else falls back to the register-blocked scalar path.
+    /// The CSR kernel: SpMM over the half-open row range
+    /// `[row_begin, row_end)` with `k` right-hand sides, writing into a
+    /// *local* panel whose row 0 corresponds to `row_begin`
+    /// (`y_local[(i - row_begin) * k + v]`). Each thread of the
+    /// row-partitioned multithreaded kernel (§II-C) owns a disjoint row
+    /// block and therefore a disjoint slice of `y`; `k = 1` is SpMV, and
+    /// [`SpMv::spmv`] is this call over all rows.
+    ///
+    /// Every row accumulates in registers and stores `y` once (the
+    /// paper's §VI-A optimization). `isa` is chosen by the caller —
+    /// parallel plans snapshot it once at construction — and an
+    /// unavailable ISA degrades to the scalar path. `k ∈ {1, 2, 4, 8}`
+    /// with `u32`/`f64` arrays run the AVX2 kernels when available;
+    /// everything else runs the register-blocked scalar loop, with a
+    /// fixed-size accumulator for those widths and a generic one
+    /// otherwise.
     #[inline]
     pub fn spmm_rows_local_isa(
         &self,
@@ -486,7 +387,7 @@ impl<I: SpIndex, V: Scalar> SpMv<V> for Csr<I, V> {
     fn spmv(&self, x: &[V], y: &mut [V]) {
         assert_eq!(x.len(), self.ncols, "x length must equal ncols");
         assert_eq!(y.len(), self.nrows, "y length must equal nrows");
-        self.spmv_rows(0, self.nrows, x, y);
+        self.spmm_rows_local_isa(crate::simd::selected(), 0, self.nrows, x, 1, y);
     }
 
     fn validate(&self) -> std::result::Result<(), SparseError> {
@@ -497,7 +398,7 @@ impl<I: SpIndex, V: Scalar> SpMv<V> for Csr<I, V> {
 impl<I: SpIndex, V: Scalar> crate::spmm::SpMm<V> for Csr<I, V> {
     fn spmm(&self, x: crate::DenseBlock<'_, V>, mut y: crate::DenseBlockMut<'_, V>) {
         let k = crate::spmm::assert_panel_shapes(self.nrows, self.ncols, &x, &y);
-        self.spmm_rows_local(0, self.nrows, x.data(), k, y.data_mut());
+        self.spmm_rows_local_isa(crate::simd::selected(), 0, self.nrows, x.data(), k, y.data_mut());
     }
 }
 
@@ -559,8 +460,9 @@ mod tests {
         csr.spmv(&x, &mut y_full);
 
         let mut y_parts = vec![0.0; 6];
-        csr.spmv_rows(0, 3, &x, &mut y_parts);
-        csr.spmv_rows(3, 6, &x, &mut y_parts);
+        let (top, bottom) = y_parts.split_at_mut(3);
+        csr.spmm_rows_local_isa(crate::simd::selected(), 0, 3, &x, 1, top);
+        csr.spmm_rows_local_isa(crate::simd::selected(), 3, 6, &x, 1, bottom);
         assert_eq!(y_parts, y_full);
     }
 

@@ -214,15 +214,7 @@ pub(super) fn splits<V: Scalar>(du: &CsrDu<V>, nparts: usize) -> Vec<DuSplit> {
     let total_nnz = du.nnz();
     let mut out: Vec<DuSplit> = Vec::with_capacity(nparts);
     if total_nnz == 0 {
-        out.push(DuSplit {
-            ctl_range: 0..0,
-            val_start: 0,
-            row_start: 0,
-            row_end: du.nrows(),
-            row_wrap_base: usize::MAX,
-            nnz: 0,
-            stream_id: du.stream_id,
-        });
+        out.push(du.whole_split());
         return out;
     }
 

@@ -40,7 +40,7 @@ pub use decode::{DuCursor, Unit};
 pub use encode::DuOptions;
 pub use stats::DuStats;
 
-pub(crate) use spmv::{spmm_ctl_range, spmv_ctl_range};
+pub(crate) use spmv::spmm_ctl_range;
 
 use crate::csr::Csr;
 use crate::error::Result;
@@ -321,9 +321,9 @@ impl<V: Scalar> CsrDu<V> {
 
     /// Panics unless `split` fits this matrix — it was cut from this ctl
     /// stream and its ctl, value and row ranges lie inside the matrix's
-    /// own — and `x` is a full `ncols × k` panel. Every split entry point
-    /// checks this before decoding; it is what the unchecked AVX2 decode
-    /// relies on.
+    /// own — and `x` is a full `ncols × k` panel. The split kernel of
+    /// CSR-DU and of CSR-DU-VI checks this before decoding; it is what
+    /// the unchecked AVX2 decode relies on.
     pub(crate) fn assert_split_fits(&self, split: &DuSplit, x_len: usize, k: usize) {
         let DuSplit { ctl_range, val_start, row_start, row_end, nnz, stream_id, .. } = split;
         assert!(
@@ -348,103 +348,34 @@ impl<V: Scalar> CsrDu<V> {
         assert_eq!(x_len, self.ncols * k, "x must be an ncols x k row-major panel");
     }
 
-    /// SpMV over one split produced by [`CsrDu::splits`] of this matrix,
-    /// writing only `y[split.row_start()..split.row_end()]`. `y` is the
-    /// full-length output vector.
-    ///
-    /// # Panics
-    /// If `split` does not fit this matrix or `x.len() != ncols`.
-    pub fn spmv_split(&self, split: &DuSplit, x: &[V], y: &mut [V]) {
-        self.assert_split_fits(split, x.len(), 1);
-        spmv::spmv_range(
-            self,
-            crate::simd::selected(),
-            split.ctl_range.clone(),
-            split.val_start,
-            split.row_wrap_base,
-            split.row_start,
-            split.row_end,
-            0,
-            x,
-            y,
-        );
+    /// The whole matrix as one split: the full ctl stream and every row,
+    /// the one split `splits(1)` returns, without walking the stream.
+    /// [`SpMv::spmv`] and [`crate::SpMm::spmm`] run the kernel on it.
+    pub(crate) fn whole_split(&self) -> DuSplit {
+        DuSplit {
+            ctl_range: 0..self.ctl.len(),
+            val_start: 0,
+            row_start: 0,
+            row_end: self.nrows,
+            row_wrap_base: usize::MAX,
+            nnz: self.nnz,
+            stream_id: self.stream_id,
+        }
     }
 
-    /// Like [`CsrDu::spmv_split`], but `y_local` covers only the split's
-    /// own rows (`y_local.len() == row_end - row_start`). This is the
-    /// entry point for parallel drivers that hand each thread a disjoint
-    /// sub-slice of `y`.
-    pub fn spmv_split_local(&self, split: &DuSplit, x: &[V], y_local: &mut [V]) {
-        self.spmv_split_local_isa(crate::simd::selected(), split, x, y_local);
-    }
-
-    /// [`CsrDu::spmv_split_local`] with an explicit, pre-selected
-    /// [`crate::simd::Isa`] — for parallel plans that snapshot the ISA at
-    /// construction. An unavailable ISA degrades to the scalar decode.
-    ///
-    /// # Panics
-    /// As [`CsrDu::spmv_split`].
-    pub fn spmv_split_local_isa(
-        &self,
-        isa: crate::simd::Isa,
-        split: &DuSplit,
-        x: &[V],
-        y_local: &mut [V],
-    ) {
-        self.assert_split_fits(split, x.len(), 1);
-        debug_assert_eq!(y_local.len(), split.row_end - split.row_start);
-        spmv::spmv_range(
-            self,
-            isa,
-            split.ctl_range.clone(),
-            split.val_start,
-            split.row_wrap_base,
-            split.row_start,
-            split.row_end,
-            split.row_start,
-            x,
-            y_local,
-        );
-    }
-
-    /// SpMM over one split: the multi-vector analogue of
-    /// [`CsrDu::spmv_split`]. `x`/`y` are full-size row-major panels
-    /// (`ncols × k` / `nrows × k`); only the split's own row panels are
-    /// written. Each ctl unit is decoded once and its values broadcast
-    /// across the `k`-wide accumulator.
+    /// The CSR-DU kernel (Fig. 3 of the paper): SpMM with `k` right-hand
+    /// sides over one split produced by [`CsrDu::splits`] of this matrix.
+    /// `x` is the full `ncols × k` row-major panel; `y_local` covers only
+    /// the split's own row panels (`y_local.len() == (row_end -
+    /// row_start) * k`), so a parallel driver hands each thread a
+    /// disjoint sub-slice of `y`. Each ctl unit is decoded once and its
+    /// values broadcast across the `k`-wide accumulator; `k = 1` is SpMV,
+    /// and [`SpMv::spmv`] is this call on the whole matrix. `isa` is
+    /// chosen by the caller (parallel plans snapshot it at
+    /// construction); an unavailable ISA degrades to the scalar decode.
     ///
     /// # Panics
     /// If `split` does not fit this matrix or `x.len() != ncols * k`.
-    pub fn spmm_split(&self, split: &DuSplit, x: &[V], k: usize, y: &mut [V]) {
-        self.assert_split_fits(split, x.len(), k);
-        spmv::spmm_range(
-            self,
-            crate::simd::selected(),
-            split.ctl_range.clone(),
-            split.val_start,
-            split.row_wrap_base,
-            split.row_start,
-            split.row_end,
-            0,
-            x,
-            k,
-            y,
-        );
-    }
-
-    /// Like [`CsrDu::spmm_split`], but `y_local` covers only the split's
-    /// own row panels (`y_local.len() == (row_end - row_start) * k`) —
-    /// the entry point for parallel drivers handing each thread a
-    /// disjoint sub-slice of `y`.
-    pub fn spmm_split_local(&self, split: &DuSplit, x: &[V], k: usize, y_local: &mut [V]) {
-        self.spmm_split_local_isa(crate::simd::selected(), split, x, k, y_local);
-    }
-
-    /// [`CsrDu::spmm_split_local`] with an explicit, pre-selected
-    /// [`crate::simd::Isa`] (see [`CsrDu::spmv_split_local_isa`]).
-    ///
-    /// # Panics
-    /// As [`CsrDu::spmm_split`].
     pub fn spmm_split_local_isa(
         &self,
         isa: crate::simd::Isa,
@@ -491,18 +422,7 @@ impl<V: Scalar> SpMv<V> for CsrDu<V> {
     fn spmv(&self, x: &[V], y: &mut [V]) {
         assert_eq!(x.len(), self.ncols, "x length must equal ncols");
         assert_eq!(y.len(), self.nrows, "y length must equal nrows");
-        spmv::spmv_range(
-            self,
-            crate::simd::selected(),
-            0..self.ctl.len(),
-            0,
-            usize::MAX,
-            0,
-            self.nrows,
-            0,
-            x,
-            y,
-        );
+        self.spmm_split_local_isa(crate::simd::selected(), &self.whole_split(), x, 1, y);
     }
 
     fn validate(&self) -> std::result::Result<(), crate::error::SparseError> {
@@ -527,19 +447,8 @@ impl<V: Scalar> SpMv<V> for CsrDu<V> {
 impl<V: Scalar> crate::spmm::SpMm<V> for CsrDu<V> {
     fn spmm(&self, x: crate::DenseBlock<'_, V>, mut y: crate::DenseBlockMut<'_, V>) {
         let k = crate::spmm::assert_panel_shapes(self.nrows, self.ncols, &x, &y);
-        spmv::spmm_range(
-            self,
-            crate::simd::selected(),
-            0..self.ctl.len(),
-            0,
-            usize::MAX,
-            0,
-            self.nrows,
-            0,
-            x.data(),
-            k,
-            y.data_mut(),
-        );
+        let whole = self.whole_split();
+        self.spmm_split_local_isa(crate::simd::selected(), &whole, x.data(), k, y.data_mut());
     }
 }
 
@@ -553,7 +462,7 @@ impl<V: Scalar> crate::spmm::SpMm<V> for CsrDu<V> {
 /// from (or a clone of it): the AVX2 decode reads the ctl range without
 /// bounds checks, trusting that it starts on a row-starting unit of that
 /// matrix's stream. Each split records the identity of its stream, and
-/// the split entry points panic — before reading anything — on a split
+/// the split kernels panic — before reading anything — on a split
 /// cut from another stream or one whose ctl, value or row range reaches
 /// past the matrix's own.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -14,17 +14,16 @@
 //! * a *value accessor* `G`, so that CSR-DU-VI (the combined index+value
 //!   compression) reuses the exact same decode loop with an indirect
 //!   value load;
-//! * a [`RowAcc`] *row accumulator*, so that the multi-vector SpMM path
-//!   ([`spmm_ctl_range`]) decodes each unit **once** and broadcasts the
-//!   value across a `k`-wide panel. The single-vector entry point
-//!   [`spmv_ctl_range`] is the `k = 1` instantiation with a one-element
-//!   register accumulator — the same floating-point operations in the
-//!   same order as before, so SpMV results are unchanged bit-for-bit.
+//! * a [`RowAcc`] *row accumulator*, so that [`spmm_ctl_range`] decodes
+//!   each unit **once** and broadcasts the value across a `k`-wide
+//!   panel. SpMV is the `k = 1` instantiation, with a one-element
+//!   register accumulator, so SpMV and SpMM agree at `k = 1` by
+//!   construction.
 
 use super::{CsrDu, UnitType, FLAG_NEW_ROW, FLAG_ROW_JMP};
 use crate::scalar::Scalar;
 use crate::simd::Isa;
-use crate::spmm::{with_row_acc, FixedAcc, RowAcc};
+use crate::spmm::{with_row_acc, RowAcc};
 use crate::varint::read_varint;
 
 /// Executes SpMM over `ctl[ctl_range]` with values fetched through `get`,
@@ -149,104 +148,11 @@ pub(crate) fn spmm_ctl_range<V: Scalar, G: Fn(usize) -> V, A: RowAcc<V>>(
     }
 }
 
-/// Executes SpMV over `ctl[ctl_range]` with values fetched through `get` —
-/// the `k = 1` instantiation of [`spmm_ctl_range`] with a one-element
-/// register accumulator (bit-identical to the dedicated SpMV kernel it
-/// replaces). Parameters as on [`spmm_ctl_range`].
-#[allow(clippy::too_many_arguments)]
-#[inline]
-pub(crate) fn spmv_ctl_range<V: Scalar, G: Fn(usize) -> V>(
-    ctl: &[u8],
-    get: G,
-    ctl_range: std::ops::Range<usize>,
-    val_start: usize,
-    row_wrap_base: usize,
-    row_start: usize,
-    row_end: usize,
-    y_base: usize,
-    x: &[V],
-    y: &mut [V],
-) {
-    let mut acc = FixedAcc::<V, 1>::new();
-    spmm_ctl_range(
-        ctl,
-        get,
-        ctl_range,
-        val_start,
-        row_wrap_base,
-        row_start,
-        row_end,
-        y_base,
-        x,
-        1,
-        y,
-        &mut acc,
-    );
-}
-
-/// CSR-DU entry point: direct value loads from the `values` array.
-/// `isa` is the pre-selected kernel ISA (unavailable choices degrade to
-/// the scalar decode loop).
-#[allow(clippy::too_many_arguments)]
-pub(super) fn spmv_range<V: Scalar>(
-    du: &CsrDu<V>,
-    isa: Isa,
-    ctl_range: std::ops::Range<usize>,
-    val_start: usize,
-    row_wrap_base: usize,
-    row_start: usize,
-    row_end: usize,
-    y_base: usize,
-    x: &[V],
-    y: &mut [V],
-) {
-    #[cfg(target_arch = "x86_64")]
-    if crate::simd::avx2_ok(isa) && du.ncols() <= i32::MAX as usize {
-        use crate::simd::{as_f64s, as_f64s_mut, avx2};
-        if let Some(vs) = as_f64s(du.values()) {
-            let (xs, ys) = (as_f64s(x).expect("V is f64"), as_f64s_mut(y).expect("V is f64"));
-            // SAFETY: AVX2 verified by avx2_ok; ncols fits the i32 gather
-            // lanes. The stream was built by the encoder or accepted by
-            // validate_ctl, and every caller passes either the whole
-            // stream or a split of this matrix that `assert_split_fits`
-            // checked together with `x.len() == ncols * k`.
-            unsafe {
-                avx2::du_ctl_k1(
-                    du.ctl(),
-                    avx2::ValSrc::Direct(vs),
-                    ctl_range,
-                    val_start,
-                    row_wrap_base,
-                    row_start,
-                    row_end,
-                    y_base,
-                    xs,
-                    ys,
-                );
-            }
-            return;
-        }
-    }
-    let _ = isa;
-    let values = du.values();
-    spmv_ctl_range(
-        du.ctl(),
-        #[inline(always)]
-        |j| values[j],
-        ctl_range,
-        val_start,
-        row_wrap_base,
-        row_start,
-        row_end,
-        y_base,
-        x,
-        y,
-    );
-}
-
-/// CSR-DU SpMM entry point: direct value loads, panel width `k`
-/// dispatched to the specialized accumulators (AVX2 panel kernels for
-/// `k ∈ {1, 2, 4, 8}` with `f64` values when the ISA allows).
+/// CSR-DU entry point: direct value loads from the `values` array, panel
+/// width `k` dispatched to the specialized accumulators (AVX2 kernels
+/// for `k ∈ {1, 2, 4, 8}` with `f64` values when the ISA allows). `isa`
+/// is the pre-selected kernel ISA (unavailable choices degrade to the
+/// scalar decode loop).
 #[allow(clippy::too_many_arguments)]
 pub(super) fn spmm_range<V: Scalar>(
     du: &CsrDu<V>,
@@ -267,7 +173,11 @@ pub(super) fn spmm_range<V: Scalar>(
         if let Some(vs) = as_f64s(du.values()) {
             let (xs, ys) = (as_f64s(x).expect("V is f64"), as_f64s_mut(y).expect("V is f64"));
             let src = avx2::ValSrc::Direct(vs);
-            // SAFETY: as on spmv_range's dispatch above.
+            // SAFETY: AVX2 verified by avx2_ok; ncols fits the i32 gather
+            // lanes. The stream was built by the encoder or accepted by
+            // validate_ctl, and the one caller, `spmm_split_local_isa`,
+            // passes a split of this matrix that `assert_split_fits`
+            // checked together with `x.len() == ncols * k`.
             unsafe {
                 match k {
                     1 => avx2::du_ctl_k1(

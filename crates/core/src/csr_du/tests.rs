@@ -234,10 +234,12 @@ fn spmv_via_splits_matches_serial() {
     let mut y_full = vec![0.0; 41];
     du.spmv(&x, &mut y_full);
 
+    let isa = crate::simd::selected();
     for nparts in [1, 2, 3, 5, 8] {
         let mut y_parts = vec![42.0; 41];
         for split in du.splits(nparts) {
-            du.spmv_split(&split, &x, &mut y_parts);
+            let rows = split.row_start..split.row_end;
+            du.spmm_split_local_isa(isa, &split, &x, 1, &mut y_parts[rows]);
         }
         assert_eq!(y_parts, y_full, "nparts={nparts}");
     }

@@ -160,93 +160,18 @@ impl<V: Scalar> CsrDuVi<V> {
         self.du.splits(nparts)
     }
 
-    /// SpMV over one split from [`CsrDuVi::splits`] of this matrix,
-    /// writing only the rows the split owns (`y` is the full-length
-    /// output vector).
+    /// The CSR-DU-VI kernel: SpMM with `k` right-hand sides over one
+    /// split from [`CsrDuVi::splits`] of this matrix, writing a local
+    /// panel that covers only the split's own rows (for parallel
+    /// drivers). One decode of the ctl stream *and* one value-table
+    /// indirection per non-zero feed `k` FMAs; `k = 1` is SpMV, and
+    /// [`SpMv::spmv`] is this call on the whole matrix. `isa` is chosen
+    /// by the caller (parallel plans snapshot it at construction); an
+    /// unavailable ISA degrades to the scalar decode.
     ///
     /// # Panics
-    /// If `split` does not fit this matrix or `x.len() != ncols` (see
+    /// If `split` does not fit this matrix or `x.len() != ncols * k` (see
     /// [`DuSplit`]).
-    pub fn spmv_split(&self, split: &DuSplit, x: &[V], y: &mut [V]) {
-        self.du.assert_split_fits(split, x.len(), 1);
-        self.spmv_impl(
-            split.ctl_range(),
-            split.val_start(),
-            split.row_wrap_base(),
-            split.row_start(),
-            split.row_end(),
-            0,
-            x,
-            y,
-        );
-    }
-
-    /// Like [`CsrDuVi::spmv_split`], but writes into a local slice covering
-    /// only the split's rows (for parallel drivers).
-    pub fn spmv_split_local(&self, split: &DuSplit, x: &[V], y_local: &mut [V]) {
-        self.spmv_split_local_isa(crate::simd::selected(), split, x, y_local);
-    }
-
-    /// [`CsrDuVi::spmv_split_local`] with an explicit, pre-selected
-    /// [`crate::simd::Isa`] — for parallel plans that snapshot the ISA at
-    /// construction. An unavailable ISA degrades to the scalar decode.
-    ///
-    /// # Panics
-    /// As [`CsrDuVi::spmv_split`].
-    pub fn spmv_split_local_isa(
-        &self,
-        isa: crate::simd::Isa,
-        split: &DuSplit,
-        x: &[V],
-        y_local: &mut [V],
-    ) {
-        self.du.assert_split_fits(split, x.len(), 1);
-        debug_assert_eq!(y_local.len(), split.row_end() - split.row_start());
-        self.spmv_impl_isa(
-            isa,
-            split.ctl_range(),
-            split.val_start(),
-            split.row_wrap_base(),
-            split.row_start(),
-            split.row_end(),
-            split.row_start(),
-            x,
-            y_local,
-        );
-    }
-
-    /// SpMM over one split (full-size row-major panels): the multi-vector
-    /// analogue of [`CsrDuVi::spmv_split`]. One decode of the ctl stream
-    /// *and* one value-table indirection per non-zero feed `k` FMAs.
-    ///
-    /// # Panics
-    /// If `split` does not fit this matrix or `x.len() != ncols * k`.
-    pub fn spmm_split(&self, split: &DuSplit, x: &[V], k: usize, y: &mut [V]) {
-        self.du.assert_split_fits(split, x.len(), k);
-        self.spmm_impl(
-            split.ctl_range(),
-            split.val_start(),
-            split.row_wrap_base(),
-            split.row_start(),
-            split.row_end(),
-            0,
-            x,
-            k,
-            y,
-        );
-    }
-
-    /// Like [`CsrDuVi::spmm_split`], but `y_local` covers only the split's
-    /// own row panels (for parallel drivers).
-    pub fn spmm_split_local(&self, split: &DuSplit, x: &[V], k: usize, y_local: &mut [V]) {
-        self.spmm_split_local_isa(crate::simd::selected(), split, x, k, y_local);
-    }
-
-    /// [`CsrDuVi::spmm_split_local`] with an explicit, pre-selected
-    /// [`crate::simd::Isa`] (see [`CsrDuVi::spmv_split_local_isa`]).
-    ///
-    /// # Panics
-    /// As [`CsrDuVi::spmm_split`].
     pub fn spmm_split_local_isa(
         &self,
         isa: crate::simd::Isa,
@@ -287,147 +212,9 @@ impl<V: Scalar> CsrDuVi<V> {
         })
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn spmv_impl(
-        &self,
-        ctl_range: std::ops::Range<usize>,
-        val_start: usize,
-        row_wrap_base: usize,
-        row_start: usize,
-        row_end: usize,
-        y_base: usize,
-        x: &[V],
-        y: &mut [V],
-    ) {
-        self.spmv_impl_isa(
-            crate::simd::selected(),
-            ctl_range,
-            val_start,
-            row_wrap_base,
-            row_start,
-            row_end,
-            y_base,
-            x,
-            y,
-        );
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn spmv_impl_isa(
-        &self,
-        isa: crate::simd::Isa,
-        ctl_range: std::ops::Range<usize>,
-        val_start: usize,
-        row_wrap_base: usize,
-        row_start: usize,
-        row_end: usize,
-        y_base: usize,
-        x: &[V],
-        y: &mut [V],
-    ) {
-        #[cfg(target_arch = "x86_64")]
-        if crate::simd::avx2_ok(isa) && self.ncols() <= i32::MAX as usize {
-            use crate::simd::{as_f64s, as_f64s_mut, avx2};
-            if let Some(src) = self.val_src() {
-                let (xs, ys) = (as_f64s(x).expect("V is f64"), as_f64s_mut(y).expect("V is f64"));
-                // SAFETY: AVX2 verified by avx2_ok; ncols and the value
-                // table fit the i32 gather lanes; palette indices are
-                // in-table (dedup invariant). The stream was built by the
-                // encoder, and every caller passes either the whole
-                // stream or a split of this matrix that
-                // `assert_split_fits` checked with `x.len() == ncols * k`.
-                unsafe {
-                    avx2::du_ctl_k1(
-                        self.du.ctl(),
-                        src,
-                        ctl_range,
-                        val_start,
-                        row_wrap_base,
-                        row_start,
-                        row_end,
-                        y_base,
-                        xs,
-                        ys,
-                    );
-                }
-                return;
-            }
-        }
-        let _ = isa;
-        let vals = &self.vals_unique[..];
-        match &*self.val_ind {
-            ValInd::U8(ind) => crate::csr_du::spmv_ctl_range(
-                self.du.ctl(),
-                #[inline(always)]
-                |j| vals[ind[j] as usize],
-                ctl_range,
-                val_start,
-                row_wrap_base,
-                row_start,
-                row_end,
-                y_base,
-                x,
-                y,
-            ),
-            ValInd::U16(ind) => crate::csr_du::spmv_ctl_range(
-                self.du.ctl(),
-                #[inline(always)]
-                |j| vals[ind[j] as usize],
-                ctl_range,
-                val_start,
-                row_wrap_base,
-                row_start,
-                row_end,
-                y_base,
-                x,
-                y,
-            ),
-            ValInd::U32(ind) => crate::csr_du::spmv_ctl_range(
-                self.du.ctl(),
-                #[inline(always)]
-                |j| vals[ind[j] as usize],
-                ctl_range,
-                val_start,
-                row_wrap_base,
-                row_start,
-                row_end,
-                y_base,
-                x,
-                y,
-            ),
-        }
-    }
-
-    /// SpMM twin of [`CsrDuVi::spmv_impl`]: dispatches on the value-index
-    /// width, then on the panel width `k` (register accumulators for
-    /// `k ∈ {1, 2, 4, 8}`), into the shared ctl decode loop.
-    #[allow(clippy::too_many_arguments)]
-    fn spmm_impl(
-        &self,
-        ctl_range: std::ops::Range<usize>,
-        val_start: usize,
-        row_wrap_base: usize,
-        row_start: usize,
-        row_end: usize,
-        y_base: usize,
-        x: &[V],
-        k: usize,
-        y: &mut [V],
-    ) {
-        self.spmm_impl_isa(
-            crate::simd::selected(),
-            ctl_range,
-            val_start,
-            row_wrap_base,
-            row_start,
-            row_end,
-            y_base,
-            x,
-            k,
-            y,
-        );
-    }
-
+    /// Dispatches on the value-index width, then on the panel width `k`
+    /// (register accumulators for `k ∈ {1, 2, 4, 8}`), into the shared
+    /// ctl decode loop.
     #[allow(clippy::too_many_arguments)]
     fn spmm_impl_isa(
         &self,
@@ -452,7 +239,13 @@ impl<V: Scalar> CsrDuVi<V> {
             if let Some(src) = self.val_src() {
                 let (xs, ys) = (as_f64s(x).expect("V is f64"), as_f64s_mut(y).expect("V is f64"));
                 let ctl = self.du.ctl();
-                // SAFETY: as on spmv_impl_isa's dispatch above.
+                // SAFETY: AVX2 verified by avx2_ok; ncols and the value
+                // table fit the i32 gather lanes; palette indices are
+                // in-table (dedup invariant). The stream was built by the
+                // encoder or accepted by validate_ctl, and the one caller,
+                // `spmm_split_local_isa`, passes a split of this matrix
+                // that `assert_split_fits` checked with
+                // `x.len() == ncols * k`.
                 unsafe {
                     match k {
                         1 => avx2::du_ctl_k1(
@@ -586,7 +379,7 @@ impl<V: Scalar> SpMv<V> for CsrDuVi<V> {
     fn spmv(&self, x: &[V], y: &mut [V]) {
         assert_eq!(x.len(), self.ncols(), "x length must equal ncols");
         assert_eq!(y.len(), self.nrows(), "y length must equal nrows");
-        self.spmv_impl(0..self.du.ctl().len(), 0, usize::MAX, 0, self.nrows(), 0, x, y);
+        self.spmm_split_local_isa(crate::simd::selected(), &self.du.whole_split(), x, 1, y);
     }
 
     fn validate(&self) -> std::result::Result<(), crate::error::SparseError> {
@@ -627,17 +420,8 @@ impl<V: Scalar> SpMv<V> for CsrDuVi<V> {
 impl<V: Scalar> crate::spmm::SpMm<V> for CsrDuVi<V> {
     fn spmm(&self, x: crate::DenseBlock<'_, V>, mut y: crate::DenseBlockMut<'_, V>) {
         let k = crate::spmm::assert_panel_shapes(self.nrows(), self.ncols(), &x, &y);
-        self.spmm_impl(
-            0..self.du.ctl().len(),
-            0,
-            usize::MAX,
-            0,
-            self.nrows(),
-            0,
-            x.data(),
-            k,
-            y.data_mut(),
-        );
+        let whole = self.du.whole_split();
+        self.spmm_split_local_isa(crate::simd::selected(), &whole, x.data(), k, y.data_mut());
     }
 }
 
@@ -707,10 +491,12 @@ mod tests {
         let x: Vec<f64> = (0..300).map(|i| (i % 9) as f64 - 4.0).collect();
         let mut y_full = vec![0.0; 200];
         duvi.spmv(&x, &mut y_full);
+        let isa = crate::simd::selected();
         for nparts in [2, 3, 7] {
             let mut y = vec![1.0; 200];
             for s in duvi.splits(nparts) {
-                duvi.spmv_split(&s, &x, &mut y);
+                let rows = s.row_start()..s.row_end();
+                duvi.spmm_split_local_isa(isa, &s, &x, 1, &mut y[rows]);
             }
             assert_eq!(y, y_full, "nparts={nparts}");
         }

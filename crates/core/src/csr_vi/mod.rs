@@ -251,52 +251,16 @@ impl<I: SpIndex, V: Scalar> CsrVi<I, V> {
         }
     }
 
-    /// SpMV over the half-open row range `[row_begin, row_end)` — the
-    /// multithreaded building block. The paper notes the MT version is
+    /// The CSR-VI kernel (Fig. 5 of the paper): SpMM over the half-open
+    /// row range `[row_begin, row_end)` with `k` right-hand sides, writing
+    /// into a local row-major panel whose row 0 corresponds to
+    /// `row_begin`. The paper notes the multithreaded version is
     /// "trivially derived" by giving each thread its first and last row.
-    pub fn spmv_rows(&self, row_begin: usize, row_end: usize, x: &[V], y: &mut [V]) {
-        spmv::spmv_rows(self, crate::simd::selected(), row_begin, row_end, 0, x, y);
-    }
-
-    /// Like [`CsrVi::spmv_rows`], but writes into a local slice whose
-    /// element 0 corresponds to `row_begin` (for parallel drivers).
-    pub fn spmv_rows_local(&self, row_begin: usize, row_end: usize, x: &[V], y_local: &mut [V]) {
-        self.spmv_rows_local_isa(crate::simd::selected(), row_begin, row_end, x, y_local);
-    }
-
-    /// [`CsrVi::spmv_rows_local`] with an explicit, pre-selected
-    /// [`crate::simd::Isa`] — for parallel plans that snapshot the ISA at
-    /// construction. An unavailable ISA degrades to the scalar path.
-    pub fn spmv_rows_local_isa(
-        &self,
-        isa: crate::simd::Isa,
-        row_begin: usize,
-        row_end: usize,
-        x: &[V],
-        y_local: &mut [V],
-    ) {
-        debug_assert_eq!(y_local.len(), row_end - row_begin);
-        spmv::spmv_rows(self, isa, row_begin, row_end, row_begin, x, y_local);
-    }
-
-    /// SpMM over the half-open row range `[row_begin, row_end)`, writing
-    /// into a local row-major panel whose row 0 corresponds to `row_begin`
-    /// — the multi-vector analogue of [`CsrVi::spmv_rows_local`]. Each
-    /// value-table indirection is resolved once per non-zero and broadcast
-    /// across the `k`-wide accumulator (`k = 1` is bit-identical to SpMV).
-    pub fn spmm_rows_local(
-        &self,
-        row_begin: usize,
-        row_end: usize,
-        x: &[V],
-        k: usize,
-        y_local: &mut [V],
-    ) {
-        self.spmm_rows_local_isa(crate::simd::selected(), row_begin, row_end, x, k, y_local);
-    }
-
-    /// [`CsrVi::spmm_rows_local`] with an explicit, pre-selected
-    /// [`crate::simd::Isa`] (see [`CsrVi::spmv_rows_local_isa`]).
+    /// Each value-table indirection is resolved once per non-zero and
+    /// broadcast across the `k`-wide accumulator; `k = 1` is SpMV, and
+    /// [`SpMv::spmv`] is this call over all rows. `isa` is chosen by the
+    /// caller (parallel plans snapshot it at construction); an
+    /// unavailable ISA degrades to the scalar path.
     pub fn spmm_rows_local_isa(
         &self,
         isa: crate::simd::Isa,
@@ -331,7 +295,7 @@ impl<I: SpIndex, V: Scalar> SpMv<V> for CsrVi<I, V> {
     fn spmv(&self, x: &[V], y: &mut [V]) {
         assert_eq!(x.len(), self.ncols, "x length must equal ncols");
         assert_eq!(y.len(), self.nrows, "y length must equal nrows");
-        spmv::spmv_rows(self, crate::simd::selected(), 0, self.nrows, 0, x, y);
+        self.spmm_rows_local_isa(crate::simd::selected(), 0, self.nrows, x, 1, y);
     }
 
     fn validate(&self) -> std::result::Result<(), crate::error::SparseError> {
@@ -359,7 +323,7 @@ impl<I: SpIndex, V: Scalar> SpMv<V> for CsrVi<I, V> {
 impl<I: SpIndex, V: Scalar> crate::spmm::SpMm<V> for CsrVi<I, V> {
     fn spmm(&self, x: crate::DenseBlock<'_, V>, mut y: crate::DenseBlockMut<'_, V>) {
         let k = crate::spmm::assert_panel_shapes(self.nrows, self.ncols, &x, &y);
-        spmv::spmm_rows(self, crate::simd::selected(), 0, self.nrows, 0, x.data(), k, y.data_mut());
+        self.spmm_rows_local_isa(crate::simd::selected(), 0, self.nrows, x.data(), k, y.data_mut());
     }
 }
 

@@ -113,9 +113,10 @@ fn spmv_rows_partitioned_matches_full() {
     let mut y_full = vec![0.0; 6];
     vi.spmv(&x, &mut y_full);
     let mut y_parts = vec![9.0; 6];
-    vi.spmv_rows(0, 2, &x, &mut y_parts);
-    vi.spmv_rows(2, 5, &x, &mut y_parts);
-    vi.spmv_rows(5, 6, &x, &mut y_parts);
+    let isa = crate::simd::selected();
+    for (a, b) in [(0, 2), (2, 5), (5, 6)] {
+        vi.spmm_rows_local_isa(isa, a, b, &x, 1, &mut y_parts[a..b]);
+    }
     assert_eq!(y_parts, y_full);
 }
 

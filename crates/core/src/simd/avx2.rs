@@ -61,8 +61,8 @@
 //!   and the unit lengths add up to the stored values. The decoded range
 //!   is either the whole stream or a split from `CsrDu::splits` of the
 //!   same matrix, so it starts on a row-starting unit and ends on a unit
-//!   boundary. The public split entry points assert that the split fits
-//!   the matrix and that `x.len() == ncols * k`.
+//!   boundary. The split kernel methods (`spmm_split_local_isa`) assert
+//!   that the split fits the matrix and that `x.len() == ncols * k`.
 //!
 //! All `y` writes are bounds-checked slice stores (once per row), so no
 //! stream content can write out of bounds. Debug builds check the rest
@@ -270,8 +270,9 @@ unsafe fn fold4(mut acc: f64, p: __m256d) -> f64 {
     acc
 }
 
-/// CSR / CSR-VI row-range SpMV (`k = 1`). Mirrors `Csr::spmv_rows` /
-/// `csr_vi::kernel`: per row, accumulate `values[j] * x[col_ind[j]]` in
+/// CSR / CSR-VI row-range SpMV (`k = 1`). Mirrors the scalar row loops
+/// `Csr::spmm_rows_acc` / `csr_vi::kernel_mm` with a one-element
+/// `FixedAcc`: per row, accumulate `values[j] * x[col_ind[j]]` in
 /// stream order, store once. Four columns are gathered and multiplied
 /// per step; the adds stay sequential (see [`fold4`]).
 ///

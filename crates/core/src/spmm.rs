@@ -22,14 +22,14 @@
 //!
 //! ## Register blocking
 //!
-//! Every format's kernel is written once, generic over a [`RowAcc`]
-//! row-accumulator. [`with_row_acc!`] dispatches on `k` at the call
+//! Every format's kernel is written once, generic over a `RowAcc`
+//! row-accumulator. `with_row_acc!` dispatches on `k` at the call
 //! boundary: `k ∈ {1, 2, 4, 8}` monomorphize with a fixed-size array
-//! accumulator that lives in registers ([`FixedAcc`]); any other `k`
-//! falls back to a heap-backed accumulator ([`DynAcc`]). The `k = 1`
-//! instantiation performs the same floating-point operations in the same
-//! order as the scalar SpMV kernels, so its result is bit-identical to
-//! [`SpMv::spmv`].
+//! accumulator that lives in registers (`FixedAcc`); any other `k` falls
+//! back to a heap-backed accumulator (`DynAcc`). Each paper format has
+//! this one kernel, and its [`SpMv::spmv`] is the `k = 1` call, so SpMV
+//! and SpMM at `k = 1` are the same code and give the same bits by
+//! construction.
 
 use crate::error::SparseError;
 use crate::scalar::Scalar;
@@ -227,8 +227,8 @@ pub(crate) trait RowAcc<V: Scalar> {
 }
 
 /// Fixed-width accumulator: a `[V; K]` the compiler keeps in registers
-/// for small `K`. The `K = 1` instantiation performs exactly the scalar
-/// kernels' operations, which is what makes `k = 1` bit-identical.
+/// for small `K`. The `K = 1` instantiation is the scalar SpMV
+/// accumulator.
 pub(crate) struct FixedAcc<V: Scalar, const K: usize> {
     acc: [V; K],
 }

@@ -84,7 +84,7 @@ pub fn effective_bandwidth(bytes_per_iter: usize, iters: usize, seconds: f64) ->
 }
 
 /// Checked twin of [`effective_bandwidth`]: returns
-/// [`SparseError::InvalidArgument`] when `seconds` is non-positive or
+/// [`crate::SparseError::InvalidArgument`] when `seconds` is non-positive or
 /// non-finite, or when the quotient is non-finite (denormal-tiny elapsed
 /// time on a fast clock).
 pub fn try_effective_bandwidth(

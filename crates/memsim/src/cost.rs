@@ -114,7 +114,7 @@ impl FormatCost {
     /// Cost descriptor for plain CSR with index type `I`.
     ///
     /// Rejects 0-row / 0-nnz matrices with a typed
-    /// [`SparseError::InvalidArgument`] (see [`check_shape`]).
+    /// [`SparseError::InvalidArgument`] (see `check_shape`).
     pub fn csr<I: SpIndex, V: Scalar>(
         m: &Csr<I, V>,
         cm: &CostModel,

@@ -6,12 +6,12 @@
 //! usually wins — but "usually" hides CPU-bound regimes (cache-resident
 //! matrices, decode-heavy streams) where CSR or CSR-VI beat CSR-DU. The
 //! repo already has every ingredient to decide per matrix instead of
-//! guessing: [`MatrixProfile`](crate::MatrixProfile) captures the nnz
+//! guessing: [`MatrixProfile`] captures the nnz
 //! distribution, x-vector locality and per-thread imbalance;
-//! [`FormatCost`](crate::FormatCost) captures each format's stream/
+//! [`FormatCost`] captures each format's stream/
 //! resident bytes and cycle costs (delta-unit compressibility and the
 //! value-table size fall out of the encodes); and
-//! [`predict`](crate::predict) folds both through the modeled cache and
+//! [`predict`](fn@crate::predict) folds both through the modeled cache and
 //! bandwidth hierarchy. The [`Planner`] glues them into one call:
 //! *matrix in, ready-to-run [`Plan`] out*.
 //!
@@ -19,8 +19,8 @@
 //!
 //! For each candidate format (default: the paper's CSR, CSR-DU, CSR-VI,
 //! CSR-DU-VI) the planner encodes the matrix, builds its
-//! [`FormatCost`](crate::FormatCost), and evaluates
-//! [`predict`](crate::predict) at every candidate thread count placed
+//! [`FormatCost`], and evaluates
+//! [`predict`](fn@crate::predict) at every candidate thread count placed
 //! "close" (cores packed onto as few dies as possible). Candidates are
 //! ranked by predicted time per iteration under [`f64::total_cmp`] — a
 //! **total** order, so a NaN that slips through can never panic the sort
@@ -846,7 +846,6 @@ fn parse_entry(line: &str) -> Result<CacheEntry, SparseError> {
         "CSR-DU" => FormatKind::CsrDu,
         "CSR-VI" => FormatKind::CsrVi,
         "CSR-DU-VI" => FormatKind::CsrDuVi,
-        "DCSR" => FormatKind::Dcsr,
         other => {
             return Err(SparseError::Parse(format!("plan cache: unknown format {other:?}")));
         }
@@ -1043,6 +1042,20 @@ mod tests {
         let bpath = dir.join("mangled");
         std::fs::write(&bpath, format!("{CACHE_HEADER}\ncrc=1 nrows=oops\n")).unwrap();
         assert!(matches!(p.load(&bpath), Err(SparseError::Parse(_))));
+
+        // A well-formed line naming a format the planner never plans
+        // (and so could not serve) is refused like any unknown format.
+        let line = |format: &str| {
+            format!(
+                "{CACHE_HEADER}\ncrc=1 nrows=4 ncols=4 nnz=4 format={format} threads=1 chunks=1 \
+                 matrix_bytes=64 predicted_time_s=0.001 predicted_mflops=8.0 memory_bound=false\n"
+            )
+        };
+        let fpath = dir.join("foreign-format");
+        std::fs::write(&fpath, line("DCSR")).unwrap();
+        assert!(matches!(p.load(&fpath), Err(SparseError::Parse(_))));
+        std::fs::write(&fpath, line("CSR")).unwrap();
+        assert_eq!(p.load(&fpath).expect("the same line with a planned format loads"), 1);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -95,7 +95,8 @@ impl Clone for Rule {
 /// A scripted, consumed-once set of fault rules.
 ///
 /// Arm with [`FaultPlan::arm`]; the executor hooks consult the armed plan
-/// through [`current`]. Dropping the returned [`ArmedPlan`] guard disarms.
+/// through [`FaultHandle::capture`]. Dropping the returned [`ArmedPlan`]
+/// guard disarms.
 #[derive(Default, Clone)]
 pub struct FaultPlan {
     rules: Vec<Rule>,

@@ -87,8 +87,8 @@
 //! is waited for, because the job borrows the caller's stack.
 //!
 //! The `fault-injection` feature compiles in a deterministic scripted
-//! fault harness ([`faults`], test-only) that drives panics, stalls and
-//! silent corruption through the supervised executor;
+//! fault harness (the `faults` module, test-only) that drives panics,
+//! stalls and silent corruption through the supervised executor;
 //! the recovery matrix lives in `tests/fault_injection.rs`, and
 //! feature-independent guarantees (tight-deadline correctness, self-check
 //! on honest kernels) in the workspace-root `tests/fault_tolerance.rs`.

@@ -38,7 +38,7 @@ use crate::sched::{release_slot, DrrSched};
 use crate::service::{Pending, Response, ServiceConfig, TenantLimits};
 use crate::stats::{ShardStatsInner, StatsInner};
 use spmv_memsim::Planner;
-use spmv_parallel::{assemble_chunks, ChunkKernel, SupervisedSpMv, WatchdogOpts};
+use spmv_parallel::{assemble_chunks, ChunkKernel, FaultEvent, SupervisedSpMv, WatchdogOpts};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
@@ -428,9 +428,9 @@ fn run_batch(
 }
 
 /// The parallel path: one supervised call, which recovers every fault
-/// it detects. A degraded call counts its fault events and feeds the
-/// matrix breaker. Returns the executor's own output panel and whether
-/// the call degraded.
+/// it detects. A degraded call counts its faults and feeds the matrix
+/// breaker. Returns the executor's own output panel and whether the
+/// call degraded.
 fn run_parallel(
     es: &mut ExecEntry,
     stats: &StatsInner,
@@ -439,7 +439,13 @@ fn run_parallel(
 ) -> (Vec<f64>, bool) {
     let (y_panel, report) = es.exec.spmm_owned(x, k);
     if report.degraded() {
-        stats.pool_faults.fetch_add(report.events.len() as u64, Ordering::Relaxed);
+        // A respawn is a stall's recovery, not a second fault.
+        let faults = report
+            .events
+            .iter()
+            .filter(|e| !matches!(e, FaultEvent::WorkerRespawned { .. }))
+            .count();
+        stats.pool_faults.fetch_add(faults as u64, Ordering::Relaxed);
         if es.breaker.record_fault(Instant::now()) {
             stats.bump(&stats.breaker_trips);
         }

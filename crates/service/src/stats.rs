@@ -165,8 +165,9 @@ pub struct ServiceStats {
     /// itself, so the service never re-runs a batch. The field stays
     /// because benchmark artifacts and their readers still carry it.
     pub retries: u64,
-    /// Fault events in the health reports of degraded supervised calls
-    /// (recovered panics, stalls, respawns and corrupted chunks).
+    /// Faults in the health reports of degraded supervised calls: each
+    /// recovered panic, stall and corrupted chunk counts once (a stalled
+    /// worker's respawn is its recovery and does not count again).
     pub pool_faults: u64,
     /// Times a per-matrix circuit breaker tripped open.
     pub breaker_trips: u64,

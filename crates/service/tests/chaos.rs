@@ -205,6 +205,38 @@ fn tripped_breaker_routes_to_serial_with_identical_results() {
 }
 
 #[test]
+fn a_recovered_stall_counts_one_pool_fault() {
+    // The watchdog abandons the stalled worker, recovers its chunk and
+    // respawns the worker: two health events, but one fault.
+    let coo = irregular(120, 100, 61);
+    let csr: Csr<u32, f64> = coo.to_csr();
+    let cfg = ServiceConfig {
+        threads: 2,
+        caller_participates: false,
+        max_exec_deadline: Duration::from_millis(500),
+        default_deadline: Duration::from_secs(30),
+        ..ServiceConfig::default()
+    };
+    let svc =
+        ServiceBuilder::new(cfg)
+            .register_matrix("m", Arc::new(CsrChunks::new(Arc::new(csr.clone()), 5)))
+            .inject_faults(FaultPlan::new().inject(
+                FaultSite::chunk(0, 0),
+                FaultAction::DelayOnce(Duration::from_millis(2000)),
+            ))
+            .start();
+    let x = x_for(100, 2);
+    let mut want = vec![0.0f64; 120];
+    csr.spmv(&x, &mut want);
+    let resp = svc.submit(req("m", "t", x, Duration::from_secs(30))).unwrap();
+    assert_eq!(resp.y, want, "the recovered chunk must be bit-identical to serial");
+    assert!(resp.degraded, "{resp:?}");
+    let stats = svc.shutdown();
+    assert_eq!(stats.completed, 1);
+    assert_eq!(stats.pool_faults, 1, "a respawn is the stall's recovery, not a second fault");
+}
+
+#[test]
 fn shutdown_mid_chaos_publishes_every_outstanding_reply_promptly() {
     // Shutdown semantics under fault injection: admission closes, the
     // drain deadline expires whatever cannot finish, and *every*

@@ -15,6 +15,13 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== cargo clippy --all-features (code behind fault-injection) =="
 cargo clippy --workspace --all-targets --all-features -- -D warnings
 
+echo "== cargo doc (workspace, rustdoc warnings are errors) =="
+# A doc link to a deleted or private item, or an ambiguous one, fails
+# here. Each feature set is checked, because the fault-injection module
+# and the links into it exist only with --all-features.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --all-features
+
 echo "== cargo build --release =="
 cargo build --release
 

@@ -8,6 +8,8 @@
 //! Coverage: format ∈ {csr, csr-du, csr-vi, csr-duvi} × k ∈ {1, 2, 4, 8}
 //! × threads ∈ {1, 2, 4, 7}, over shapes with empty rows, dense rows and
 //! degenerate cases, plus a property-based sweep over arbitrary matrices.
+//! Each format has one kernel method, and SpMV is its `k = 1` call, so
+//! the `k = 1` column of the serial sweep covers `SpMv::spmv` too.
 //! The delta formats run both with the default encoder and with `SEQ`
 //! units enabled (the `-seq` formats), and one shape is wide enough for
 //! `u32` column deltas, so every unit type's decode is compared. Outputs
@@ -154,9 +156,9 @@ fn assert_bits_eq(label: &str, got: &[f64], want: &[f64]) {
     }
 }
 
-/// Serial per-format panel under an explicit ISA. CSR and CSR-VI use the
-/// row-range entry points; the delta formats go through their (single)
-/// split, which covers every row.
+/// Serial per-format panel under an explicit ISA. CSR and CSR-VI run
+/// their row-range kernel over every row; the delta formats run their
+/// split kernel on their (single) split, which covers every row.
 fn serial_panel(fmt: &str, csr: &Csr<u32, f64>, isa: Isa, x: &[f64], k: usize) -> Vec<f64> {
     let nrows = csr.nrows();
     let mut y = vec![f64::NAN; nrows * k];
@@ -196,45 +198,6 @@ fn serial_kernels_bit_identical_across_isas() {
                 let vector = serial_panel(fmt, &csr, simd, &x, k);
                 assert_bits_eq(&format!("{name}/{fmt}/k={k}"), &vector, &scalar);
             }
-        }
-    }
-}
-
-#[test]
-fn serial_spmv_entry_points_bit_identical_across_isas() {
-    // The k = 1 SpMV entry points are separate code paths from the
-    // panel kernels; pin them explicitly.
-    let simd = avx2_or_note();
-    for ((name, coo), seq) in suite().into_iter().flat_map(|c| [(c.clone(), ""), (c, "-seq")]) {
-        let csr: Csr<u32, f64> = coo.to_csr();
-        let du = CsrDu::from_csr(&csr, &du_options(seq));
-        let vi = CsrVi::from_csr(&csr);
-        let duvi = CsrDuVi::from_csr(&csr, &du_options(seq));
-        let nrows = csr.nrows();
-        let x = x_panel(csr.ncols(), 1, 59);
-        for isa_pair in [(Isa::Scalar, simd)] {
-            let (a, b) = isa_pair;
-            let mut ya = vec![f64::NAN; nrows];
-            let mut yb = vec![f64::NAN; nrows];
-            csr.spmv_rows_local_isa(a, 0, nrows, &x, &mut ya);
-            csr.spmv_rows_local_isa(b, 0, nrows, &x, &mut yb);
-            assert_bits_eq(&format!("{name}/csr/spmv"), &yb, &ya);
-
-            vi.spmv_rows_local_isa(a, 0, nrows, &x, &mut ya);
-            vi.spmv_rows_local_isa(b, 0, nrows, &x, &mut yb);
-            assert_bits_eq(&format!("{name}/csr-vi/spmv"), &yb, &ya);
-
-            for s in &du.splits(1) {
-                du.spmv_split_local_isa(a, s, &x, &mut ya[s.row_start()..s.row_end()]);
-                du.spmv_split_local_isa(b, s, &x, &mut yb[s.row_start()..s.row_end()]);
-            }
-            assert_bits_eq(&format!("{name}/csr-du{seq}/spmv"), &yb, &ya);
-
-            for s in &duvi.splits(1) {
-                duvi.spmv_split_local_isa(a, s, &x, &mut ya[s.row_start()..s.row_end()]);
-                duvi.spmv_split_local_isa(b, s, &x, &mut yb[s.row_start()..s.row_end()]);
-            }
-            assert_bits_eq(&format!("{name}/csr-duvi{seq}/spmv"), &yb, &ya);
         }
     }
 }
@@ -443,9 +406,9 @@ fn assert_split_rejected(label: &str, call: impl FnOnce()) {
 #[test]
 fn foreign_splits_panic_before_decoding() {
     // A split carries raw ctl/value/row offsets that the AVX2 decode
-    // trusts; every split entry point must refuse one cut from another
-    // matrix — larger, or the same shape with a different stream —
-    // before reading anything, so `y` stays untouched.
+    // trusts; each delta format's split kernel must refuse one cut from
+    // another matrix — larger, or the same shape with a different stream
+    // — before reading anything, so `y` stays untouched.
     let small: Csr<u32, f64> = mixed_matrix(20, 45, 3).to_csr();
     let opts = DuOptions::default();
     let du = CsrDu::from_csr(&small, &opts);
@@ -459,36 +422,15 @@ fn foreign_splits_panic_before_decoding() {
         for isa in [Isa::Scalar, avx2_or_note()] {
             for k in [1, 8] {
                 let x = x_panel(small.ncols(), k, 13);
-                let mut y_full = vec![f64::NAN; small.nrows() * k];
                 let mut y_local = vec![f64::NAN; rows * k];
                 let tag = format!("{source}/{isa}/k={k}");
-                if k == 1 {
-                    assert_split_rejected(&format!("du spmv_split {tag}"), || {
-                        du.spmv_split(&foreign, &x, &mut y_full)
-                    });
-                    assert_split_rejected(&format!("du spmv_split_local_isa {tag}"), || {
-                        du.spmv_split_local_isa(isa, &foreign, &x, &mut y_local)
-                    });
-                    assert_split_rejected(&format!("duvi spmv_split {tag}"), || {
-                        duvi.spmv_split(&foreign, &x, &mut y_full)
-                    });
-                    assert_split_rejected(&format!("duvi spmv_split_local_isa {tag}"), || {
-                        duvi.spmv_split_local_isa(isa, &foreign, &x, &mut y_local)
-                    });
-                }
-                assert_split_rejected(&format!("du spmm_split {tag}"), || {
-                    du.spmm_split(&foreign, &x, k, &mut y_full)
-                });
                 assert_split_rejected(&format!("du spmm_split_local_isa {tag}"), || {
                     du.spmm_split_local_isa(isa, &foreign, &x, k, &mut y_local)
-                });
-                assert_split_rejected(&format!("duvi spmm_split {tag}"), || {
-                    duvi.spmm_split(&foreign, &x, k, &mut y_full)
                 });
                 assert_split_rejected(&format!("duvi spmm_split_local_isa {tag}"), || {
                     duvi.spmm_split_local_isa(isa, &foreign, &x, k, &mut y_local)
                 });
-                assert!(y_full.iter().chain(&y_local).all(|v| v.is_nan()), "{tag}: y was written");
+                assert!(y_local.iter().all(|v| v.is_nan()), "{tag}: y was written");
             }
         }
     }
@@ -497,9 +439,11 @@ fn foreign_splits_panic_before_decoding() {
     let copy = du.clone();
     let x = x_panel(small.ncols(), 1, 13);
     let (mut want, mut got) = (vec![f64::NAN; small.nrows()], vec![f64::NAN; small.nrows()]);
+    let isa = avx2_or_note();
     for s in &du.splits(3) {
-        du.spmv_split(s, &x, &mut want);
-        copy.spmv_split(s, &x, &mut got);
+        let rows = s.row_start()..s.row_end();
+        du.spmm_split_local_isa(isa, s, &x, 1, &mut want[rows.clone()]);
+        copy.spmm_split_local_isa(isa, s, &x, 1, &mut got[rows]);
     }
     assert_bits_eq("clone", &got, &want);
 }
